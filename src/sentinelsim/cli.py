@@ -97,7 +97,10 @@ def _cmd_run(args) -> int:
     extra_sinks = []
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        extra_sinks.append(LineFileSink(os.path.join(args.out, "outbox.log")))
+        outbox_path = os.path.join(args.out, "outbox.log")
+        # the sink appends; start the log empty so a rerun does not double it
+        open(outbox_path, "w", encoding="utf-8").close()
+        extra_sinks.append(LineFileSink(outbox_path))
         if cfg.maildir:
             extra_sinks.append(
                 MaildirSink(os.path.join(args.out, "maildir"), cfg.addresses())

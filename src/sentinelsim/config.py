@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -129,18 +130,25 @@ def coerce_value(key: str, value):
     caster = _CASTERS[key]
     if isinstance(value, str) and caster is not str:
         try:
-            return caster(value)
+            value = caster(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    expected = bool if caster is _parse_bool else caster
-    if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, expected) or (
-        expected in (int, float) and isinstance(value, bool)
-    ):
-        raise ConfigError(
-            f"bad value for {key!r}: expected {expected.__name__}, got {value!r}"
-        )
+    else:
+        expected = bool if caster is _parse_bool else caster
+        if expected is float and isinstance(value, int) and not isinstance(value, bool):
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"bad value for {key!r}: not a finite float") from None
+        elif not isinstance(value, expected) or (
+            expected in (int, float) and isinstance(value, bool)
+        ):
+            raise ConfigError(
+                f"bad value for {key!r}: expected {expected.__name__}, got {value!r}"
+            )
+    # nan and inf pass every range check downstream, so stop them here
+    if caster is float and not math.isfinite(value):
+        raise ConfigError(f"bad value for {key!r}: must be finite, got {value!r}")
     return value
 
 

@@ -4,10 +4,16 @@ run() is referentially transparent in (scenario, seed, config): it touches
 no wall clock and no filesystem, so identical inputs give byte-identical
 rendered reports. File outputs (report, outbox log, clip placeholders) are
 the CLI layer's job.
+
+Dispatch order: scenario events in time order (ties keep scenario order),
+merged with the controller's follow-ups (clip ends, attempt deadlines, frame
+arrivals). At the same millisecond a scenario event precedes a follow-up,
+and follow-ups keep the order in which they were scheduled.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from . import rng
@@ -97,10 +103,11 @@ def run(
     dispatcher = Dispatcher([MemorySink()] + list(extra_sinks))
     controller = build_controller(cfg, seed, dispatcher)
 
+    # The queue holds only follow-ups; the scenario streams past it. The
+    # stable sort is linear on parse_scenario's already-sorted events and
+    # keeps hand-built scenarios with out-of-order events working.
     queue = EventQueue()
-    for ev in scenario.events:
-        queue.push(ev)
-    for item in queue.drain():
+    for item in queue.merge(sorted(scenario.events, key=attrgetter("at"))):
         for followup in controller.dispatch(item):
             queue.push(followup)
 

@@ -1,8 +1,11 @@
 """Simulation clock units, external stimulus events and the ordered event queue.
 
-All simulation time is integer milliseconds since scenario start. The queue
-dispenses items in ascending time order with stable insertion-order
-tie-breaking, which is what makes runs replayable.
+All simulation time is integer milliseconds since scenario start. Items are
+dispatched in ascending time order, and ties break by a fixed rule, which is
+what makes runs replayable: a scenario event precedes a controller follow-up
+at the same millisecond, scenario events at one millisecond keep their
+scenario order, and follow-ups at one millisecond keep the order in which
+they were scheduled.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 # Milliseconds since scenario start. Plain ints so the clock never drifts.
 Instant = int
@@ -89,6 +92,22 @@ class EventQueue:
         """Yield items in dispatch order until the queue is empty."""
         while self._heap:
             yield self.pop()
+
+    def merge(self, stream: Iterable) -> Iterator:
+        """Yield ``stream`` interleaved with this queue's items, then drain it.
+
+        ``stream`` must already be in time order. Before each stream item the
+        queued items due strictly earlier are yielded, so a stream item
+        precedes queued items at the same time. Items pushed while the
+        merge is being consumed are merged too.
+        """
+        heap = self._heap
+        for item in stream:
+            at = item.at
+            while heap and heap[0][0] < at:
+                yield self.pop()
+            yield item
+        yield from self.drain()
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -89,10 +89,14 @@ class AttemptSession:
     observed: List[int] = field(default_factory=list)
     extraneous_press: bool = False
     finalized: bool = False
+    # First instant at which the outcome is decidable: the end of the last
+    # pulse's window. Fixed by spec and start, so computed once.
+    end: Instant = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.observed:
             self.observed = [0] * len(self.spec)
+        self.end = self.window(len(self.spec) - 1)[1]
 
     @classmethod
     def begin(cls, spec: PasswordSpec, start: Instant) -> "AttemptSession":
@@ -102,11 +106,6 @@ class AttemptSession:
         """Half-open [lit, off) interval of pulse k, 0-based."""
         lo = self.started_at + k * self.spec.pulse_period_ms
         return lo, lo + self.spec.press_window_ms
-
-    @property
-    def end(self) -> Instant:
-        """First instant at which the outcome is decidable."""
-        return self.window(len(self.spec) - 1)[1]
 
     def record_press(self, at: Instant) -> None:
         """Register a button press at time ``at``.

@@ -124,6 +124,39 @@ def test_only_the_fully_layered_config_is_validated(tmp_path, capsys):
     assert "PRESENCE_TRIGGER" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_set_override_rejected(breakin_file, value, capsys):
+    assert main(["run", breakin_file, "--set", f"speed_of_sound={value}"]) == 1
+    captured = capsys.readouterr()
+    assert "'speed_of_sound'" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_scenario_set_line_rejected(tmp_path, capsys):
+    sc = tmp_path / "nan.scn"
+    sc.write_text("set threshold_m nan\n0 distance 3.5\n", encoding="utf-8")
+    assert main(["run", str(sc)]) == 1
+    err = capsys.readouterr().err
+    assert "line 1" in err and "'threshold_m'" in err and "finite" in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_config_file_value_rejected(breakin_file, tmp_path, literal, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_range_m": %s}' % literal, encoding="utf-8")
+    assert main(["run", breakin_file, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "'max_range_m'" in err and "finite" in err
+
+
+def test_rerun_into_same_out_directory_rewrites_outbox(breakin_file, tmp_path):
+    out_dir = tmp_path / "out"
+    for _ in range(2):
+        assert main(["run", breakin_file, "--out", str(out_dir)]) == 0
+        outbox = (out_dir / "outbox.log").read_text(encoding="utf-8").splitlines()
+        assert len(outbox) == 2
+
+
 def test_runtime_error_exits_two(tmp_path, capsys):
     sc = tmp_path / "double.scn"
     sc.write_text("0 mode_button\n500 mode_button\n", encoding="utf-8")

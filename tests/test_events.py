@@ -96,3 +96,23 @@ class TestEventQueue:
         drained = list(q.drain())
         assert len(drained) == 50
         assert sorted(map(id, drained)) == sorted(map(id, events))
+
+    def test_merge_puts_stream_items_before_queued_ties(self):
+        q = EventQueue()
+        x, y, z = ev(0, EventKind.PRESS_UP), ev(3, EventKind.PRESS_UP), ev(5, EventKind.PRESS_UP)
+        for e in (z, x, y):
+            q.push(e)
+        a, b = ev(0), ev(5)
+        assert list(q.merge([a, b])) == [a, x, y, b, z]
+        assert not q
+
+    def test_merge_takes_items_pushed_while_consumed(self):
+        q = EventQueue()
+        a, b = ev(0), ev(10)
+        late = ev(4, EventKind.PRESS_UP)
+        order = []
+        for item in q.merge([a, b]):
+            order.append(item)
+            if item is a:
+                q.push(late)
+        assert order == [a, late, b]
