@@ -20,7 +20,7 @@ from .airframe import (
     encode_frame,
     transmit,
 )
-from .config import ConfigError, SimConfig, resolve_config
+from .config import ConfigError, SimConfig
 from .controller import (
     Action,
     Controller,
@@ -52,9 +52,7 @@ from .pulselock import (
 from .report import RunReport, render_report
 from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
 from .sensors import (
-    BeamStatus,
     UltrasonicConfig,
-    beam_state,
     distance_from_echo,
     echo_from_distance,
     presence_detect,

@@ -24,9 +24,6 @@ DELIMITER = 0x7E
 # length byte covers frame_type + source_id + payload and must fit in 8 bits
 MAX_PAYLOAD = 0xFF - 2
 
-DATA_RATE_MIN_BPS = 20_000
-DATA_RATE_MAX_BPS = 250_000
-
 
 class FrameType(IntEnum):
     HEARTBEAT = 0x00
@@ -128,30 +125,14 @@ def hex_dump(data: bytes) -> str:
 class LinkModel:
     """Loss, latency and retry behaviour of the node-to-coordinator hop.
 
-    data_rate_bps is carried and validated against the radio's rated range
-    but does not add serialization delay in this version; frames are tiny.
+    Built from a validated ``SimConfig``, which holds the rules on these
+    values.
     """
 
     drop_probability: float = 0.0
     latency_ms: int = 0
     max_retries: int = 2
     rng_seed: int = 0
-    data_rate_bps: int = DATA_RATE_MAX_BPS
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_probability <= 1.0:
-            raise ValueError(
-                f"drop_probability must be in [0, 1], got {self.drop_probability}"
-            )
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if not DATA_RATE_MIN_BPS <= self.data_rate_bps <= DATA_RATE_MAX_BPS:
-            raise ValueError(
-                f"data_rate_bps must be in [{DATA_RATE_MIN_BPS}, {DATA_RATE_MAX_BPS}], "
-                f"got {self.data_rate_bps}"
-            )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from typing import List, Optional
 
@@ -86,6 +87,17 @@ def _load_scenario(path: str):
     return parse_scenario(text, name=name)
 
 
+def _clear_out_dir(out: str) -> None:
+    """Remove what an earlier run wrote under ``out``; leave other files alone."""
+    os.makedirs(out, exist_ok=True)
+    for name in ("report.txt", "report.json", "clips", "maildir"):
+        path = os.path.join(out, name)
+        if os.path.isdir(path) and not os.path.islink(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
+
+
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     file_overrides = load_config_file(args.config) if args.config else {}
@@ -96,10 +108,9 @@ def _cmd_run(args) -> int:
 
     extra_sinks = []
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _clear_out_dir(args.out)
         outbox_path = os.path.join(args.out, "outbox.log")
-        # the sink appends; start the log empty so a rerun does not double it
-        open(outbox_path, "w", encoding="utf-8").close()
+        open(outbox_path, "w", encoding="utf-8").close()  # the sink appends
         extra_sinks.append(LineFileSink(outbox_path))
         if cfg.maildir:
             extra_sinks.append(

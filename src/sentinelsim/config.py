@@ -1,9 +1,10 @@
-"""Simulation configuration: defaults, parsing, layering and validation.
+"""Simulation configuration: defaults, parsing and validation.
 
 Precedence, lowest to highest: built-in defaults, config file, scenario
-``set`` lines, command-line overrides. Values arriving as text (scenario
-lines, --set flags) are coerced per key; a config file is a flat JSON object
-and may use native JSON types or strings.
+``set`` lines, command-line overrides, as ``engine.resolve_run_config``
+layers them. Values arriving as text (scenario lines, --set flags) are
+coerced per key; a config file is a flat JSON object and may use native JSON
+types or strings.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from . import pulselock
-from .airframe import DATA_RATE_MAX_BPS, DATA_RATE_MIN_BPS
-from .controller import CLIP_DURATION_MAX_MS, CLIP_DURATION_MIN_MS
+
+CLIP_DURATION_MIN_MS = 5000
+CLIP_DURATION_MAX_MS = 10000
 
 
 class ConfigError(ValueError):
@@ -52,7 +54,6 @@ class SimConfig:
     drop_probability: float = 0.0
     latency_ms: int = 0
     max_retries: int = 2
-    data_rate_bps: int = DATA_RATE_MAX_BPS
     # notifications
     presence_to_authorities: bool = False
     maildir: bool = False
@@ -60,38 +61,30 @@ class SimConfig:
     authorities_email: str = "authorities@example.com"
 
     def validate(self) -> None:
-        problems = []
-        if self.threshold_m <= 0:
-            problems.append("threshold_m must be > 0")
-        if self.max_range_m < self.threshold_m:
-            problems.append("max_range_m must be >= threshold_m")
-        if self.speed_of_sound <= 0:
-            problems.append("speed_of_sound must be > 0")
-        if self.retrigger_cooldown_ms < 0:
-            problems.append("retrigger_cooldown_ms must be >= 0")
+        """Check every rule on config values. Each rule states what must hold,
+        so a NaN, which fails every comparison, breaks it."""
+        rules = (
+            (self.threshold_m > 0, "threshold_m must be > 0"),
+            (self.max_range_m >= self.threshold_m, "max_range_m must be >= threshold_m"),
+            (self.speed_of_sound > 0, "speed_of_sound must be > 0"),
+            (self.retrigger_cooldown_ms >= 0, "retrigger_cooldown_ms must be >= 0"),
+            (
+                CLIP_DURATION_MIN_MS <= self.clip_duration_ms <= CLIP_DURATION_MAX_MS,
+                f"clip_duration_ms must be in [{CLIP_DURATION_MIN_MS}, "
+                f"{CLIP_DURATION_MAX_MS}], got {self.clip_duration_ms}",
+            ),
+            (self.clip_bytes >= 0, "clip_bytes must be >= 0"),
+            (0.0 <= self.drop_probability <= 1.0, "drop_probability must be in [0, 1]"),
+            (self.latency_ms >= 0, "latency_ms must be >= 0"),
+            (self.max_retries >= 0, "max_retries must be >= 0"),
+        )
+        problems = [message for holds, message in rules if not holds]
         try:
             pulselock.PasswordSpec.from_string(
                 self.password, self.pulse_period_ms, self.press_window_ms
             )
         except ValueError as exc:
             problems.append(str(exc))
-        if not CLIP_DURATION_MIN_MS <= self.clip_duration_ms <= CLIP_DURATION_MAX_MS:
-            problems.append(
-                f"clip_duration_ms must be in [{CLIP_DURATION_MIN_MS}, "
-                f"{CLIP_DURATION_MAX_MS}], got {self.clip_duration_ms}"
-            )
-        if self.clip_bytes < 0:
-            problems.append("clip_bytes must be >= 0")
-        if not 0.0 <= self.drop_probability <= 1.0:
-            problems.append("drop_probability must be in [0, 1]")
-        if self.latency_ms < 0:
-            problems.append("latency_ms must be >= 0")
-        if self.max_retries < 0:
-            problems.append("max_retries must be >= 0")
-        if not DATA_RATE_MIN_BPS <= self.data_rate_bps <= DATA_RATE_MAX_BPS:
-            problems.append(
-                f"data_rate_bps must be in [{DATA_RATE_MIN_BPS}, {DATA_RATE_MAX_BPS}]"
-            )
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -113,14 +106,11 @@ _CASTERS = {
     "drop_probability": float,
     "latency_ms": int,
     "max_retries": int,
-    "data_rate_bps": int,
     "presence_to_authorities": _parse_bool,
     "maildir": _parse_bool,
     "owner_email": str,
     "authorities_email": str,
 }
-
-KNOWN_KEYS = frozenset(_CASTERS)
 
 
 def coerce_value(key: str, value):
@@ -169,16 +159,3 @@ def load_config_file(path) -> Dict[str, object]:
         raise ConfigError(f"{path}: config file must be a JSON object")
     return {k: coerce_value(k, v) for k, v in raw.items()}
 
-
-def resolve_config(
-    file_overrides: Mapping = (),
-    scenario_overrides: Mapping = (),
-    cli_overrides: Mapping = (),
-) -> SimConfig:
-    """Apply the precedence chain and validate the result."""
-    cfg = SimConfig()
-    for layer in (file_overrides, scenario_overrides, cli_overrides):
-        if layer:
-            cfg = apply_overrides(cfg, layer)
-    cfg.validate()
-    return cfg

@@ -17,14 +17,12 @@ from typing import Dict, List, Optional
 
 from . import pulselock
 from .airframe import Frame, FrameType, LinkModel, decode_frame, encode_frame, hex_dump, transmit
+from .config import CLIP_DURATION_MIN_MS
 from .events import EventKind, Instant, ScenarioEvent
 from .notify import Dispatcher, NotificationKind, build_notification
 from .pulselock import AttemptOutcome, AttemptSession, PasswordSpec
 from .rng import SplitMix64
 from .sensors import UltrasonicConfig, distance_from_echo, echo_from_distance, presence_detect
-
-CLIP_DURATION_MIN_MS = 5000
-CLIP_DURATION_MAX_MS = 10000
 
 # Wire source ids for the simulated nodes. The door node deliberately gets
 # 0x02 so its empty intruder alert encodes to 7E 02 01 02 FC, an easy frame
@@ -48,13 +46,6 @@ class RecordingJob:
     started_at: Instant
     duration_ms: int
     stored_ref: str
-
-    def __post_init__(self) -> None:
-        if not CLIP_DURATION_MIN_MS <= self.duration_ms <= CLIP_DURATION_MAX_MS:
-            raise ValueError(
-                f"clip duration must be in [{CLIP_DURATION_MIN_MS}, "
-                f"{CLIP_DURATION_MAX_MS}] ms, got {self.duration_ms}"
-            )
 
 
 @dataclass(frozen=True)

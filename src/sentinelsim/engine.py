@@ -21,7 +21,7 @@ from .airframe import LinkModel
 from .config import ConfigError, SimConfig, apply_overrides
 from .controller import Controller
 from .events import EventKind, EventQueue
-from .notify import Dispatcher, MemorySink
+from .notify import Dispatcher
 from .pulselock import PasswordSpec
 from .report import RunReport
 from .scenario import Scenario
@@ -44,13 +44,25 @@ def resolve_run_config(
 
 
 def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
-    """Reject scenarios whose distance samples exceed the configured range."""
+    """Check a scenario against its config: distances within max_range_m, and
+    no mode_button while the previous password attempt still runs."""
     problems = []
+    buttons = []
     for ev in scenario.events:
-        if ev.kind is EventKind.DISTANCE_SAMPLE and ev.meters > cfg.max_range_m:
+        if ev.kind is EventKind.MODE_BUTTON:
+            buttons.append(ev.at)
+        elif ev.kind is EventKind.DISTANCE_SAMPLE and ev.meters > cfg.max_range_m:
             problems.append(
                 f"distance {ev.meters} m at t={ev.at} exceeds max_range_m={cfg.max_range_m}"
             )
+    password = PasswordSpec.from_string(cfg.password, cfg.pulse_period_ms, cfg.press_window_ms)
+    span = password.attempt_ms
+    buttons.sort()  # run dispatches in time order
+    problems += [
+        f"mode_button at t={t} comes while the attempt begun at t={s} runs until t={s + span}"
+        for s, t in zip(buttons, buttons[1:])
+        if t < s + span
+    ]
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -70,7 +82,6 @@ def build_controller(cfg: SimConfig, seed: int, dispatcher: Dispatcher) -> Contr
         latency_ms=cfg.latency_ms,
         max_retries=cfg.max_retries,
         rng_seed=seed,
-        data_rate_bps=cfg.data_rate_bps,
     )
     return Controller(
         ultrasonic=ultrasonic,
@@ -94,13 +105,13 @@ def run(
 
     The returned report owns everything observable about the run: the final
     mode, the action log, outbox tallies and the clip manifest. extra_sinks
-    receive every notification in addition to the always-present in-memory
-    outbox sink.
+    receive every notification; the dispatcher's outbox records each one
+    whether or not any sink is given.
     """
     cfg = resolve_run_config(scenario, base_config, cli_overrides)
     validate_events(scenario, cfg)
 
-    dispatcher = Dispatcher([MemorySink()] + list(extra_sinks))
+    dispatcher = Dispatcher(extra_sinks)
     controller = build_controller(cfg, seed, dispatcher)
 
     # The queue holds only follow-ups; the scenario streams past it. The

@@ -46,7 +46,7 @@ DEFAULT_SOURCES = {
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """A timestamped external stimulus fed to the simulation."""
+    """A timestamped external stimulus; construction checks its shape."""
 
     at: Instant
     kind: EventKind
@@ -55,11 +55,11 @@ class ScenarioEvent:
 
     def __post_init__(self) -> None:
         if self.at < 0:
-            raise ValueError(f"event time must be >= 0, got {self.at}")
+            raise ValueError(f"negative time {self.at}")
         if self.kind is EventKind.DISTANCE_SAMPLE:
             if self.meters is None:
                 raise ValueError("distance sample requires a meters value")
-            if self.meters < 0:
+            if not self.meters >= 0:  # NaN fails too
                 raise ValueError(f"distance must be >= 0, got {self.meters}")
         elif self.meters is not None:
             raise ValueError(f"{self.kind.value} event does not take a distance")
@@ -111,6 +111,3 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)

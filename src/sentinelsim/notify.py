@@ -121,9 +121,6 @@ class Outbox:
     def entries(self) -> Tuple[OutboxEntry, ...]:
         return tuple(self._entries)
 
-    def notifications(self) -> List[Notification]:
-        return [e.notification for e in self._entries]
-
     def counts(self) -> Dict[str, int]:
         """Tally per kind, with explicit zeros so summaries have stable keys."""
         out = {kind.value: 0 for kind in NotificationKind}
@@ -209,8 +206,6 @@ class Dispatcher:
     """
 
     def __init__(self, sinks: Sequence):
-        if not sinks:
-            raise ValueError("at least one sink must be configured")
         self.sinks = list(sinks)
         self.outbox = Outbox()
 

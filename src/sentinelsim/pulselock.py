@@ -44,7 +44,7 @@ class PasswordSpec:
             )
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError(f"password bits must be 0 or 1, got {self.bits}")
-        if self.pulse_period_ms <= 0:
+        if not self.pulse_period_ms > 0:
             raise ValueError("pulse_period_ms must be > 0")
         if not 0 < self.press_window_ms <= self.pulse_period_ms:
             raise ValueError(
@@ -61,6 +61,11 @@ class PasswordSpec:
             raise ValueError(f"password must be a non-empty string of 0/1, got {text!r}")
         bits = tuple(int(c) for c in text)
         return cls(bits, pulse_period_ms, press_window_ms)
+
+    @property
+    def attempt_ms(self) -> int:
+        """Length of an attempt: its start to the end of the last pulse's window."""
+        return (len(self.bits) - 1) * self.pulse_period_ms + self.press_window_ms
 
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -96,7 +101,7 @@ class AttemptSession:
     def __post_init__(self) -> None:
         if not self.observed:
             self.observed = [0] * len(self.spec)
-        self.end = self.window(len(self.spec) - 1)[1]
+        self.end = self.started_at + self.spec.attempt_ms
 
     @classmethod
     def begin(cls, spec: PasswordSpec, start: Instant) -> "AttemptSession":

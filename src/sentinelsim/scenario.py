@@ -54,8 +54,6 @@ def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
         at = int(tokens[0])
     except ValueError:
         raise ValueError(f"malformed time {tokens[0]!r}") from None
-    if at < 0:
-        raise ValueError(f"negative time {at}")
     word = tokens[1]
     args = tokens[2:]
     if word in _SIMPLE_EVENTS:
@@ -69,8 +67,6 @@ def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
             meters = float(args[0])
         except ValueError:
             raise ValueError(f"malformed number {args[0]!r}") from None
-        if meters < 0:
-            raise ValueError(f"distance must be >= 0, got {meters}")
         return ScenarioEvent(at=at, kind=EventKind.DISTANCE_SAMPLE, meters=meters)
     if word == "door":
         if args == ["open"]:

@@ -1,14 +1,13 @@
-"""Detector models: ultrasonic time-of-flight ranging and the laser/LDR beam.
+"""Detector model: ultrasonic time-of-flight ranging.
 
 The ultrasonic model converts echo round-trip times to distances (d = c*t/2)
-and applies threshold-plus-cooldown presence detection. The beam is a pure
-function of door state: an open door obstructs it.
+and applies threshold-plus-cooldown presence detection. The door beam needs
+no model of its own: the controller treats an open door as a broken beam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .events import Instant
@@ -21,7 +20,8 @@ class UltrasonicConfig:
     speed_of_sound defaults to dry air at 20 C. Echoes that imply a distance
     beyond max_range clamp to max_range, modeling a sensor timeout with
     nothing in range. retrigger_cooldown_ms suppresses repeat triggers from
-    someone loitering in front of the sensor.
+    someone loitering in front of the sensor. Built from a validated
+    ``SimConfig``, which holds the rules on these values.
     """
 
     speed_of_sound: float = 343.0
@@ -29,27 +29,9 @@ class UltrasonicConfig:
     max_range: float = 4.0
     retrigger_cooldown_ms: int = 5000
 
-    def __post_init__(self) -> None:
-        if self.speed_of_sound <= 0:
-            raise ValueError(f"speed_of_sound must be > 0, got {self.speed_of_sound}")
-        if not 0 < self.threshold_distance <= self.max_range:
-            raise ValueError(
-                "threshold_distance must satisfy 0 < threshold <= max_range, "
-                f"got threshold={self.threshold_distance} max_range={self.max_range}"
-            )
-        if self.retrigger_cooldown_ms < 0:
-            raise ValueError("retrigger_cooldown_ms must be >= 0")
-
-
-class BeamStatus(Enum):
-    INTACT = "intact"
-    OBSTRUCTED = "obstructed"
-
 
 def distance_from_echo(echo_duration_s: float, cfg: UltrasonicConfig) -> float:
     """Distance in meters for a round-trip echo time, clamped to max_range."""
-    if echo_duration_s < 0:
-        raise ValueError(f"echo duration must be >= 0, got {echo_duration_s}")
     return min(cfg.speed_of_sound * echo_duration_s / 2.0, cfg.max_range)
 
 
@@ -57,13 +39,11 @@ def echo_from_distance(distance_m: float, cfg: UltrasonicConfig) -> float:
     """Round-trip echo time in seconds that ranges back to distance_m.
 
     Inverse of distance_from_echo on [0, max_range]; used when turning
-    scripted distances into sensor measurements.
+    scripted distances into sensor measurements, which
+    ``engine.validate_events`` has already checked against max_range.
     """
-    if not 0 <= distance_m <= cfg.max_range:
-        raise ValueError(
-            f"distance must be within [0, {cfg.max_range}], got {distance_m}"
-        )
     return 2.0 * distance_m / cfg.speed_of_sound
+
 
 def presence_detect(
     distance_m: float,
@@ -76,7 +56,3 @@ def presence_detect(
         return False
     return last_trigger is None or now - last_trigger >= cfg.retrigger_cooldown_ms
 
-
-def beam_state(door_open: bool) -> BeamStatus:
-    """Laser/LDR beam status for a given door position."""
-    return BeamStatus.OBSTRUCTED if door_open else BeamStatus.INTACT

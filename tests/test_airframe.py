@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sentinelsim.airframe import (
+    DELIMITER,
     MAX_PAYLOAD,
     BadDelimiter,
     ChecksumMismatch,
     DeliveryResult,
     Frame,
+    FrameDecodeError,
     FrameType,
     LengthMismatch,
     LinkModel,
@@ -22,6 +24,7 @@ from sentinelsim.airframe import (
     hex_dump,
     transmit,
 )
+from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.rng import SplitMix64
 
 frames = st.builds(
@@ -105,6 +108,22 @@ class TestDecode:
     def test_round_trip(self, frame):
         assert decode_frame(encode_frame(frame)) == frame
 
+    @given(st.one_of(
+        st.binary(max_size=300),
+        # a delimiter and a matching length byte, so decoding reaches the checksum
+        st.builds(
+            lambda body, check: bytes([DELIMITER, len(body)]) + body + bytes([check]),
+            st.binary(min_size=2, max_size=0xFF),
+            st.integers(0, 0xFF),
+        ),
+    ))
+    def test_arbitrary_bytes_raise_only_decode_errors(self, data):
+        try:
+            frame = decode_frame(data)
+        except FrameDecodeError:
+            return
+        assert encode_frame(frame) == data
+
     def test_round_trip_fuzz(self):
         rnd = random.Random(2024)
         for _ in range(2000):
@@ -124,19 +143,14 @@ class TestDecode:
 
 
 class TestLinkModel:
-    def test_drop_probability_bounds(self):
-        with pytest.raises(ValueError):
-            LinkModel(drop_probability=1.5)
-        with pytest.raises(ValueError):
-            LinkModel(drop_probability=-0.1)
+    """The link parameters' rules live in SimConfig.validate."""
 
-    def test_data_rate_bounds(self):
-        LinkModel(data_rate_bps=20_000)
-        LinkModel(data_rate_bps=250_000)
-        with pytest.raises(ValueError):
-            LinkModel(data_rate_bps=19_999)
-        with pytest.raises(ValueError):
-            LinkModel(data_rate_bps=250_001)
+    def test_drop_probability_bounds(self):
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigError, match="drop_probability"):
+                SimConfig(drop_probability=bad).validate()
+        SimConfig(drop_probability=0.0).validate()
+        SimConfig(drop_probability=1.0).validate()
 
 
 class TestTransmit:

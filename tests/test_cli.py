@@ -6,6 +6,7 @@ import os
 import pytest
 
 from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
+from sentinelsim import engine
 from sentinelsim.cli import main
 
 
@@ -157,11 +158,57 @@ def test_rerun_into_same_out_directory_rewrites_outbox(breakin_file, tmp_path):
         assert len(outbox) == 2
 
 
-def test_runtime_error_exits_two(tmp_path, capsys):
+def test_rerun_into_same_out_directory_keeps_only_its_own_files(tmp_path):
+    out_dir = tmp_path / "out"
+    first = tmp_path / "breakin.scn"
+    first.write_text(BREAKIN_TEXT, encoding="utf-8")
+    second = tmp_path / "door.scn"
+    second.write_text("0 arm\n5000 door open\n", encoding="utf-8")
+    assert main(["run", str(first), "--out", str(out_dir), "--set", "maildir=true"]) == 0
+    (out_dir / "notes.txt").write_text("mine", encoding="utf-8")
+    assert main(["run", str(second), "--out", str(out_dir), "--format", "structured"]) == 0
+    left = sorted(
+        os.path.relpath(os.path.join(root, name), out_dir)
+        for root, _dirs, files in os.walk(out_dir)
+        for name in files
+    )
+    assert left == ["notes.txt", "outbox.log", "report.json"]
+    assert len((out_dir / "outbox.log").read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_overlapping_password_attempt_exits_one(tmp_path, capsys):
     sc = tmp_path / "double.scn"
-    sc.write_text("0 mode_button\n500 mode_button\n", encoding="utf-8")
-    assert main(["run", str(sc)]) == 2
-    assert "already in progress" in capsys.readouterr().err
+    sc.write_text("0 mode_button\n6499 mode_button\n", encoding="utf-8")
+    for command in ("validate", "run"):
+        assert main([command, str(sc)]) == 1
+        captured = capsys.readouterr()
+        assert "mode_button at t=6499" in captured.err
+        assert captured.out == ""
+    sc.write_text("0 mode_button\n6500 mode_button\n", encoding="utf-8")
+    assert main(["validate", str(sc)]) == 0
+    assert main(["run", str(sc)]) == 0
+
+
+def test_runtime_error_exits_two(breakin_file, monkeypatch, capsys):
+    def broken_run(*args, **kwargs):
+        raise RuntimeError("simulated internal fault")
+
+    monkeypatch.setattr(engine, "run", broken_run)
+    assert main(["run", breakin_file]) == 2
+    assert "runtime error: simulated internal fault" in capsys.readouterr().err
+
+
+def test_nan_distance_rejected_with_its_line(tmp_path, capsys):
+    sc = tmp_path / "nan.scn"
+    sc.write_text("0 arm\n1000 distance nan\n", encoding="utf-8")
+    for command in ("validate", "run"):
+        assert main([command, str(sc)]) == 1
+        assert "line 2: distance must be >= 0, got nan" in capsys.readouterr().err
+
+
+def test_data_rate_bps_is_an_unknown_key(breakin_file, capsys):
+    assert main(["run", breakin_file, "--set", "data_rate_bps=250000"]) == 1
+    assert "unknown config key 'data_rate_bps'" in capsys.readouterr().err
 
 
 def test_validate_ok(tmp_path, capsys):

@@ -3,18 +3,20 @@
 import pytest
 
 from sentinelsim.airframe import LinkModel
+from sentinelsim.config import ConfigError
 from sentinelsim.controller import (
     AttemptDeadline,
     ClipDone,
     Controller,
     FrameArrival,
-    RecordingJob,
     SimulationOrderError,
     SystemMode,
 )
+from sentinelsim.engine import run
 from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
 from sentinelsim.pulselock import AttemptOutcome, AttemptStateError, PasswordSpec
+from sentinelsim.scenario import parse_scenario
 from sentinelsim.sensors import UltrasonicConfig
 
 
@@ -329,9 +331,11 @@ class TestInternalItems:
 
 class TestRecordingJob:
     def test_duration_bounds(self):
-        RecordingJob("c", 0, 5000, "r")
-        RecordingJob("c", 0, 10000, "r")
-        with pytest.raises(ValueError):
-            RecordingJob("c", 0, 4999, "r")
-        with pytest.raises(ValueError):
-            RecordingJob("c", 0, 10001, "r")
+        # SimConfig.validate holds the bounds; a run records at either one
+        scenario = parse_scenario("0 distance 0.5")
+        for duration in ("5000", "10000"):
+            report = run(scenario, cli_overrides={"clip_duration_ms": duration})
+            assert report.clips[0].duration_ms == int(duration)
+        for duration in ("4999", "10001"):
+            with pytest.raises(ConfigError, match="clip_duration_ms"):
+                run(scenario, cli_overrides={"clip_duration_ms": duration})

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import random_scenario
 from sentinelsim import rng
+from sentinelsim.config import ConfigError
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink
@@ -52,7 +53,7 @@ def outcome(runner, scenario, seed, overrides):
     """Both report renderings, or the error a run stopped with."""
     try:
         report = runner(scenario, seed, overrides)
-    except RuntimeError as exc:  # e.g. a second mode_button during an attempt
+    except (ConfigError, RuntimeError) as exc:  # e.g. overlapping password attempts
         return type(exc), str(exc)
     return render_report(report, "text"), render_report(report, "structured")
 

@@ -1,15 +1,24 @@
 """End-to-end runs: determinism, outbox consistency and fuzzed invariants."""
 
+import dataclasses
 import json
+from itertools import accumulate
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scenario
 from sentinelsim.config import ConfigError, SimConfig
-from sentinelsim.engine import resolve_run_config, run, validate_events
-from sentinelsim.notify import MemorySink, NotificationKind
+from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
+from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
+from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
+from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import render_report
-from sentinelsim.scenario import parse_scenario
+from sentinelsim.scenario import Scenario, parse_scenario
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
 
 
 def run_with_probe(scenario, seed=0, **kw):
@@ -225,3 +234,53 @@ class TestFuzzedInvariants:
             first = render_report(run(sc, seed=seed), "structured")
             second = render_report(run(sc, seed=seed), "structured")
             assert first == second
+
+
+class TestValidationBeforeDispatch:
+    @given(key=st.sampled_from(FLOAT_KEYS), seed=st.integers(0, 50))
+    def test_nan_config_value_is_rejected_naming_its_key(self, key, seed):
+        base = SimConfig(**{key: float("nan")})
+        with pytest.raises(ConfigError, match=key):
+            run(random_scenario(seed, n_events=10), seed=seed, base_config=base)
+
+    @settings(max_examples=200)
+    @given(
+        gaps=st.lists(
+            st.tuples(
+                st.sampled_from([EventKind.MODE_BUTTON] * 3 + [EventKind.PRESS_DOWN]),
+                # every attempt length below is a multiple of 250 ms, so gaps
+                # on that grid, and 1 ms short of it, hit attempt ends
+                st.integers(0, 10).flatmap(lambda k: st.sampled_from([k * 250, k * 250 - 1])),
+            ),
+            max_size=8,
+        ),
+        order=st.randoms(use_true_random=False),
+        overrides=st.fixed_dictionaries({
+            "password": st.sampled_from(["1", "10", "011"]),
+            "pulse_period_ms": st.sampled_from(["500", "1000"]),
+            "press_window_ms": st.sampled_from(["250", "500"]),
+        }),
+    )
+    def test_validate_rejects_exactly_what_the_controller_refuses(self, gaps, order, overrides):
+        times = accumulate(max(gap, 0) for _kind, gap in gaps)
+        events = [ScenarioEvent(at=t, kind=kind) for (kind, _gap), t in zip(gaps, times)]
+        order.shuffle(events)  # a hand-built scenario need not be in time order
+        scenario = Scenario(events=tuple(events))
+        cfg = resolve_run_config(scenario, None, overrides)
+        try:
+            validate_events(scenario, cfg)
+        except ConfigError:
+            rejected = True
+        else:
+            rejected = False
+        controller = build_controller(cfg, 0, Dispatcher([]))
+        queue = EventQueue()
+        try:
+            for item in queue.merge(sorted(events, key=attrgetter("at"))):
+                for followup in controller.dispatch(item):
+                    queue.push(followup)
+        except AttemptStateError:
+            refused = True
+        else:
+            refused = False
+        assert rejected == refused

@@ -78,10 +78,6 @@ class TestBuildNotification:
 
 
 class TestDispatcher:
-    def test_requires_a_sink(self):
-        with pytest.raises(ValueError):
-            Dispatcher([])
-
     def test_fan_out_and_single_outbox_entry(self):
         a, b = MemorySink("a"), MemorySink("b")
         d = Dispatcher([a, b])

@@ -1,4 +1,4 @@
-"""Ultrasonic ranging, presence detection and the door beam."""
+"""Ultrasonic ranging and presence detection."""
 
 import random
 
@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sentinelsim.config import ConfigError, SimConfig
+from sentinelsim.engine import validate_events
+from sentinelsim.scenario import ScenarioError, parse_scenario
 from sentinelsim.sensors import (
-    BeamStatus,
     UltrasonicConfig,
-    beam_state,
     distance_from_echo,
     echo_from_distance,
     presence_detect,
@@ -19,17 +20,19 @@ CFG = UltrasonicConfig()  # 343 m/s, threshold 1 m, range 4 m, cooldown 5 s
 
 
 class TestConfig:
+    """The ranging parameters' rules live in SimConfig.validate."""
+
     def test_threshold_must_not_exceed_range(self):
-        with pytest.raises(ValueError):
-            UltrasonicConfig(threshold_distance=5.0, max_range=4.0)
+        with pytest.raises(ConfigError, match="max_range_m must be >= threshold_m"):
+            SimConfig(threshold_m=5.0, max_range_m=4.0).validate()
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            UltrasonicConfig(threshold_distance=0.0)
+        with pytest.raises(ConfigError, match="threshold_m must be > 0"):
+            SimConfig(threshold_m=0.0).validate()
 
     def test_speed_must_be_positive(self):
-        with pytest.raises(ValueError):
-            UltrasonicConfig(speed_of_sound=0.0)
+        with pytest.raises(ConfigError, match="speed_of_sound must be > 0"):
+            SimConfig(speed_of_sound=0.0).validate()
 
 
 class TestRanging:
@@ -44,10 +47,6 @@ class TestRanging:
         # 343 * 10 / 2 = 1715 m, far beyond the 4 m range
         assert distance_from_echo(10.0, CFG) == 4.0
 
-    def test_negative_echo_rejected(self):
-        with pytest.raises(ValueError):
-            distance_from_echo(-1e-9, CFG)
-
     def test_zero_distance_is_zero_echo(self):
         assert echo_from_distance(0.0, CFG) == 0.0
 
@@ -56,10 +55,11 @@ class TestRanging:
         assert echo_from_distance(1.715, CFG) == pytest.approx(0.01)
 
     def test_out_of_range_distance_rejected(self):
-        with pytest.raises(ValueError):
-            echo_from_distance(4.0001, CFG)
-        with pytest.raises(ValueError):
-            echo_from_distance(-0.1, CFG)
+        # ranging only sees distances the scenario checks have let through
+        with pytest.raises(ConfigError, match="max_range_m"):
+            validate_events(parse_scenario("0 distance 4.0001"), SimConfig())
+        with pytest.raises(ScenarioError, match=">= 0"):
+            parse_scenario("0 distance -0.1")
 
     def test_round_trip_identity(self):
         rnd = random.Random(99)
@@ -107,18 +107,3 @@ class TestPresence:
         gaps = [b - a for a, b in zip(triggers, triggers[1:])]
         assert all(g >= CFG.retrigger_cooldown_ms for g in gaps)
 
-
-class TestBeam:
-    def test_closed_door_intact(self):
-        assert beam_state(False) is BeamStatus.INTACT
-
-    def test_open_door_obstructed(self):
-        assert beam_state(True) is BeamStatus.OBSTRUCTED
-
-    def test_toggle_sequence(self):
-        states = [beam_state(x) for x in (True, False, True)]
-        assert states == [
-            BeamStatus.OBSTRUCTED,
-            BeamStatus.INTACT,
-            BeamStatus.OBSTRUCTED,
-        ]
