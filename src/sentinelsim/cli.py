@@ -130,9 +130,9 @@ def _cmd_run(args) -> int:
         ext = "json" if args.format == "structured" else "txt"
         with open(os.path.join(args.out, f"report.{ext}"), "wb") as fh:
             fh.write(rendered)
-        clip_dir = os.path.join(args.out, "clips")
+        if report.clips:
+            os.makedirs(os.path.join(args.out, "clips"), exist_ok=True)
         for job in report.clips:
-            os.makedirs(clip_dir, exist_ok=True)
             with open(os.path.join(args.out, job.stored_ref), "wb") as fh:
                 fh.write(b"\x00" * report.clip_bytes)
 

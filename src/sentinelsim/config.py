@@ -62,11 +62,15 @@ class SimConfig:
 
     def validate(self) -> None:
         """Check every rule on config values. Each rule states what must hold,
-        so a NaN, which fails every comparison, breaks it."""
+        so a NaN, which fails every comparison, breaks it; the float rules
+        also bound their key below infinity, so ±inf breaks them too."""
         rules = (
-            (self.threshold_m > 0, "threshold_m must be > 0"),
-            (self.max_range_m >= self.threshold_m, "max_range_m must be >= threshold_m"),
-            (self.speed_of_sound > 0, "speed_of_sound must be > 0"),
+            (0 < self.threshold_m < math.inf, "threshold_m must be > 0 and finite"),
+            (
+                self.threshold_m <= self.max_range_m < math.inf,
+                "max_range_m must be >= threshold_m and finite",
+            ),
+            (0 < self.speed_of_sound < math.inf, "speed_of_sound must be > 0 and finite"),
             (self.retrigger_cooldown_ms >= 0, "retrigger_cooldown_ms must be >= 0"),
             (
                 CLIP_DURATION_MIN_MS <= self.clip_duration_ms <= CLIP_DURATION_MAX_MS,

@@ -176,9 +176,9 @@ class MaildirSink:
         self._seq = 0
 
     def deliver(self, notification: Notification) -> None:
-        new_dir = os.path.join(self.root, "new")
-        for sub in ("tmp", "new", "cur"):
-            os.makedirs(os.path.join(self.root, sub), exist_ok=True)
+        if not self._seq:  # the first mail creates the maildir
+            for sub in ("tmp", "new", "cur"):
+                os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         self._seq += 1
         to = ", ".join(
             f"{label} <{self.addresses.get(label, label + '@example.invalid')}>"
@@ -193,7 +193,7 @@ class MaildirSink:
         if notification.attachment is not None:
             headers.append(f"X-Clip-Id: {notification.attachment}")
         name = f"{self._seq:06d}.{notification.kind.value.lower()}.eml"
-        path = os.path.join(new_dir, name)
+        path = os.path.join(self.root, "new", name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(headers) + "\n\n" + notification.body)
 

@@ -1,14 +1,18 @@
 """Run reports and their text / structured renderings.
 
 Rendering is deterministic: the same report always produces the same bytes,
-and the structured form is JSON with sorted keys so replays can be compared
-with a plain byte diff.
+so replays can be compared with a plain byte diff. The structured form is
+JSON with sorted keys, a two-space indent, ASCII only (``\\uXXXX`` escapes)
+and a trailing newline, byte-identical to
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``; it is written out
+directly rather than through ``json.dumps``, whose indenting encoder is
+pure Python.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Tuple
 
 from .controller import Action, RecordingJob
@@ -54,31 +58,44 @@ def render_report(report: RunReport, fmt: str = "text") -> bytes:
         lines.extend(report.summary_lines())
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "structured":
-        doc = {
-            "scenario": report.scenario,
-            "seed": report.seed,
-            "rng": report.rng_algorithm,
-            "final_mode": report.final_mode,
-            "actions": [
-                {
-                    "t": a.at,
-                    "component": a.component,
-                    "action": a.action,
-                    "details": a.details,
-                }
-                for a in report.actions
-            ],
-            "outbox": dict(report.outbox_counts),
-            "clips": [
-                {
-                    "clip_id": job.clip_id,
-                    "started_at": job.started_at,
-                    "duration_ms": job.duration_ms,
-                    "stored_ref": job.stored_ref,
-                    "bytes": report.clip_bytes,
-                }
-                for job in report.clips
-            ],
-        }
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return _render_structured(report)
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
+
+
+def _container(items: list, open_: str, close: str) -> str:
+    if not items:
+        return open_ + close
+    return f"{open_}\n" + ",\n".join(items) + f"\n  {close}"
+
+
+def _render_structured(report: RunReport) -> bytes:
+    """Byte-identical to ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+    which tests/test_report.py keeps as the reference: keys in sorted order,
+    strings through json's own C escaper, integers through ``int.__repr__``
+    as json writes them."""
+    enc = encode_basestring_ascii
+    num = int.__repr__
+    actions = [
+        f'    {{\n      "action": {enc(a.action)},\n      "component": {enc(a.component)},'
+        f'\n      "details": {enc(a.details)},\n      "t": {num(a.at)}\n    }}'
+        for a in report.actions
+    ]
+    size = num(report.clip_bytes)
+    clips = [
+        f'    {{\n      "bytes": {size},\n      "clip_id": {enc(job.clip_id)},'
+        f'\n      "duration_ms": {num(job.duration_ms)},\n      "started_at": {num(job.started_at)},'
+        f'\n      "stored_ref": {enc(job.stored_ref)}\n    }}'
+        for job in report.clips
+    ]
+    outbox = [
+        f"    {enc(kind)}: {num(count)}" for kind, count in sorted(report.outbox_counts.items())
+    ]
+    return (
+        f'{{\n  "actions": {_container(actions, "[", "]")},'
+        f'\n  "clips": {_container(clips, "[", "]")},'
+        f'\n  "final_mode": {enc(report.final_mode)},'
+        f'\n  "outbox": {_container(outbox, "{", "}")},'
+        f'\n  "rng": {enc(report.rng_algorithm)},'
+        f'\n  "scenario": {enc(report.scenario)},'
+        f'\n  "seed": {num(report.seed)}\n}}\n'
+    ).encode("ascii")

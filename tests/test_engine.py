@@ -237,9 +237,13 @@ class TestFuzzedInvariants:
 
 
 class TestValidationBeforeDispatch:
-    @given(key=st.sampled_from(FLOAT_KEYS), seed=st.integers(0, 50))
-    def test_nan_config_value_is_rejected_naming_its_key(self, key, seed):
-        base = SimConfig(**{key: float("nan")})
+    @given(
+        key=st.sampled_from(FLOAT_KEYS),
+        value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        seed=st.integers(0, 50),
+    )
+    def test_nan_config_value_is_rejected_naming_its_key(self, key, value, seed):
+        base = SimConfig(**{key: value})
         with pytest.raises(ConfigError, match=key):
             run(random_scenario(seed, n_events=10), seed=seed, base_config=base)
 

@@ -166,7 +166,9 @@ class TestMaildirSink:
 
     def test_sequence_numbers_are_stable(self, tmp_path):
         sink = MaildirSink(tmp_path / "mail")
+        assert not (tmp_path / "mail").exists()  # no mail, no maildir
         sink.deliver(build_notification(NotificationKind.INTRUSION, 1))
+        assert sorted(os.listdir(tmp_path / "mail")) == ["cur", "new", "tmp"]
         sink.deliver(build_notification(NotificationKind.INTRUSION, 2))
         files = sorted(os.listdir(tmp_path / "mail" / "new"))
         assert files == ["000001.intrusion.eml", "000002.intrusion.eml"]
