@@ -14,7 +14,6 @@ from .airframe import (
     FrameDecodeError,
     FrameType,
     LengthMismatch,
-    LinkModel,
     UnknownFrameType,
     decode_frame,
     encode_frame,
@@ -51,9 +50,4 @@ from .pulselock import (
 )
 from .report import RunReport, render_report
 from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
-from .sensors import (
-    UltrasonicConfig,
-    distance_from_echo,
-    echo_from_distance,
-    presence_detect,
-)
+from .sensors import distance_from_echo, echo_from_distance, presence_detect

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
+from .config import SimConfig
 from .events import Instant
 from .rng import SplitMix64
 
@@ -122,35 +123,22 @@ def hex_dump(data: bytes) -> str:
 
 
 @dataclass(frozen=True)
-class LinkModel:
-    """Loss, latency and retry behaviour of the node-to-coordinator hop.
-
-    Built from a validated ``SimConfig``, which holds the rules on these
-    values.
-    """
-
-    drop_probability: float = 0.0
-    latency_ms: int = 0
-    max_retries: int = 2
-    rng_seed: int = 0
-
-
-@dataclass(frozen=True)
 class DeliveryResult:
     delivered: bool
     delivered_at: Optional[Instant]
     attempts: int
 
 
-def transmit(link: LinkModel, frame: Frame, at: Instant, rng: SplitMix64) -> DeliveryResult:
+def transmit(cfg: SimConfig, frame: Frame, at: Instant, rng: SplitMix64) -> DeliveryResult:
     """Attempt delivery of a frame sent at ``at``.
 
     One uniform draw per attempt, consumed in attempt order: attempt k
     succeeds when its draw is >= drop_probability and then arrives at
-    ``at + k * latency``. All attempts exhausted means the frame is dropped.
+    ``at + k * latency_ms``. All max_retries + 1 attempts exhausted means
+    the frame is dropped.
     """
-    attempts = link.max_retries + 1
+    attempts = cfg.max_retries + 1
     for k in range(1, attempts + 1):
-        if rng.random() >= link.drop_probability:
-            return DeliveryResult(True, at + k * link.latency_ms, k)
+        if rng.random() >= cfg.drop_probability:
+            return DeliveryResult(True, at + k * cfg.latency_ms, k)
     return DeliveryResult(False, None, attempts)

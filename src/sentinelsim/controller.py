@@ -16,13 +16,13 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from . import pulselock
-from .airframe import Frame, FrameType, LinkModel, decode_frame, encode_frame, hex_dump, transmit
-from .config import CLIP_DURATION_MIN_MS
+from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
+from .config import SimConfig
 from .events import EventKind, Instant, ScenarioEvent
 from .notify import Dispatcher, NotificationKind, build_notification
 from .pulselock import AttemptOutcome, AttemptSession, PasswordSpec
 from .rng import SplitMix64
-from .sensors import UltrasonicConfig, distance_from_echo, echo_from_distance, presence_detect
+from .sensors import distance_from_echo, echo_from_distance, presence_detect
 
 # Wire source ids for the simulated nodes. The door node deliberately gets
 # 0x02 so its empty intruder alert encodes to 7E 02 01 02 FC, an easy frame
@@ -92,26 +92,21 @@ class FrameArrival:
 
 
 class Controller:
-    """The coordinator plus the simulated sensor nodes feeding it."""
+    """The coordinator plus the simulated sensor nodes feeding it.
 
-    def __init__(
-        self,
-        ultrasonic: UltrasonicConfig,
-        password: PasswordSpec,
-        link: LinkModel,
-        dispatcher: Dispatcher,
-        clip_duration_ms: int = CLIP_DURATION_MIN_MS,
-        presence_to_authorities: bool = False,
-    ):
-        self.ultrasonic = ultrasonic
-        self.password = password
-        self.link = link
+    ``cfg`` must have passed ``SimConfig.validate``; ``seed`` seeds the
+    link's loss draws.
+    """
+
+    def __init__(self, cfg: SimConfig, seed: int, dispatcher: Dispatcher):
+        self.cfg = cfg
+        self.password = PasswordSpec.from_string(
+            cfg.password, cfg.pulse_period_ms, cfg.press_window_ms
+        )
         self.dispatcher = dispatcher
-        self.clip_duration_ms = clip_duration_ms
-        self.presence_to_authorities = presence_to_authorities
         self.state = SystemState()
         self.clips: List[RecordingJob] = []
-        self._rng = SplitMix64(link.rng_seed)
+        self._rng = SplitMix64(seed)
         self._door_open = False
         self._clip_seq = 0
         self._attempt_token = 0
@@ -182,9 +177,9 @@ class Controller:
         # 401 centimetre distances from 0.00 to 4.00 m come back one ulp off.
         # With threshold_m=0.1, a 0.10 m sample ranges to 0.0999... and
         # triggers, so dropping the round trip would change reports.
-        echo = echo_from_distance(ev.meters, self.ultrasonic)
-        distance = distance_from_echo(echo, self.ultrasonic)
-        if presence_detect(distance, self.ultrasonic, self.state.last_presence_trigger, t):
+        echo = echo_from_distance(ev.meters, self.cfg)
+        distance = distance_from_echo(echo, self.cfg)
+        if presence_detect(distance, self.cfg, self.state.last_presence_trigger, t):
             self.state.last_presence_trigger = t
             self._log(
                 t, "sensor", "PRESENCE_TRIGGER",
@@ -205,7 +200,7 @@ class Controller:
 
     def _node_send_alert(self, source: str, t: Instant) -> list:
         frame, data, shown = self._node_frame(source)
-        result = transmit(self.link, frame, t, self._rng)
+        result = transmit(self.cfg, frame, t, self._rng)
         self._log(t, "link", "TX", f"src={source} frame={shown}")
         if result.delivered:
             return [FrameArrival(result.delivered_at, data, result.attempts)]
@@ -239,7 +234,7 @@ class Controller:
             NotificationKind.PRESENCE,
             done.at,
             attachment=job.clip_id,
-            presence_to_authorities=self.presence_to_authorities,
+            presence_to_authorities=self.cfg.presence_to_authorities,
         )
         self.dispatcher.dispatch(notification)
         recipients = ",".join(notification.ordered_recipients())
@@ -280,7 +275,7 @@ class Controller:
         job = RecordingJob(
             clip_id=clip_id,
             started_at=t,
-            duration_ms=self.clip_duration_ms,
+            duration_ms=self.cfg.clip_duration_ms,
             stored_ref=f"clips/{clip_id}.bin",
         )
         self.state.active_recording = job

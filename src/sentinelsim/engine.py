@@ -17,7 +17,6 @@ from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from . import rng
-from .airframe import LinkModel
 from .config import ConfigError, SimConfig, apply_overrides
 from .controller import Controller
 from .events import EventKind, EventQueue
@@ -25,7 +24,6 @@ from .notify import Dispatcher
 from .pulselock import PasswordSpec
 from .report import RunReport
 from .scenario import Scenario
-from .sensors import UltrasonicConfig
 
 
 def resolve_run_config(
@@ -68,29 +66,8 @@ def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
 
 
 def build_controller(cfg: SimConfig, seed: int, dispatcher: Dispatcher) -> Controller:
-    ultrasonic = UltrasonicConfig(
-        speed_of_sound=cfg.speed_of_sound,
-        threshold_distance=cfg.threshold_m,
-        max_range=cfg.max_range_m,
-        retrigger_cooldown_ms=cfg.retrigger_cooldown_ms,
-    )
-    password = PasswordSpec.from_string(
-        cfg.password, cfg.pulse_period_ms, cfg.press_window_ms
-    )
-    link = LinkModel(
-        drop_probability=cfg.drop_probability,
-        latency_ms=cfg.latency_ms,
-        max_retries=cfg.max_retries,
-        rng_seed=seed,
-    )
-    return Controller(
-        ultrasonic=ultrasonic,
-        password=password,
-        link=link,
-        dispatcher=dispatcher,
-        clip_duration_ms=cfg.clip_duration_ms,
-        presence_to_authorities=cfg.presence_to_authorities,
-    )
+    """The run's controller, built in a named step that per-layer timing sees."""
+    return Controller(cfg, seed, dispatcher)
 
 
 def run(

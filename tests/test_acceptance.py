@@ -13,11 +13,11 @@ from sentinelsim.airframe import (
     ChecksumMismatch,
     Frame,
     FrameType,
-    LinkModel,
     decode_frame,
     encode_frame,
     transmit,
 )
+from sentinelsim.config import SimConfig
 from sentinelsim.engine import run
 from sentinelsim.notify import MemorySink, NotificationKind
 from sentinelsim.pulselock import (
@@ -29,12 +29,7 @@ from sentinelsim.pulselock import (
 from sentinelsim.report import render_report
 from sentinelsim.rng import SplitMix64
 from sentinelsim.scenario import parse_scenario
-from sentinelsim.sensors import (
-    UltrasonicConfig,
-    distance_from_echo,
-    echo_from_distance,
-    presence_detect,
-)
+from sentinelsim.sensors import distance_from_echo, echo_from_distance, presence_detect
 
 _MODULE_T0 = time.perf_counter()
 
@@ -181,22 +176,22 @@ def test_link_statistics():
     """Delivery fractions: ~0.7 at p=0.3, exactly 1.0 at p=0 and 0.0 at p=1."""
     frame = Frame(FrameType.INTRUDER_ALERT, 0x02)
 
-    link = LinkModel(drop_probability=0.3, max_retries=0, rng_seed=12345)
-    rng = SplitMix64(link.rng_seed)
+    link = SimConfig(drop_probability=0.3, max_retries=0)
+    rng = SplitMix64(12345)
     delivered = sum(transmit(link, frame, 0, rng).delivered for _ in range(10_000))
     fraction = delivered / 10_000
     assert abs(fraction - 0.70) <= 0.02, f"fraction {fraction}"
 
     # independent replay of the same stream predicts the exact count
-    replay = SplitMix64(link.rng_seed)
+    replay = SplitMix64(12345)
     assert delivered == sum(replay.random() >= 0.3 for _ in range(10_000))
 
-    sure = LinkModel(drop_probability=0.0, max_retries=0, rng_seed=1)
-    rng = SplitMix64(sure.rng_seed)
+    sure = SimConfig(drop_probability=0.0, max_retries=0)
+    rng = SplitMix64(1)
     assert all(transmit(sure, frame, 0, rng).delivered for _ in range(10_000))
 
-    never = LinkModel(drop_probability=1.0, max_retries=0, rng_seed=1)
-    rng = SplitMix64(never.rng_seed)
+    never = SimConfig(drop_probability=1.0, max_retries=0)
+    rng = SplitMix64(1)
     assert not any(transmit(never, frame, 0, rng).delivered for _ in range(10_000))
 
     _passed(f"link-statistics (fraction={fraction})")
@@ -204,10 +199,10 @@ def test_link_statistics():
 
 def test_sensor_round_trip_and_cooldown():
     """Echo/distance inversion within 1e-9 and cooldown-limited triggering."""
-    cfg = UltrasonicConfig()
+    cfg = SimConfig()
     rnd = random.Random(343)
     for _ in range(1_000):
-        d = rnd.uniform(0.0, cfg.max_range)
+        d = rnd.uniform(0.0, cfg.max_range_m)
         back = distance_from_echo(echo_from_distance(d, cfg), cfg)
         if d > 0:
             assert abs(back - d) / d <= 1e-9
@@ -219,7 +214,7 @@ def test_sensor_round_trip_and_cooldown():
         last = None
         triggers = []
         for now in range(0, 90_000, 60):
-            d = stream.uniform(0.0, cfg.max_range)
+            d = stream.uniform(0.0, cfg.max_range_m)
             if presence_detect(d, cfg, last, now):
                 triggers.append(now)
                 last = now

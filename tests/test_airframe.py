@@ -16,7 +16,6 @@ from sentinelsim.airframe import (
     FrameDecodeError,
     FrameType,
     LengthMismatch,
-    LinkModel,
     UnknownFrameType,
     checksum,
     decode_frame,
@@ -142,7 +141,7 @@ class TestDecode:
                 decode_frame(bytes(data))
 
 
-class TestLinkModel:
+class TestLinkConfig:
     """The link parameters' rules live in SimConfig.validate."""
 
     def test_drop_probability_bounds(self):
@@ -157,27 +156,27 @@ class TestTransmit:
     FRAME = Frame(FrameType.INTRUDER_ALERT, 0x02)
 
     def test_never_drops_at_probability_zero(self):
-        link = LinkModel(drop_probability=0.0, latency_ms=20)
+        link = SimConfig(drop_probability=0.0, latency_ms=20)
         rng = SplitMix64(3)
         result = transmit(link, self.FRAME, at=1000, rng=rng)
         assert result == DeliveryResult(True, 1020, 1)
 
     def test_always_drops_at_probability_one(self):
-        link = LinkModel(drop_probability=1.0, max_retries=2)
+        link = SimConfig(drop_probability=1.0, max_retries=2)
         rng = SplitMix64(3)
         result = transmit(link, self.FRAME, at=0, rng=rng)
         assert result == DeliveryResult(False, None, 3)
 
     def test_retry_delays_accumulate(self):
         # first draw for seed 4 is below 0.9, so attempt 1 fails
-        link = LinkModel(drop_probability=0.9, latency_ms=50, max_retries=10)
+        link = SimConfig(drop_probability=0.9, latency_ms=50, max_retries=10)
         result = transmit(link, self.FRAME, at=100, rng=SplitMix64(4))
         assert result.delivered
         assert result.delivered_at == 100 + result.attempts * 50
         assert result.attempts > 1
 
     def test_deterministic_for_same_seed(self):
-        link = LinkModel(drop_probability=0.5, max_retries=3)
+        link = SimConfig(drop_probability=0.5, max_retries=3)
         results_a = [transmit(link, self.FRAME, t, SplitMix64(9)) for t in range(20)]
         results_b = [transmit(link, self.FRAME, t, SplitMix64(9)) for t in range(20)]
         assert results_a == results_b
@@ -185,19 +184,19 @@ class TestTransmit:
     def test_delivery_fraction_matches_independent_replay(self):
         # one stream drives 10k transmissions; an independent replay of the
         # same splitmix64 stream predicts each outcome
-        link = LinkModel(drop_probability=0.3, max_retries=0, rng_seed=12345)
-        rng = SplitMix64(link.rng_seed)
+        link = SimConfig(drop_probability=0.3, max_retries=0)
+        rng = SplitMix64(12345)
         delivered = sum(
             transmit(link, self.FRAME, 0, rng).delivered for _ in range(10_000)
         )
 
-        replay = SplitMix64(link.rng_seed)
+        replay = SplitMix64(12345)
         expected = sum(replay.random() >= 0.3 for _ in range(10_000))
         assert delivered == expected
         assert abs(delivered / 10_000 - 0.7) <= 0.02
 
     def test_attempts_bounded(self):
-        link = LinkModel(drop_probability=0.8, max_retries=4)
+        link = SimConfig(drop_probability=0.8, max_retries=4)
         rng = SplitMix64(11)
         for _ in range(500):
             result = transmit(link, self.FRAME, 0, rng)

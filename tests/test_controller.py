@@ -2,8 +2,7 @@
 
 import pytest
 
-from sentinelsim.airframe import LinkModel
-from sentinelsim.config import ConfigError
+from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import (
     AttemptDeadline,
     ClipDone,
@@ -15,20 +14,13 @@ from sentinelsim.controller import (
 from sentinelsim.engine import run
 from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
-from sentinelsim.pulselock import AttemptOutcome, AttemptStateError, PasswordSpec
+from sentinelsim.pulselock import AttemptOutcome, AttemptStateError
 from sentinelsim.scenario import parse_scenario
-from sentinelsim.sensors import UltrasonicConfig
 
 
 def make_controller(**kw):
     sink = MemorySink()
-    controller = Controller(
-        ultrasonic=kw.pop("ultrasonic", UltrasonicConfig()),
-        password=kw.pop("password", PasswordSpec.from_string("1100101")),
-        link=kw.pop("link", LinkModel()),
-        dispatcher=Dispatcher([sink]),
-        **kw,
-    )
+    controller = Controller(SimConfig(**kw), 0, Dispatcher([sink]))
     return controller, sink
 
 
@@ -139,7 +131,7 @@ class TestDispatchTraces:
         ]
         presence = sink.messages[-1]
         assert presence.kind is NotificationKind.PRESENCE
-        assert presence.created_at == 2000 + c.clip_duration_ms
+        assert presence.created_at == 2000 + c.cfg.clip_duration_ms
         assert presence.attachment == c.clips[0].clip_id
 
     def test_arm_only_scenario(self):
@@ -209,7 +201,7 @@ class TestDispatchTraces:
         assert len(sink.messages) == 2
 
     def test_dropped_alert_produces_no_notification(self):
-        c, sink = make_controller(link=LinkModel(drop_probability=1.0, max_retries=2))
+        c, sink = make_controller(drop_probability=1.0, max_retries=2)
         drive(c, [ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)])
         assert sink.messages == []
         drop = [a for a in c.state.action_log if a.action == "DROP"]
@@ -217,7 +209,7 @@ class TestDispatchTraces:
         assert "attempts=3" in drop[0].details
 
     def test_link_latency_delays_the_alert(self):
-        c, sink = make_controller(link=LinkModel(latency_ms=40))
+        c, sink = make_controller(latency_ms=40)
         drive(c, [ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)])
         assert sink.messages[0].created_at == 140
 
@@ -252,7 +244,7 @@ class TestDispatchTraces:
             )
 
     def test_press_at_schedule_end_finalizes_first(self):
-        c, sink = make_controller(password=PasswordSpec.from_string("0"))
+        c, sink = make_controller(password="0")
         # schedule for "0" started at 1000 ends at 1500; the press at 1500
         # must not blow up, the attempt is decided first
         drive(
@@ -271,9 +263,7 @@ class TestDispatchTraces:
             c.dispatch(ev(99, EventKind.ARM))
 
     def test_presence_cooldown_limits_triggers(self):
-        c, _ = make_controller(
-            ultrasonic=UltrasonicConfig(retrigger_cooldown_ms=5000)
-        )
+        c, _ = make_controller(retrigger_cooldown_ms=5000)
         drive(
             c,
             [
@@ -286,9 +276,7 @@ class TestDispatchTraces:
         assert [a.at for a in triggers] == [0, 6000]
 
     def test_cooldown_zero_still_single_recording(self):
-        c, sink = make_controller(
-            ultrasonic=UltrasonicConfig(retrigger_cooldown_ms=0)
-        )
+        c, sink = make_controller(retrigger_cooldown_ms=0)
         drive(
             c,
             [

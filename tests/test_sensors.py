@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import validate_events
 from sentinelsim.scenario import ScenarioError, parse_scenario
-from sentinelsim.sensors import (
-    UltrasonicConfig,
-    distance_from_echo,
-    echo_from_distance,
-    presence_detect,
-)
+from sentinelsim.sensors import distance_from_echo, echo_from_distance, presence_detect
 
-CFG = UltrasonicConfig()  # 343 m/s, threshold 1 m, range 4 m, cooldown 5 s
+CFG = SimConfig()  # 343 m/s, threshold 1 m, range 4 m, cooldown 5 s
 
 
 class TestConfig:
@@ -64,7 +59,7 @@ class TestRanging:
     def test_round_trip_identity(self):
         rnd = random.Random(99)
         for _ in range(1000):
-            d = rnd.uniform(0.0, CFG.max_range)
+            d = rnd.uniform(0.0, CFG.max_range_m)
             back = distance_from_echo(echo_from_distance(d, CFG), CFG)
             assert back == pytest.approx(d, rel=1e-9)
 
@@ -86,7 +81,7 @@ class TestPresence:
         assert presence_detect(0.8, CFG, None, 1000) is True
 
     def test_at_threshold_does_not_trigger(self):
-        assert presence_detect(CFG.threshold_distance, CFG, None, 0) is False
+        assert presence_detect(CFG.threshold_m, CFG, None, 0) is False
 
     def test_cooldown_suppresses(self):
         assert presence_detect(0.8, CFG, 900, 1000) is False
@@ -99,7 +94,7 @@ class TestPresence:
         last = None
         triggers = []
         for now in range(0, 120_000, 75):
-            d = rnd.uniform(0.0, CFG.max_range)
+            d = rnd.uniform(0.0, CFG.max_range_m)
             if presence_detect(d, CFG, last, now):
                 triggers.append(now)
                 last = now
