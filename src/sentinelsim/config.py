@@ -63,7 +63,16 @@ class SimConfig:
     def validate(self) -> None:
         """Check every rule on config values. Each rule states what must hold,
         so a NaN, which fails every comparison, breaks it; the float rules
-        also bound their key below infinity, so ±inf breaks them too."""
+        also bound their key below infinity, so ±inf breaks them too. Times
+        and sizes are whole numbers: a float or a bool there is rejected
+        before any range rule is read."""
+        not_int = [
+            f"{key} must be an integer, got {getattr(self, key)!r}"
+            for key in _INT_KEYS
+            if type(getattr(self, key)) is not int
+        ]
+        if not_int:
+            raise ConfigError("; ".join(not_int))
         rules = (
             (0 < self.threshold_m < math.inf, "threshold_m must be > 0 and finite"),
             (
@@ -115,6 +124,8 @@ _CASTERS = {
     "owner_email": str,
     "authorities_email": str,
 }
+
+_INT_KEYS = tuple(key for key, caster in _CASTERS.items() if caster is int)
 
 
 def coerce_value(key: str, value):

@@ -54,6 +54,8 @@ class ScenarioEvent:
     source: str = ""
 
     def __post_init__(self) -> None:
+        if type(self.at) is not int:  # not isinstance: a bool is an int
+            raise ValueError(f"time must be an integer, got {self.at!r}")
         if self.at < 0:
             raise ValueError(f"negative time {self.at}")
         if self.kind is EventKind.DISTANCE_SAMPLE:

@@ -19,6 +19,7 @@ from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
+INT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
 
 
 def run_with_probe(scenario, seed=0, **kw):
@@ -246,6 +247,14 @@ class TestValidationBeforeDispatch:
         base = SimConfig(**{key: value})
         with pytest.raises(ConfigError, match=key):
             run(random_scenario(seed, n_events=10), seed=seed, base_config=base)
+
+    @pytest.mark.parametrize("value", [5000.5, True])
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_non_integer_int_key_is_rejected_naming_it(self, key, value):
+        # a float here once reached the action log as a time like 6000.5
+        base = SimConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            run(parse_scenario("0 arm\n1000 distance 0.5"), base_config=base)
 
     @settings(max_examples=200)
     @given(

@@ -18,6 +18,11 @@ class TestScenarioEvent:
         with pytest.raises(ValueError, match="time"):
             ev(-1)
 
+    @pytest.mark.parametrize("at", [0.5, 1000.0, True])
+    def test_non_integer_time_rejected(self, at):
+        with pytest.raises(ValueError, match="time must be an integer"):
+            ev(at)
+
     def test_distance_requires_meters(self):
         with pytest.raises(ValueError, match="meters"):
             ScenarioEvent(at=0, kind=EventKind.DISTANCE_SAMPLE)
