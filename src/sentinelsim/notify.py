@@ -33,6 +33,8 @@ class NotificationKind(Enum):
 
 @dataclass(frozen=True)
 class Notification:
+    """One message; ``build_notification`` applies the recipient policy."""
+
     kind: NotificationKind
     recipients: frozenset
     subject: str
@@ -41,21 +43,11 @@ class Notification:
     created_at: Instant
 
     def __post_init__(self) -> None:
-        if not self.recipients:
-            raise ValueError("recipients must be non-empty")
-        unknown = self.recipients - {OWNER, AUTHORITIES}
-        if unknown:
-            raise ValueError(f"unknown recipients: {sorted(unknown)}")
         if self.kind is NotificationKind.PRESENCE:
             if self.attachment is None:
                 raise ValueError("presence notifications carry a clip attachment")
         elif self.attachment is not None:
             raise ValueError(f"{self.kind.value} notifications carry no attachment")
-        if self.kind is NotificationKind.INTRUSION:
-            if self.recipients != {OWNER, AUTHORITIES}:
-                raise ValueError("intrusion mail goes to owner and authorities")
-        elif OWNER not in self.recipients:
-            raise ValueError(f"{self.kind.value} mail must reach the owner")
 
     def ordered_recipients(self) -> List[str]:
         return [r for r in _RECIPIENT_ORDER if r in self.recipients]

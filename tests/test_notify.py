@@ -11,7 +11,6 @@ from sentinelsim.notify import (
     LineFileSink,
     MaildirSink,
     MemorySink,
-    Notification,
     NotificationKind,
     build_notification,
     format_outbox_line,
@@ -65,16 +64,6 @@ class TestBuildNotification:
         b = build_notification(NotificationKind.INTRUSION, 123)
         assert a == b
 
-    def test_intrusion_recipient_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Notification(
-                kind=NotificationKind.INTRUSION,
-                recipients=frozenset({OWNER}),
-                subject="s",
-                body="b",
-                attachment=None,
-                created_at=0,
-            )
 
 
 class TestDispatcher:
