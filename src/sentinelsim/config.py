@@ -41,7 +41,7 @@ class SimConfig:
     # ultrasonic ranging
     threshold_m: float = 1.0
     max_range_m: float = 4.0
-    speed_of_sound: float = 343.0
+    speed_of_sound: float = 343.0  # m/s, dry air at 20 C
     retrigger_cooldown_ms: int = 5000
     # pulse password
     password: str = "1100101"
