@@ -103,10 +103,6 @@ class AttemptSession:
             self.observed = [0] * len(self.spec)
         self.end = self.started_at + self.spec.attempt_ms
 
-    @classmethod
-    def begin(cls, spec: PasswordSpec, start: Instant) -> "AttemptSession":
-        return cls(spec=spec, started_at=start)
-
     def window(self, k: int) -> Tuple[Instant, Instant]:
         """Half-open [lit, off) interval of pulse k, 0-based."""
         lo = self.started_at + k * self.spec.pulse_period_ms
@@ -153,7 +149,7 @@ class AttemptSession:
 
 def begin_attempt(spec: PasswordSpec, start: Instant) -> AttemptSession:
     """Start the password-entering mode at ``start``."""
-    return AttemptSession.begin(spec, start)
+    return AttemptSession(spec, start)
 
 
 def search_space(n: int) -> int:
@@ -180,7 +176,7 @@ def mid_window_press_times(
 
 def run_pattern(spec: PasswordSpec, pattern: int, start: Instant = 0) -> AttemptOutcome:
     """Drive a full attempt for one mid-window press pattern."""
-    session = AttemptSession.begin(spec, start)
+    session = AttemptSession(spec, start)
     for t in mid_window_press_times(spec, pattern, start):
         session.record_press(t)
     return session.finalize(session.end)

@@ -55,7 +55,7 @@ def test_password_oracle_unique_acceptance():
         counts = [0] * (1 << n)
         matched = [-1] * (1 << n)
         for pattern in range(1 << n):
-            session = AttemptSession.begin(probe_spec, start=0)
+            session = AttemptSession(probe_spec, 0)
             for t in mid_window_press_times(probe_spec, pattern):
                 session.record_press(t)
             assert not session.extraneous_press
@@ -80,12 +80,12 @@ def test_password_oracle_unique_acceptance():
 
     # the documented 7-bit example: presses on pulses 1, 2, 5 and 7
     spec = PasswordSpec.from_string("1100101", period, window)
-    good = AttemptSession.begin(spec, start=0)
+    good = AttemptSession(spec, 0)
     for pulse in (1, 2, 5, 7):
         good.record_press((pulse - 1) * period + 250)
     assert good.finalize(good.end).accepted
 
-    bad = AttemptSession.begin(spec, start=0)
+    bad = AttemptSession(spec, 0)
     for pulse in (1, 2, 5):
         bad.record_press((pulse - 1) * period + 250)
     assert not bad.finalize(bad.end).accepted
