@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 for scenario or configuration problems
-(including bad command-line usage), 2 for runtime failures inside a
-simulation.
+Exit codes follow the phase: 0 on success; 1 for any problem found before
+the simulation starts (usage, files, scenario, configuration); 2 for any
+exception raised inside engine.simulate, which is an internal fault.
 """
 
 from __future__ import annotations
@@ -101,10 +101,9 @@ def _clear_out_dir(out: str) -> None:
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     file_overrides = load_config_file(args.config) if args.config else {}
-    cli_overrides = _parse_cli_overrides(args.overrides)
-    # only the fully layered config is validated, inside resolve_run_config
+    # only the fully layered config is validated, inside engine.prepare
     base = apply_overrides(SimConfig(), file_overrides)
-    cfg = engine.resolve_run_config(scenario, base, cli_overrides)
+    cfg = engine.prepare(scenario, base, _parse_cli_overrides(args.overrides))
 
     extra_sinks = []
     if args.out:
@@ -117,13 +116,11 @@ def _cmd_run(args) -> int:
                 MaildirSink(os.path.join(args.out, "maildir"), cfg.addresses())
             )
 
-    report = engine.run(
-        scenario,
-        seed=args.seed,
-        base_config=base,
-        cli_overrides=cli_overrides,
-        extra_sinks=extra_sinks,
-    )
+    try:
+        report = engine.simulate(scenario, cfg, args.seed, extra_sinks)
+    except Exception as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     rendered = render_report(report, args.format)
 
     if args.out:
@@ -142,8 +139,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    cfg = engine.resolve_run_config(scenario)
-    engine.validate_events(scenario, cfg)
+    engine.prepare(scenario)
     print(
         f"OK: {len(scenario.events)} events, {len(scenario.overrides)} overrides"
     )
@@ -167,15 +163,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line, msg in exc.errors:
             print(f"error: line {line}: {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RuntimeError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -2,14 +2,15 @@
 
 Precedence, lowest to highest: built-in defaults, config file, scenario
 ``set`` lines, command-line overrides, as ``engine.resolve_run_config``
-layers them. Values arriving as text (scenario lines, --set flags) are
-coerced per key; a config file is a flat JSON object and may use native JSON
-types or strings.
+layers them. Values arriving as text (scenario lines, --set flags, strings
+in a config file) are cast per key; other values keep their type, which
+SimConfig.validate checks against the key's.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -61,18 +62,17 @@ class SimConfig:
     authorities_email: str = "authorities@example.com"
 
     def validate(self) -> None:
-        """Check every rule on config values. Each rule states what must hold,
-        so a NaN, which fails every comparison, breaks it; the float rules
-        also bound their key below infinity, so ±inf breaks them too. Times
-        and sizes are whole numbers: a float or a bool there is rejected
-        before any range rule is read."""
-        not_int = [
-            f"{key} must be an integer, got {getattr(self, key)!r}"
-            for key in _INT_KEYS
-            if type(getattr(self, key)) is not int
+        """Check every rule on config values. Each key's exact type is
+        checked first (_TYPES; a bool is not a number). Each range rule states
+        what must hold, so a NaN, which fails every comparison, breaks it; the
+        float rules also bound their key below infinity, so ±inf does too."""
+        mistyped = [
+            f"{key} must be {_TYPES[caster][1]}, got {getattr(self, key)!r}"
+            for key, caster in _CASTERS.items()
+            if type(getattr(self, key)) not in _TYPES[caster][0]
         ]
-        if not_int:
-            raise ConfigError("; ".join(not_int))
+        if mistyped:
+            raise ConfigError("; ".join(mistyped))
         rules = (
             (0 < self.threshold_m < math.inf, "threshold_m must be > 0 and finite"),
             (
@@ -93,13 +93,18 @@ class SimConfig:
         )
         problems = [message for holds, message in rules if not holds]
         try:
-            pulselock.PasswordSpec.from_string(
-                self.password, self.pulse_period_ms, self.press_window_ms
-            )
+            self.password_spec
         except ValueError as exc:
             problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))
+
+    @functools.cached_property
+    def password_spec(self) -> pulselock.PasswordSpec:
+        """The password with its pulse timing, parsed once per config."""
+        return pulselock.PasswordSpec.from_string(
+            self.password, self.pulse_period_ms, self.press_window_ms
+        )
 
     def addresses(self) -> Dict[str, str]:
         return {"owner": self.owner_email, "authorities": self.authorities_email}
@@ -125,11 +130,17 @@ _CASTERS = {
     "authorities_email": str,
 }
 
-_INT_KEYS = tuple(key for key, caster in _CASTERS.items() if caster is int)
+# caster -> (exact types a value of its keys may have, their name in messages)
+_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((float, int), "a number"),
+    _parse_bool: ((bool,), "a boolean"),
+    str: ((str,), "a string"),
+}
 
 
 def coerce_value(key: str, value):
-    """Check a key is known and convert its value to the configured type."""
+    """Check a key is known and cast a text value to its key's type."""
     if key not in _CASTERS:
         raise ConfigError(f"unknown config key {key!r}")
     caster = _CASTERS[key]
@@ -138,21 +149,13 @@ def coerce_value(key: str, value):
             value = caster(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    else:
-        expected = bool if caster is _parse_bool else caster
-        if expected is float and isinstance(value, int) and not isinstance(value, bool):
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ConfigError(f"bad value for {key!r}: not a finite float") from None
-        elif not isinstance(value, expected) or (
-            expected in (int, float) and isinstance(value, bool)
-        ):
-            raise ConfigError(
-                f"bad value for {key!r}: expected {expected.__name__}, got {value!r}"
-            )
+    elif caster is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"bad value for {key!r}: not a finite float") from None
     # nan and inf pass every range check downstream, so stop them here
-    if caster is float and not math.isfinite(value):
+    if type(value) is float and not math.isfinite(value):
         raise ConfigError(f"bad value for {key!r}: must be finite, got {value!r}")
     return value
 
@@ -164,7 +167,7 @@ def apply_overrides(base: SimConfig, overrides: Mapping) -> SimConfig:
 
 
 def load_config_file(path) -> Dict[str, object]:
-    """Read a flat JSON object of overrides, validating keys and values."""
+    """Read a flat JSON object of overrides for apply_overrides."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -172,5 +175,5 @@ def load_config_file(path) -> Dict[str, object]:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config file must be a JSON object")
-    return {k: coerce_value(k, v) for k, v in raw.items()}
+    return raw
 

@@ -20,7 +20,7 @@ from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, tr
 from .config import SimConfig
 from .events import EventKind, Instant, ScenarioEvent
 from .notify import Dispatcher, NotificationKind, build_notification
-from .pulselock import AttemptOutcome, AttemptSession, PasswordSpec
+from .pulselock import AttemptOutcome, AttemptSession
 from .rng import SplitMix64
 from .sensors import distance_from_echo, echo_from_distance, presence_detect
 
@@ -100,9 +100,6 @@ class Controller:
 
     def __init__(self, cfg: SimConfig, seed: int, dispatcher: Dispatcher):
         self.cfg = cfg
-        self.password = PasswordSpec.from_string(
-            cfg.password, cfg.pulse_period_ms, cfg.press_window_ms
-        )
         self.dispatcher = dispatcher
         self.state = SystemState()
         self.clips: List[RecordingJob] = []
@@ -250,12 +247,12 @@ class Controller:
             raise pulselock.AttemptStateError(
                 f"mode button at t={t}: a password attempt is already in progress"
             )
-        session = pulselock.begin_attempt(self.password, t)
+        session = pulselock.begin_attempt(self.cfg.password_spec, t)
         self.state.pending_attempt = session
         self._attempt_token += 1
         self._log(
             t, "controller", "ATTEMPT_BEGIN",
-            f"n={len(self.password)} end_ms={session.end}",
+            f"n={len(session.spec)} end_ms={session.end}",
         )
         return [AttemptDeadline(session.end, self._attempt_token)]
 

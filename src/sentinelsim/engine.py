@@ -1,9 +1,10 @@
-"""Scenario runner: wires sensors, link, controller and notifications together.
+"""Scenario runner: run() is prepare() then simulate().
 
-run() is referentially transparent in (scenario, seed, config): it touches
-no wall clock and no filesystem, so identical inputs give byte-identical
-rendered reports. File outputs (report, outbox log, clip placeholders) are
-the CLI layer's job.
+prepare() layers the config and makes every check that must pass before the
+first event, so an exception raised in simulate() is an internal fault.
+simulate() touches no wall clock and no filesystem: identical (scenario,
+seed, config) give byte-identical reports. File outputs (report, outbox
+log, clip placeholders) are the CLI layer's job.
 
 Dispatch order: scenario events in time order (ties keep scenario order),
 merged with the controller's follow-ups (clip ends, attempt deadlines, frame
@@ -21,7 +22,6 @@ from .config import ConfigError, SimConfig, apply_overrides
 from .controller import Controller
 from .events import EventKind, EventQueue
 from .notify import Dispatcher
-from .pulselock import PasswordSpec
 from .report import RunReport
 from .scenario import Scenario
 
@@ -53,9 +53,8 @@ def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
             problems.append(
                 f"distance {ev.meters} m at t={ev.at} exceeds max_range_m={cfg.max_range_m}"
             )
-    password = PasswordSpec.from_string(cfg.password, cfg.pulse_period_ms, cfg.press_window_ms)
-    span = password.attempt_ms
-    buttons.sort()  # run dispatches in time order
+    span = cfg.password_spec.attempt_ms
+    buttons.sort()  # simulate dispatches in time order
     problems += [
         f"mode_button at t={t} comes while the attempt begun at t={s} runs until t={s + span}"
         for s, t in zip(buttons, buttons[1:])
@@ -70,24 +69,27 @@ def build_controller(cfg: SimConfig, seed: int, dispatcher: Dispatcher) -> Contr
     return Controller(cfg, seed, dispatcher)
 
 
-def run(
+def prepare(
     scenario: Scenario,
-    seed: int = 0,
-    base_config: Optional[SimConfig] = None,
-    *,
+    base: Optional[SimConfig] = None,
     cli_overrides: Mapping = (),
-    extra_sinks: Sequence = (),
+) -> SimConfig:
+    """The validated config of a run, checked against its scenario."""
+    cfg = resolve_run_config(scenario, base, cli_overrides)
+    validate_events(scenario, cfg)
+    return cfg
+
+
+def simulate(
+    scenario: Scenario, cfg: SimConfig, seed: int = 0, extra_sinks: Sequence = ()
 ) -> RunReport:
-    """Execute a scenario to completion and return its report.
+    """Execute a prepared scenario to completion and return its report.
 
     The returned report owns everything observable about the run: the final
     mode, the action log, outbox tallies and the clip manifest. extra_sinks
     receive every notification; the dispatcher's outbox records each one
     whether or not any sink is given.
     """
-    cfg = resolve_run_config(scenario, base_config, cli_overrides)
-    validate_events(scenario, cfg)
-
     dispatcher = Dispatcher(extra_sinks)
     controller = build_controller(cfg, seed, dispatcher)
 
@@ -109,3 +111,15 @@ def run(
         clips=tuple(controller.clips),
         clip_bytes=cfg.clip_bytes,
     )
+
+
+def run(
+    scenario: Scenario,
+    seed: int = 0,
+    base_config: Optional[SimConfig] = None,
+    *,
+    cli_overrides: Mapping = (),
+    extra_sinks: Sequence = (),
+) -> RunReport:
+    """Prepare a scenario, then simulate it."""
+    return simulate(scenario, prepare(scenario, base_config, cli_overrides), seed, extra_sinks)

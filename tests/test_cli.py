@@ -6,7 +6,7 @@ import os
 import pytest
 
 from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
-from sentinelsim import engine
+from sentinelsim import controller, engine
 from sentinelsim.cli import main
 
 
@@ -190,12 +190,42 @@ def test_overlapping_password_attempt_exits_one(tmp_path, capsys):
 
 
 def test_runtime_error_exits_two(breakin_file, monkeypatch, capsys):
-    def broken_run(*args, **kwargs):
+    def broken_simulate(*args, **kwargs):
         raise RuntimeError("simulated internal fault")
 
-    monkeypatch.setattr(engine, "run", broken_run)
+    monkeypatch.setattr(engine, "simulate", broken_simulate)
     assert main(["run", breakin_file]) == 2
     assert "runtime error: simulated internal fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_any_exception_inside_the_simulation_exits_two(breakin_file, error, monkeypatch, capsys):
+    # a ValueError is an input problem only before the simulation starts
+    def broken_transmit(*args):
+        raise error("fault in transmit")
+
+    monkeypatch.setattr(controller, "transmit", broken_transmit)
+    assert main(["run", breakin_file]) == 2
+    captured = capsys.readouterr()
+    assert "runtime error:" in captured.err and "fault in transmit" in captured.err
+    assert captured.out == ""
+
+
+def test_run_resolves_its_config_once(breakin_file, tmp_path, monkeypatch):
+    calls = []
+    resolve = engine.resolve_run_config
+
+    def counting_resolve(*args, **kwargs):
+        calls.append(args)
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "resolve_run_config", counting_resolve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"maildir": True}), encoding="utf-8")
+    out_dir = str(tmp_path / "out")
+    argv = ["run", breakin_file, "--config", str(cfg), "--set", "latency_ms=5", "--out", out_dir]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_nan_distance_rejected_with_its_line(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from itertools import accumulate
 from operator import attrgetter
 
@@ -14,12 +17,19 @@ from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
-from sentinelsim.pulselock import AttemptStateError
+from sentinelsim.pulselock import AttemptStateError, PasswordSpec
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
 INT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
+
+
+def render_fixed_fuzz() -> bytes:
+    """Both reports of a fixed random scenario over a lossy link."""
+    sc = random_scenario(11, n_events=200)
+    report = run(sc, seed=11, cli_overrides={"drop_probability": "0.3"})
+    return render_report(report, "text") + render_report(report, "structured")
 
 
 def run_with_probe(scenario, seed=0, **kw):
@@ -236,6 +246,17 @@ class TestFuzzedInvariants:
             second = render_report(run(sc, seed=seed), "structured")
             assert first == second
 
+    def test_reports_do_not_depend_on_the_hash_seed(self):
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(tests_dir, os.pardir, "src"), tests_dir])
+        code = "import sys, test_engine; sys.stdout.buffer.write(test_engine.render_fixed_fuzz())"
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            printed = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, check=True
+            ).stdout
+            assert printed == render_fixed_fuzz()
+
 
 class TestValidationBeforeDispatch:
     @given(
@@ -255,6 +276,36 @@ class TestValidationBeforeDispatch:
         base = SimConfig(**{key: value})
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             run(parse_scenario("0 arm\n1000 distance 0.5"), base_config=base)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("presence_to_authorities", "false"),  # once ran and mailed the authorities
+            ("owner_email", 3),
+            ("threshold_m", "1"),  # this and the password once raised TypeError
+            ("password", 1100101),
+        ],
+    )
+    def test_wrongly_typed_key_is_rejected_naming_it(self, key, value):
+        base = SimConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be a"):
+            run(parse_scenario("0 distance 0.5"), base_config=base)
+
+    def test_float_keys_take_an_int(self):
+        SimConfig(threshold_m=1, max_range_m=4, speed_of_sound=343, drop_probability=0).validate()
+
+    def test_password_is_parsed_once_per_run(self, deactivate_scenario, monkeypatch):
+        calls = []
+        parse = PasswordSpec.from_string
+
+        def counting_parse(cls, *args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(PasswordSpec, "from_string", classmethod(counting_parse))
+        report = run(deactivate_scenario)
+        assert report.final_mode == "DISARMED"
+        assert len(calls) == 1
 
     @settings(max_examples=200)
     @given(

@@ -197,10 +197,11 @@ class TestConfigLayering:
         assert coerce_value("threshold_m", 2) == 2.0
 
     def test_wrong_json_type_rejected(self):
-        with pytest.raises(ConfigError):
-            coerce_value("latency_ms", 1.5)
-        with pytest.raises(ConfigError):
-            coerce_value("latency_ms", True)
+        # a file's typed values keep their type until the resolved config is validated
+        with pytest.raises(ConfigError, match="latency_ms must be an integer"):
+            resolve(file_overrides={"latency_ms": 1.5})
+        with pytest.raises(ConfigError, match="latency_ms must be an integer"):
+            resolve(file_overrides={"latency_ms": True})
 
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError, match="max_range_m"):
