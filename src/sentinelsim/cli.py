@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes follow the phase: 0 on success; 1 for any problem found before
-the simulation starts (usage, files, scenario, configuration); 2 for any
-exception raised inside engine.simulate, which is an internal fault.
+Exit codes follow the phase: 0 on success; 1 for usage, file, scenario and
+config problems (all found before the simulation, --out writes aside); 2
+for any exception raised inside engine.simulate, an internal fault.
 """
 
 from __future__ import annotations
