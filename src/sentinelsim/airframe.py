@@ -26,11 +26,9 @@ DELIMITER = 0x7E
 MAX_PAYLOAD = 0xFF - 2
 
 
+# Only the frame types the simulation sends; other type bytes are unknown.
 class FrameType(IntEnum):
-    HEARTBEAT = 0x00
     INTRUDER_ALERT = 0x01
-    PRESENCE_ALERT = 0x02
-    DEACTIVATION_RESULT = 0x03
 
 
 class FrameDecodeError(ValueError):
@@ -129,8 +127,8 @@ class DeliveryResult:
     attempts: int
 
 
-def transmit(cfg: SimConfig, frame: Frame, at: Instant, rng: SplitMix64) -> DeliveryResult:
-    """Attempt delivery of a frame sent at ``at``.
+def transmit(cfg: SimConfig, at: Instant, rng: SplitMix64) -> DeliveryResult:
+    """Attempt delivery of one frame sent at ``at``; its bytes never matter.
 
     One uniform draw per attempt, consumed in attempt order: attempt k
     succeeds when its draw is >= drop_probability and then arrives at

@@ -11,6 +11,7 @@ import argparse
 import os
 import shutil
 import sys
+import traceback
 from typing import List, Optional
 
 from . import __version__, engine, pulselock
@@ -119,7 +120,9 @@ def _cmd_run(args) -> int:
     try:
         report = engine.simulate(scenario, cfg, args.seed, extra_sinks)
     except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+        tb = traceback.extract_tb(exc.__traceback__)[-1]  # the innermost frame
+        where = f"{os.path.basename(tb.filename)}:{tb.lineno} in {tb.name}"
+        print(f"runtime error: {type(exc).__name__}: {exc}\n  at {where}", file=sys.stderr)
         return EXIT_RUNTIME
     rendered = render_report(report, args.format)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
@@ -24,11 +24,11 @@ from .pulselock import AttemptOutcome, AttemptSession
 from .rng import SplitMix64
 from .sensors import distance_from_echo, echo_from_distance, presence_detect
 
-# Wire source ids for the simulated nodes. The door node deliberately gets
-# 0x02 so its empty intruder alert encodes to 7E 02 01 02 FC, an easy frame
-# to eyeball in logs.
-NODE_IDS = {"door": 0x02, "ultrasonic": 0x03, "console": 0x04, "operator": 0x05}
-UNKNOWN_NODE_ID = 0x01
+# The door-beam node is the only sensor on the radio, and its one frame is
+# an empty intruder alert. Its source id 0x02 makes the wire bytes
+# 7E 02 01 02 FC, an easy frame to eyeball in logs.
+DOOR_ALERT = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x02))
+DOOR_ALERT_HEX = hex_dump(DOOR_ALERT)
 
 
 class SimulationOrderError(RuntimeError):
@@ -108,9 +108,6 @@ class Controller:
         self._clip_seq = 0
         self._attempt_token = 0
         self._last_time: Optional[Instant] = None
-        # source -> (frame, wire bytes, hex text), built on a node's first send
-        self._node_frames: Dict[str, tuple] = {}
-        self._frame_hex: Dict[bytes, str] = {}
 
     # -- event routing ----------------------------------------------------
 
@@ -154,7 +151,12 @@ class Controller:
         if self._door_open:
             return []
         self._door_open = True
-        return self._node_send_alert(ev.source, ev.at)
+        result = transmit(self.cfg, ev.at, self._rng)
+        self._log(ev.at, "link", "TX", f"src=door frame={DOOR_ALERT_HEX}")
+        if result.delivered:
+            return [FrameArrival(result.delivered_at, DOOR_ALERT, result.attempts)]
+        self._log(ev.at, "link", "DROP", f"frame={DOOR_ALERT_HEX} attempts={result.attempts}")
+        return []
 
     def _on_door_close(self, ev: ScenarioEvent) -> list:
         self._door_open = False
@@ -180,41 +182,19 @@ class Controller:
             self.state.last_presence_trigger = t
             self._log(
                 t, "sensor", "PRESENCE_TRIGGER",
-                f"source={ev.source} distance_m={distance:.3f}",
+                f"source=ultrasonic distance_m={distance:.3f}",
             )
             return self.on_presence(t)
         return []
 
-    def _node_frame(self, source: str) -> tuple:
-        """The constant alert frame of a node, its wire bytes and their hex."""
-        node = self._node_frames.get(source)
-        if node is None:
-            frame = Frame(FrameType.INTRUDER_ALERT, NODE_IDS.get(source, UNKNOWN_NODE_ID))
-            data = encode_frame(frame)
-            node = self._node_frames[source] = (frame, data, hex_dump(data))
-            self._frame_hex[data] = node[2]
-        return node
-
-    def _node_send_alert(self, source: str, t: Instant) -> list:
-        frame, data, shown = self._node_frame(source)
-        result = transmit(self.cfg, frame, t, self._rng)
-        self._log(t, "link", "TX", f"src={source} frame={shown}")
-        if result.delivered:
-            return [FrameArrival(result.delivered_at, data, result.attempts)]
-        self._log(t, "link", "DROP", f"frame={shown} attempts={result.attempts}")
-        return []
-
     def _dispatch_arrival(self, arrival: FrameArrival) -> list:
-        # decoding is the coordinator's checksum check, so it runs on every arrival
-        frame = decode_frame(arrival.data)
-        shown = self._frame_hex.get(arrival.data)
-        if shown is None:
-            shown = hex_dump(arrival.data)
-        self._log(
-            arrival.at, "link", "RX", f"frame={shown} attempts={arrival.attempts}"
-        )
-        if frame.frame_type is FrameType.INTRUDER_ALERT:
-            self.on_beam_break(arrival.at)
+        # Decoding is the coordinator's checksum check, so it runs on every
+        # arrival. An intruder alert is the only frame type it accepts.
+        data = arrival.data
+        decode_frame(data)
+        shown = DOOR_ALERT_HEX if data == DOOR_ALERT else hex_dump(data)
+        self._log(arrival.at, "link", "RX", f"frame={shown} attempts={arrival.attempts}")
+        self.on_beam_break(arrival.at)
         return []
 
     def _dispatch_deadline(self, deadline: AttemptDeadline) -> list:
@@ -234,7 +214,7 @@ class Controller:
             presence_to_authorities=self.cfg.presence_to_authorities,
         )
         self.dispatcher.dispatch(notification)
-        recipients = ",".join(notification.ordered_recipients())
+        recipients = ",".join(notification.recipients)
         self._log(
             done.at, "controller", "PRESENCE",
             f"clip={job.clip_id} recipients={recipients}",
@@ -288,7 +268,7 @@ class Controller:
         if self.state.mode is SystemMode.ARMED:
             notification = build_notification(NotificationKind.INTRUSION, t)
             self.dispatcher.dispatch(notification)
-            recipients = ",".join(notification.ordered_recipients())
+            recipients = ",".join(notification.recipients)
             self._log(t, "controller", "INTRUSION", f"recipients={recipients}")
         else:
             self._log(

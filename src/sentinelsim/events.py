@@ -6,6 +6,10 @@ what makes runs replayable: a scenario event precedes a controller follow-up
 at the same millisecond, scenario events at one millisecond keep their
 scenario order, and follow-ups at one millisecond keep the order in which
 they were scheduled.
+
+A stimulus is a time, a kind and, for a distance sample, meters. Each kind
+has one fixed origin (the door-beam node, the ultrasonic sensor), so no
+event carries a source.
 """
 
 from __future__ import annotations
@@ -31,19 +35,6 @@ class EventKind(Enum):
     PRESS_UP = "press_up"
 
 
-# Default originating node per stimulus kind; the scenario grammar does not
-# carry an explicit source column.
-DEFAULT_SOURCES = {
-    EventKind.ARM: "operator",
-    EventKind.DISTANCE_SAMPLE: "ultrasonic",
-    EventKind.DOOR_OPEN: "door",
-    EventKind.DOOR_CLOSE: "door",
-    EventKind.MODE_BUTTON: "console",
-    EventKind.PRESS_DOWN: "console",
-    EventKind.PRESS_UP: "console",
-}
-
-
 @dataclass(frozen=True)
 class ScenarioEvent:
     """A timestamped external stimulus; construction checks its shape."""
@@ -51,7 +42,6 @@ class ScenarioEvent:
     at: Instant
     kind: EventKind
     meters: Optional[float] = None
-    source: str = ""
 
     def __post_init__(self) -> None:
         if type(self.at) is not int:  # not isinstance: a bool is an int
@@ -65,8 +55,6 @@ class ScenarioEvent:
                 raise ValueError(f"distance must be >= 0, got {self.meters}")
         elif self.meters is not None:
             raise ValueError(f"{self.kind.value} event does not take a distance")
-        if not self.source:
-            object.__setattr__(self, "source", DEFAULT_SOURCES[self.kind])
 
 
 class EventQueue:

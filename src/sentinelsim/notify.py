@@ -18,9 +18,6 @@ from .events import Instant
 OWNER = "owner"
 AUTHORITIES = "authorities"
 
-# Details strings and mail headers list recipients owner-first.
-_RECIPIENT_ORDER = (OWNER, AUTHORITIES)
-
 SUBJECT_TAG = "[SENTINEL]"
 
 
@@ -33,10 +30,10 @@ class NotificationKind(Enum):
 
 @dataclass(frozen=True)
 class Notification:
-    """One message; ``build_notification`` applies the recipient policy."""
+    """One message; ``build_notification`` sets its owner-first recipients."""
 
     kind: NotificationKind
-    recipients: frozenset
+    recipients: Tuple[str, ...]
     subject: str
     body: str
     attachment: Optional[str]
@@ -48,9 +45,6 @@ class Notification:
                 raise ValueError("presence notifications carry a clip attachment")
         elif self.attachment is not None:
             raise ValueError(f"{self.kind.value} notifications carry no attachment")
-
-    def ordered_recipients(self) -> List[str]:
-        return [r for r in _RECIPIENT_ORDER if r in self.recipients]
 
 
 def build_notification(
@@ -66,12 +60,12 @@ def build_notification(
     owner-only unless presence mail is explicitly configured to copy the
     authorities as well.
     """
-    if kind is NotificationKind.INTRUSION:
-        recipients = frozenset({OWNER, AUTHORITIES})
-    elif kind is NotificationKind.PRESENCE and presence_to_authorities:
-        recipients = frozenset({OWNER, AUTHORITIES})
+    if kind is NotificationKind.INTRUSION or (
+        kind is NotificationKind.PRESENCE and presence_to_authorities
+    ):
+        recipients = (OWNER, AUTHORITIES)
     else:
-        recipients = frozenset({OWNER})
+        recipients = (OWNER,)
     subject = f"{SUBJECT_TAG} {kind.value} at t={t}"
     lines = [f"Kind: {kind.value}", f"Simulation time: {t} ms"]
     if attachment is not None:
@@ -174,7 +168,7 @@ class MaildirSink:
         self._seq += 1
         to = ", ".join(
             f"{label} <{self.addresses.get(label, label + '@example.invalid')}>"
-            for label in notification.ordered_recipients()
+            for label in notification.recipients
         )
         headers = [
             "From: sentinelsim <noreply@sentinelsim.invalid>",

@@ -109,7 +109,7 @@ def test_breakin_scenario_end_to_end():
     (clip,) = report.clips
     assert clip.clip_id == presence[0].attachment
     assert 5000 <= clip.duration_ms <= 10000
-    assert intrusion[0].recipients == {"owner", "authorities"}
+    assert intrusion[0].recipients == ("owner", "authorities")
 
     log_a = "\n".join(a.line() for a in report.actions).encode("utf-8")
     rerun = run(scenario, seed=42, extra_sinks=[MemorySink()])
@@ -174,11 +174,9 @@ def test_codec_round_trip_and_corruption():
 
 def test_link_statistics():
     """Delivery fractions: ~0.7 at p=0.3, exactly 1.0 at p=0 and 0.0 at p=1."""
-    frame = Frame(FrameType.INTRUDER_ALERT, 0x02)
-
     link = SimConfig(drop_probability=0.3, max_retries=0)
     rng = SplitMix64(12345)
-    delivered = sum(transmit(link, frame, 0, rng).delivered for _ in range(10_000))
+    delivered = sum(transmit(link, 0, rng).delivered for _ in range(10_000))
     fraction = delivered / 10_000
     assert abs(fraction - 0.70) <= 0.02, f"fraction {fraction}"
 
@@ -188,11 +186,11 @@ def test_link_statistics():
 
     sure = SimConfig(drop_probability=0.0, max_retries=0)
     rng = SplitMix64(1)
-    assert all(transmit(sure, frame, 0, rng).delivered for _ in range(10_000))
+    assert all(transmit(sure, 0, rng).delivered for _ in range(10_000))
 
     never = SimConfig(drop_probability=1.0, max_retries=0)
     rng = SplitMix64(1)
-    assert not any(transmit(never, frame, 0, rng).delivered for _ in range(10_000))
+    assert not any(transmit(never, 0, rng).delivered for _ in range(10_000))
 
     _passed(f"link-statistics (fraction={fraction})")
 

@@ -43,27 +43,22 @@ def random_frame(rnd):
 
 
 class TestEncode:
-    def test_heartbeat_hand_example(self):
-        # 0x00 + 0x01 = 1, checksum 0xFF - 1 = 0xFE
-        data = encode_frame(Frame(FrameType.HEARTBEAT, 0x01))
-        assert data == bytes([0x7E, 0x02, 0x00, 0x01, 0xFE])
-
     def test_intruder_alert_hand_example(self):
         # 0x01 + 0x02 = 3, checksum 0xFF - 3 = 0xFC
         data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x02))
         assert data == bytes([0x7E, 0x02, 0x01, 0x02, 0xFC])
 
     def test_payload_length_in_length_byte(self):
-        data = encode_frame(Frame(FrameType.PRESENCE_ALERT, 0x03, b"abc"))
+        data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x03, b"abc"))
         assert data[1] == 2 + 3
 
     def test_oversized_payload_rejected(self):
         with pytest.raises(ValueError, match="payload"):
-            Frame(FrameType.HEARTBEAT, 0x01, b"\x00" * (MAX_PAYLOAD + 1))
+            Frame(FrameType.INTRUDER_ALERT, 0x01, b"\x00" * (MAX_PAYLOAD + 1))
 
     def test_source_id_must_be_one_byte(self):
         with pytest.raises(ValueError):
-            Frame(FrameType.HEARTBEAT, 256)
+            Frame(FrameType.INTRUDER_ALERT, 256)
 
     def test_hex_dump_format(self):
         data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x02))
@@ -72,28 +67,28 @@ class TestEncode:
 
 class TestDecode:
     def test_decodes_hand_example(self):
-        frame = decode_frame(bytes([0x7E, 0x02, 0x00, 0x01, 0xFE]))
-        assert frame == Frame(FrameType.HEARTBEAT, 0x01, b"")
+        frame = decode_frame(bytes([0x7E, 0x02, 0x01, 0x02, 0xFC]))
+        assert frame == Frame(FrameType.INTRUDER_ALERT, 0x02, b"")
 
     def test_checksum_mismatch(self):
         with pytest.raises(ChecksumMismatch):
-            decode_frame(bytes([0x7E, 0x02, 0x00, 0x01, 0x00]))
+            decode_frame(bytes([0x7E, 0x02, 0x01, 0x02, 0x00]))
 
     def test_bad_delimiter(self):
         with pytest.raises(BadDelimiter):
-            decode_frame(bytes([0xFF, 0x02, 0x00, 0x01, 0xFE]))
+            decode_frame(bytes([0xFF, 0x02, 0x01, 0x02, 0xFC]))
 
     def test_empty_buffer(self):
         with pytest.raises(LengthMismatch):
             decode_frame(b"")
 
     def test_truncated_buffer(self):
-        data = encode_frame(Frame(FrameType.HEARTBEAT, 0x01, b"xy"))
+        data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x01, b"xy"))
         with pytest.raises(LengthMismatch):
             decode_frame(data[:-1])
 
     def test_extra_byte(self):
-        data = encode_frame(Frame(FrameType.HEARTBEAT, 0x01))
+        data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x01))
         with pytest.raises(LengthMismatch):
             decode_frame(data + b"\x00")
 
@@ -102,6 +97,17 @@ class TestDecode:
         data = bytes([0x7E, 0x02]) + body + bytes([checksum(0x7F, 0x01, b"")])
         with pytest.raises(UnknownFrameType):
             decode_frame(data)
+
+    @pytest.mark.parametrize("vector", [
+        # type bytes the simulation never sends; each checksum is valid,
+        # e.g. 0x00 + 0x01 = 1, checksum 0xFF - 1 = 0xFE
+        [0x7E, 0x02, 0x00, 0x01, 0xFE],
+        [0x7E, 0x02, 0x02, 0x01, 0xFC],
+        [0x7E, 0x02, 0x03, 0x01, 0xFB],
+    ])
+    def test_unsent_type_bytes_are_unknown(self, vector):
+        with pytest.raises(UnknownFrameType, match=f"0x{vector[2]:02X}"):
+            decode_frame(bytes(vector))
 
     @given(frames)
     def test_round_trip(self, frame):
@@ -153,32 +159,30 @@ class TestLinkConfig:
 
 
 class TestTransmit:
-    FRAME = Frame(FrameType.INTRUDER_ALERT, 0x02)
-
     def test_never_drops_at_probability_zero(self):
         link = SimConfig(drop_probability=0.0, latency_ms=20)
         rng = SplitMix64(3)
-        result = transmit(link, self.FRAME, at=1000, rng=rng)
+        result = transmit(link, at=1000, rng=rng)
         assert result == DeliveryResult(True, 1020, 1)
 
     def test_always_drops_at_probability_one(self):
         link = SimConfig(drop_probability=1.0, max_retries=2)
         rng = SplitMix64(3)
-        result = transmit(link, self.FRAME, at=0, rng=rng)
+        result = transmit(link, at=0, rng=rng)
         assert result == DeliveryResult(False, None, 3)
 
     def test_retry_delays_accumulate(self):
         # first draw for seed 4 is below 0.9, so attempt 1 fails
         link = SimConfig(drop_probability=0.9, latency_ms=50, max_retries=10)
-        result = transmit(link, self.FRAME, at=100, rng=SplitMix64(4))
+        result = transmit(link, at=100, rng=SplitMix64(4))
         assert result.delivered
         assert result.delivered_at == 100 + result.attempts * 50
         assert result.attempts > 1
 
     def test_deterministic_for_same_seed(self):
         link = SimConfig(drop_probability=0.5, max_retries=3)
-        results_a = [transmit(link, self.FRAME, t, SplitMix64(9)) for t in range(20)]
-        results_b = [transmit(link, self.FRAME, t, SplitMix64(9)) for t in range(20)]
+        results_a = [transmit(link, t, SplitMix64(9)) for t in range(20)]
+        results_b = [transmit(link, t, SplitMix64(9)) for t in range(20)]
         assert results_a == results_b
 
     def test_delivery_fraction_matches_independent_replay(self):
@@ -187,7 +191,7 @@ class TestTransmit:
         link = SimConfig(drop_probability=0.3, max_retries=0)
         rng = SplitMix64(12345)
         delivered = sum(
-            transmit(link, self.FRAME, 0, rng).delivered for _ in range(10_000)
+            transmit(link, 0, rng).delivered for _ in range(10_000)
         )
 
         replay = SplitMix64(12345)
@@ -199,7 +203,7 @@ class TestTransmit:
         link = SimConfig(drop_probability=0.8, max_retries=4)
         rng = SplitMix64(11)
         for _ in range(500):
-            result = transmit(link, self.FRAME, 0, rng)
+            result = transmit(link, 0, rng)
             assert 1 <= result.attempts <= 5
             if result.delivered:
                 assert result.delivered_at >= 0 + link.latency_ms

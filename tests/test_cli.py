@@ -49,13 +49,19 @@ def test_run_structured_format(breakin_file, tmp_path, capsys):
 
 
 def test_run_is_deterministic_across_invocations(breakin_file, tmp_path):
-    dirs = [tmp_path / "a", tmp_path / "b"]
-    for d in dirs:
-        assert main(["run", breakin_file, "--seed", "9", "--out", str(d)]) == 0
-    a = (dirs[0] / "report.txt").read_bytes()
-    b = (dirs[1] / "report.txt").read_bytes()
-    assert a == b
-    assert (dirs[0] / "outbox.log").read_bytes() == (dirs[1] / "outbox.log").read_bytes()
+    trees = []
+    for name in ("a", "b"):
+        root = tmp_path / name
+        argv = ["run", breakin_file, "--seed", "9", "--set", "maildir=true", "--out", str(root)]
+        assert main(argv) == 0
+        trees.append({
+            p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()
+        })
+    assert trees[0] == trees[1]
+    paths = set(trees[0])
+    assert {"report.txt", "outbox.log", "clips/clip-0001.bin"} <= paths
+    assert any(p.startswith("maildir/new/") and p.endswith(".eml") for p in paths)
 
 
 def test_run_with_config_file(breakin_file, tmp_path, capsys):
@@ -195,7 +201,9 @@ def test_runtime_error_exits_two(breakin_file, monkeypatch, capsys):
 
     monkeypatch.setattr(engine, "simulate", broken_simulate)
     assert main(["run", breakin_file]) == 2
-    assert "runtime error: simulated internal fault" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime error: RuntimeError: simulated internal fault" in err
+    assert "in broken_simulate" in err
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyError])
@@ -207,7 +215,9 @@ def test_any_exception_inside_the_simulation_exits_two(breakin_file, error, monk
     monkeypatch.setattr(controller, "transmit", broken_transmit)
     assert main(["run", breakin_file]) == 2
     captured = capsys.readouterr()
-    assert "runtime error:" in captured.err and "fault in transmit" in captured.err
+    assert f"runtime error: {error.__name__}:" in captured.err
+    assert "fault in transmit" in captured.err
+    assert "test_cli.py:" in captured.err and "in broken_transmit" in captured.err
     assert captured.out == ""
 
 

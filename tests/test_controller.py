@@ -73,7 +73,7 @@ class TestOnBeamBreak:
         assert len(sink.messages) == 1
         n = sink.messages[0]
         assert n.kind is NotificationKind.INTRUSION
-        assert n.recipients == {"owner", "authorities"}
+        assert n.recipients == ("owner", "authorities")
         assert n.created_at == 5000
         line = c.state.action_log[-1].line()
         assert line == "5000\tcontroller\tINTRUSION\trecipients=owner,authorities"
@@ -92,7 +92,7 @@ class TestOnAttemptOutcome:
         c.on_attempt_outcome(AttemptOutcome(True, (1, 0)), 7500)
         assert c.state.mode is SystemMode.DISARMED
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_SUCCEEDED
-        assert sink.messages[-1].recipients == {"owner"}
+        assert sink.messages[-1].recipients == ("owner",)
 
     def test_rejected_keeps_mode_and_mails_owner(self):
         c, sink = make_controller()
@@ -299,15 +299,17 @@ class TestInternalItems:
         c.dispatch(AttemptDeadline(at=100, token=42))
         assert c.state.action_log == []
 
-    def test_frame_arrival_for_heartbeat_only_logs(self):
-        from sentinelsim.airframe import Frame, FrameType, encode_frame
+    def test_frame_arrival_with_unknown_type_raises_and_logs_nothing(self):
+        from sentinelsim.airframe import UnknownFrameType
 
         c, sink = make_controller()
         c.state.mode = SystemMode.ARMED
-        data = encode_frame(Frame(FrameType.HEARTBEAT, 0x03))
-        c.dispatch(FrameArrival(at=10, data=data, attempts=1))
+        # type byte 0x00 with a valid checksum: 0xFF - (0x00 + 0x03) = 0xFC
+        data = bytes([0x7E, 0x02, 0x00, 0x03, 0xFC])
+        with pytest.raises(UnknownFrameType):
+            c.dispatch(FrameArrival(at=10, data=data, attempts=1))
         assert sink.messages == []
-        assert log_actions(c) == [(10, "RX")]
+        assert c.state.action_log == []
 
     def test_unknown_item_type_rejected(self):
         from types import SimpleNamespace

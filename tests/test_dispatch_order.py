@@ -70,13 +70,9 @@ times = st.integers(0, 48).map(lambda k: k * 250)
 
 events = st.one_of(
     st.builds(ScenarioEvent, at=times, kind=st.sampled_from([
-        EventKind.ARM, EventKind.DOOR_CLOSE, EventKind.MODE_BUTTON,
-        EventKind.PRESS_DOWN, EventKind.PRESS_UP,
+        EventKind.ARM, EventKind.DOOR_OPEN, EventKind.DOOR_CLOSE,
+        EventKind.MODE_BUTTON, EventKind.PRESS_DOWN, EventKind.PRESS_UP,
     ])),
-    st.builds(
-        ScenarioEvent, at=times, kind=st.just(EventKind.DOOR_OPEN),
-        source=st.sampled_from(["", "door-2"]),
-    ),
     st.builds(
         ScenarioEvent, at=times, kind=st.just(EventKind.DISTANCE_SAMPLE),
         meters=st.sampled_from([0.5, 0.99, 3.0]),

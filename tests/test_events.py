@@ -35,15 +35,6 @@ class TestScenarioEvent:
         with pytest.raises(ValueError, match="does not take"):
             ScenarioEvent(at=0, kind=EventKind.DOOR_OPEN, meters=1.0)
 
-    def test_default_sources(self):
-        assert ev(0).source == "operator"
-        assert ev(0, EventKind.DOOR_OPEN).source == "door"
-        assert ev(0, EventKind.DISTANCE_SAMPLE, meters=1.0).source == "ultrasonic"
-        assert ev(0, EventKind.PRESS_DOWN).source == "console"
-
-    def test_explicit_source_kept(self):
-        assert ev(0, EventKind.DOOR_OPEN, source="door-2").source == "door-2"
-
     def test_large_times_supported(self):
         assert ev(2**32 - 1).at == 2**32 - 1
 

@@ -27,13 +27,13 @@ class FailingSink:
 class TestBuildNotification:
     def test_intrusion_reaches_both_parties(self):
         n = build_notification(NotificationKind.INTRUSION, 5000)
-        assert n.recipients == {OWNER, AUTHORITIES}
+        assert n.recipients == (OWNER, AUTHORITIES)
         assert n.subject == "[SENTINEL] INTRUSION at t=5000"
         assert n.attachment is None
 
     def test_presence_carries_clip_to_owner(self):
         n = build_notification(NotificationKind.PRESENCE, 2000, "clip-0001")
-        assert n.recipients == {OWNER}
+        assert n.recipients == (OWNER,)
         assert n.attachment == "clip-0001"
         assert "clip-0001" in n.body
 
@@ -51,13 +51,13 @@ class TestBuildNotification:
             NotificationKind.DEACTIVATION_SUCCEEDED,
         ):
             n = build_notification(kind, 7500)
-            assert n.recipients == {OWNER}
+            assert n.recipients == (OWNER,)
 
     def test_presence_copy_to_authorities_flag(self):
         n = build_notification(
             NotificationKind.PRESENCE, 0, "clip-0001", presence_to_authorities=True
         )
-        assert n.recipients == {OWNER, AUTHORITIES}
+        assert n.recipients == (OWNER, AUTHORITIES)
 
     def test_subject_is_deterministic(self):
         a = build_notification(NotificationKind.INTRUSION, 123)
