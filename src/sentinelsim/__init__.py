@@ -37,7 +37,6 @@ from .notify import (
     MemorySink,
     Notification,
     NotificationKind,
-    Outbox,
     build_notification,
 )
 from .pulselock import (

@@ -91,7 +91,7 @@ def _load_scenario(path: str):
 def _clear_out_dir(out: str) -> None:
     """Remove what an earlier run wrote under ``out``; leave other files alone."""
     os.makedirs(out, exist_ok=True)
-    for name in ("report.txt", "report.json", "clips", "maildir"):
+    for name in ("report.txt", "report.json", "outbox.log", "clips", "maildir"):
         path = os.path.join(out, name)
         if os.path.isdir(path) and not os.path.islink(path):
             shutil.rmtree(path)
@@ -120,6 +120,8 @@ def _cmd_run(args) -> int:
     try:
         report = engine.simulate(scenario, cfg, args.seed, extra_sinks)
     except Exception as exc:
+        if args.out:  # leave nothing that looks like a finished run's files
+            _clear_out_dir(args.out)
         tb = traceback.extract_tb(exc.__traceback__)[-1]  # the innermost frame
         where = f"{os.path.basename(tb.filename)}:{tb.lineno} in {tb.name}"
         print(f"runtime error: {type(exc).__name__}: {exc}\n  at {where}", file=sys.stderr)

@@ -86,9 +86,10 @@ def simulate(
     """Execute a prepared scenario to completion and return its report.
 
     The returned report owns everything observable about the run: the final
-    mode, the action log, outbox tallies and the clip manifest. extra_sinks
-    receive every notification; the dispatcher's outbox records each one
-    whether or not any sink is given.
+    mode, the action log, notification counts per kind and the clip
+    manifest. extra_sinks receive every notification; the dispatcher counts
+    each one whether or not any sink is given, and a sink that fails
+    changes nothing but its own receipt.
     """
     dispatcher = Dispatcher(extra_sinks)
     controller = build_controller(cfg, seed, dispatcher)
@@ -107,7 +108,7 @@ def simulate(
         rng_algorithm=rng.ALGORITHM,
         final_mode=controller.state.mode.value,
         actions=tuple(controller.state.action_log),
-        outbox_counts=dispatcher.outbox.counts(),
+        outbox_counts=dispatcher.counts,
         clips=tuple(controller.clips),
         clip_bytes=cfg.clip_bytes,
     )

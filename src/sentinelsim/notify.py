@@ -1,8 +1,9 @@
-"""Email-like notifications, pluggable delivery sinks and the outbox record.
+"""Email-like notifications, pluggable delivery sinks and the dispatcher.
 
-Transport is mocked. Every dispatched notification lands exactly once in the
-append-only outbox together with one receipt per configured sink; tests and
-reports assert against the outbox rather than any real mail system. Clip
+Transport is mocked. The dispatcher hands every notification to each sink
+in order, counts notifications per kind for the report and keeps the
+receipts of failed deliveries. A notification stores facts only; its
+subject and body are derived from them when a sink reads them. Clip
 attachments are carried as identifiers, never media bytes.
 """
 
@@ -34,8 +35,6 @@ class Notification:
 
     kind: NotificationKind
     recipients: Tuple[str, ...]
-    subject: str
-    body: str
     attachment: Optional[str]
     created_at: Instant
 
@@ -45,6 +44,21 @@ class Notification:
                 raise ValueError("presence notifications carry a clip attachment")
         elif self.attachment is not None:
             raise ValueError(f"{self.kind.value} notifications carry no attachment")
+
+    @property
+    def subject(self) -> str:
+        return f"{SUBJECT_TAG} {self.kind.value} at t={self.created_at}"
+
+    @property
+    def body(self) -> str:
+        lines = [f"Kind: {self.kind.value}", f"Simulation time: {self.created_at} ms"]
+        if self.attachment is not None:
+            lines.append(f"Clip: {self.attachment}")
+        return "\n".join(lines) + "\n"
+
+
+_OWNER_ONLY = (OWNER,)
+_OWNER_AND_AUTHORITIES = (OWNER, AUTHORITIES)
 
 
 def build_notification(
@@ -63,22 +77,10 @@ def build_notification(
     if kind is NotificationKind.INTRUSION or (
         kind is NotificationKind.PRESENCE and presence_to_authorities
     ):
-        recipients = (OWNER, AUTHORITIES)
+        recipients = _OWNER_AND_AUTHORITIES
     else:
-        recipients = (OWNER,)
-    subject = f"{SUBJECT_TAG} {kind.value} at t={t}"
-    lines = [f"Kind: {kind.value}", f"Simulation time: {t} ms"]
-    if attachment is not None:
-        lines.append(f"Clip: {attachment}")
-    body = "\n".join(lines) + "\n"
-    return Notification(
-        kind=kind,
-        recipients=recipients,
-        subject=subject,
-        body=body,
-        attachment=attachment,
-        created_at=t,
-    )
+        recipients = _OWNER_ONLY
+    return Notification(kind, recipients, attachment, t)
 
 
 @dataclass(frozen=True)
@@ -86,36 +88,6 @@ class Receipt:
     sink: str
     ok: bool
     error: str = ""
-
-
-@dataclass(frozen=True)
-class OutboxEntry:
-    notification: Notification
-    receipts: Tuple[Receipt, ...]
-
-
-class Outbox:
-    """Append-only record of every dispatched notification."""
-
-    def __init__(self) -> None:
-        self._entries: List[OutboxEntry] = []
-
-    def append(self, entry: OutboxEntry) -> None:
-        self._entries.append(entry)
-
-    @property
-    def entries(self) -> Tuple[OutboxEntry, ...]:
-        return tuple(self._entries)
-
-    def counts(self) -> Dict[str, int]:
-        """Tally per kind, with explicit zeros so summaries have stable keys."""
-        out = {kind.value: 0 for kind in NotificationKind}
-        for entry in self._entries:
-            out[entry.notification.kind.value] += 1
-        return out
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class MemorySink:
@@ -139,8 +111,9 @@ def format_outbox_line(n: Notification) -> str:
 class LineFileSink:
     """Appends one structured record per notification to a UTF-8 text file."""
 
-    def __init__(self, path, name: str = "linefile"):
-        self.name = name
+    name = "linefile"
+
+    def __init__(self, path):
         self.path = path
 
     def deliver(self, notification: Notification) -> None:
@@ -155,10 +128,11 @@ class MaildirSink:
     byte-identical mail files.
     """
 
-    def __init__(self, root, addresses: Optional[Dict[str, str]] = None, name: str = "maildir"):
-        self.name = name
+    name = "maildir"
+
+    def __init__(self, root, addresses: Dict[str, str]):
         self.root = root
-        self.addresses = addresses or {}
+        self.addresses = addresses
         self._seq = 0
 
     def deliver(self, notification: Notification) -> None:
@@ -167,8 +141,7 @@ class MaildirSink:
                 os.makedirs(os.path.join(self.root, sub), exist_ok=True)
         self._seq += 1
         to = ", ".join(
-            f"{label} <{self.addresses.get(label, label + '@example.invalid')}>"
-            for label in notification.recipients
+            f"{label} <{self.addresses[label]}>" for label in notification.recipients
         )
         headers = [
             "From: sentinelsim <noreply@sentinelsim.invalid>",
@@ -185,15 +158,18 @@ class MaildirSink:
 
 
 class Dispatcher:
-    """Fans notifications out to every sink and records the outbox entry.
+    """Fans notifications out to every sink and counts them per kind.
 
     A sink failure is isolated to its own receipt; remaining sinks still
-    receive the notification.
+    receive the notification. ``counts`` holds every kind, zeros included,
+    so summaries have stable keys; ``failures`` holds each failed receipt
+    in dispatch order.
     """
 
     def __init__(self, sinks: Sequence):
         self.sinks = list(sinks)
-        self.outbox = Outbox()
+        self.counts: Dict[str, int] = {kind.value: 0 for kind in NotificationKind}
+        self.failures: List[Receipt] = []
 
     def dispatch(self, notification: Notification) -> Tuple[Receipt, ...]:
         receipts = []
@@ -202,8 +178,8 @@ class Dispatcher:
                 sink.deliver(notification)
             except Exception as exc:
                 receipts.append(Receipt(sink=sink.name, ok=False, error=str(exc)))
+                self.failures.append(receipts[-1])
             else:
                 receipts.append(Receipt(sink=sink.name, ok=True))
-        receipts = tuple(receipts)
-        self.outbox.append(OutboxEntry(notification=notification, receipts=receipts))
-        return receipts
+        self.counts[notification.kind.value] += 1
+        return tuple(receipts)

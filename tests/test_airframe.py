@@ -1,5 +1,6 @@
 """Frame codec round-trips, corruption detection and the lossy link."""
 
+import math
 import random
 
 import pytest
@@ -198,6 +199,19 @@ class TestTransmit:
         expected = sum(replay.random() >= 0.3 for _ in range(10_000))
         assert delivered == expected
         assert abs(delivered / 10_000 - 0.7) <= 0.02
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 2, 4])
+    @pytest.mark.parametrize("drop_probability", [0.1, 0.3, 0.5, 0.9])
+    def test_delivery_fraction_matches_closed_form(self, drop_probability, max_retries):
+        # a single alert is lost only when all max_retries + 1 draws fall
+        # below p, so P(delivered) = 1 - p**(max_retries + 1)
+        n = 4000
+        link = SimConfig(drop_probability=drop_probability, max_retries=max_retries)
+        results = [transmit(link, 0, SplitMix64(seed)) for seed in range(n)]
+        q = 1 - drop_probability ** (max_retries + 1)
+        delivered = sum(r.delivered for r in results) / n
+        assert abs(delivered - q) <= 5 * math.sqrt(q * (1 - q) / n) + 1 / n
+        assert max(r.attempts for r in results) <= max_retries + 1
 
     def test_attempts_bounded(self):
         link = SimConfig(drop_probability=0.8, max_retries=4)

@@ -93,6 +93,49 @@ def test_maildir_enabled_by_config(breakin_file, tmp_path):
     assert mails == ["000001.intrusion.eml", "000002.presence.eml"]
 
 
+MAIL_BYTES = {
+    "maildir/new/000001.intrusion.eml": (
+        b"From: sentinelsim <noreply@sentinelsim.invalid>\n"
+        b"To: owner <owner@example.com>, authorities <authorities@example.com>\n"
+        b"Subject: [SENTINEL] INTRUSION at t=5000\n"
+        b"X-Sim-Time-Ms: 5000\n"
+        b"\n"
+        b"Kind: INTRUSION\n"
+        b"Simulation time: 5000 ms\n"
+    ),
+    "maildir/new/000002.presence.eml": (
+        b"From: sentinelsim <noreply@sentinelsim.invalid>\n"
+        b"To: owner <owner@example.com>, authorities <authorities@example.com>\n"
+        b"Subject: [SENTINEL] PRESENCE at t=7000\n"
+        b"X-Sim-Time-Ms: 7000\n"
+        b"X-Clip-Id: clip-0001\n"
+        b"\n"
+        b"Kind: PRESENCE\n"
+        b"Simulation time: 7000 ms\n"
+        b"Clip: clip-0001\n"
+    ),
+    "outbox.log": (
+        b"5000|INTRUSION|authorities,owner|-|[SENTINEL] INTRUSION at t=5000\n"
+        b"7000|PRESENCE|authorities,owner|clip-0001|[SENTINEL] PRESENCE at t=7000\n"
+    ),
+}
+
+
+def test_mail_files_are_pinned_byte_for_byte(breakin_file, tmp_path):
+    out_dir = tmp_path / "out"
+    argv = [
+        "run", breakin_file, "--out", str(out_dir),
+        "--set", "maildir=true", "--set", "presence_to_authorities=true",
+    ]
+    assert main(argv) == 0
+    mail = sorted((out_dir / "maildir" / "new").iterdir())
+    written = {
+        p.relative_to(out_dir).as_posix(): p.read_bytes()
+        for p in mail + [out_dir / "outbox.log"]
+    }
+    assert written == MAIL_BYTES
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.scn")]) == 1
     assert "error" in capsys.readouterr().err
@@ -219,6 +262,23 @@ def test_any_exception_inside_the_simulation_exits_two(breakin_file, error, monk
     assert "fault in transmit" in captured.err
     assert "test_cli.py:" in captured.err and "in broken_transmit" in captured.err
     assert captured.out == ""
+
+
+def test_exit_two_leaves_no_file_the_run_wrote(breakin_file, tmp_path, monkeypatch, capsys):
+    # by the clip's end the intrusion mail and its outbox line are written
+    def broken_clip_done(self, done):
+        raise KeyError("clip")
+
+    handlers = {**controller.Controller._ITEM_HANDLERS, controller.ClipDone: broken_clip_done}
+    monkeypatch.setattr(controller.Controller, "_ITEM_HANDLERS", handlers)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("mine", encoding="utf-8")
+    argv = ["run", breakin_file, "--set", "maildir=true", "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert "runtime error: KeyError: 'clip'" in capsys.readouterr().err
+    left = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
+    assert left == ["notes.txt"]
 
 
 def test_run_resolves_its_config_once(breakin_file, tmp_path, monkeypatch):

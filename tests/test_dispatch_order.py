@@ -43,7 +43,7 @@ def reference_run(scenario, seed, overrides):
         rng_algorithm=rng.ALGORITHM,
         final_mode=controller.state.mode.value,
         actions=tuple(controller.state.action_log),
-        outbox_counts=dispatcher.outbox.counts(),
+        outbox_counts=dispatcher.counts,
         clips=tuple(controller.clips),
         clip_bytes=cfg.clip_bytes,
     )

@@ -72,6 +72,18 @@ class TestBreakinScenario:
         assert doc["outbox"] == report.outbox_counts
         assert doc["scenario"] == "breakin"
 
+    def test_failed_sink_changes_no_report_byte(self, breakin_scenario):
+        class FullDisk:
+            name = "full"
+
+            def deliver(self, notification):
+                raise OSError("disk full")
+
+        plain = run(breakin_scenario, seed=3)
+        failing = run(breakin_scenario, seed=3, extra_sinks=[FullDisk()])
+        for fmt in ("text", "structured"):
+            assert render_report(failing, fmt) == render_report(plain, fmt)
+
     def test_rendering_is_pure(self, breakin_scenario):
         report, _ = run_with_probe(breakin_scenario)
         for fmt in ("text", "structured"):

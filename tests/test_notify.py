@@ -1,4 +1,4 @@
-"""Notification policy, sinks, receipts and the outbox."""
+"""Notification policy, derived text, sinks, receipts and dispatch counts."""
 
 import os
 
@@ -12,6 +12,7 @@ from sentinelsim.notify import (
     MaildirSink,
     MemorySink,
     NotificationKind,
+    Receipt,
     build_notification,
     format_outbox_line,
 )
@@ -75,7 +76,8 @@ class TestDispatcher:
         assert [r.sink for r in receipts] == ["a", "b"]
         assert all(r.ok for r in receipts)
         assert a.messages == [n] and b.messages == [n]
-        assert len(d.outbox) == 1
+        assert sum(d.counts.values()) == 1
+        assert d.failures == []
 
     def test_failing_sink_is_isolated(self):
         ok = MemorySink("ok")
@@ -86,9 +88,13 @@ class TestDispatcher:
         assert "disk on fire" in receipts[0].error
         assert receipts[1].ok is True
         assert ok.messages == [n]
+        d.dispatch(build_notification(NotificationKind.DEACTIVATION_FAILED, 2))
+        assert d.failures == [Receipt(sink="broken", ok=False, error="disk on fire")] * 2
+        assert d.counts["INTRUSION"] == d.counts["DEACTIVATION_FAILED"] == 1
 
-    def test_outbox_preserves_dispatch_order(self):
-        d = Dispatcher([MemorySink()])
+    def test_sinks_receive_in_dispatch_order(self):
+        sink = MemorySink()
+        d = Dispatcher([sink])
         kinds = [
             NotificationKind.INTRUSION,
             NotificationKind.DEACTIVATION_FAILED,
@@ -96,13 +102,13 @@ class TestDispatcher:
         ]
         for i, kind in enumerate(kinds):
             d.dispatch(build_notification(kind, i))
-        assert [e.notification.kind for e in d.outbox.entries] == kinds
-        assert [e.notification.created_at for e in d.outbox.entries] == [0, 1, 2]
+        assert [n.kind for n in sink.messages] == kinds
+        assert [n.created_at for n in sink.messages] == [0, 1, 2]
 
     def test_counts_include_zeros(self):
         d = Dispatcher([MemorySink()])
         d.dispatch(build_notification(NotificationKind.INTRUSION, 1))
-        assert d.outbox.counts() == {
+        assert d.counts == {
             "PRESENCE": 0,
             "INTRUSION": 1,
             "DEACTIVATION_FAILED": 0,
@@ -154,7 +160,7 @@ class TestMaildirSink:
         assert body.endswith("\n")
 
     def test_sequence_numbers_are_stable(self, tmp_path):
-        sink = MaildirSink(tmp_path / "mail")
+        sink = MaildirSink(tmp_path / "mail", {"owner": "o@x", "authorities": "a@x"})
         assert not (tmp_path / "mail").exists()  # no mail, no maildir
         sink.deliver(build_notification(NotificationKind.INTRUSION, 1))
         assert sorted(os.listdir(tmp_path / "mail")) == ["cur", "new", "tmp"]
