@@ -14,7 +14,7 @@ import sys
 import traceback
 from typing import List, Optional
 
-from . import __version__, engine, pulselock
+from . import __version__, engine, pulselock, rng
 from .config import ConfigError, SimConfig, apply_overrides, load_config_file
 from .notify import LineFileSink, MaildirSink
 from .report import FORMATS, render_report
@@ -33,6 +33,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+def seed(text: str) -> int:
+    """The --seed type; argparse names it in a usage error, rng owns the range."""
+    value = int(text)
+    try:
+        rng.SplitMix64(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sentinelsim", description=__doc__)
     parser.add_argument(
@@ -42,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario and render its report")
     run_p.add_argument("scenario", help="scenario file")
-    run_p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    run_p.add_argument("--seed", type=seed, default=0, help="RNG seed in [0, 2^64) (default 0)")
     run_p.add_argument("--config", help="JSON config file of overrides")
     run_p.add_argument("--out", help="directory for report, outbox log and clips")
     run_p.add_argument(

@@ -2,8 +2,9 @@
 
 Precedence, lowest to highest: built-in defaults, config file, scenario
 ``set`` lines, command-line overrides, as ``engine.resolve_run_config``
-layers them. Values arriving as text (scenario lines, --set flags, strings
-in a config file) are cast per key; other values keep their type, which
+layers them. Each key is a SimConfig field, declared nowhere else. Values
+arriving as text (scenario lines, --set flags, strings in a config file) are
+cast by the field's annotation; other values keep their type, which
 SimConfig.validate checks against the key's.
 """
 
@@ -63,13 +64,13 @@ class SimConfig:
 
     def validate(self) -> None:
         """Check every rule on config values. Each key's exact type is
-        checked first (_TYPES; a bool is not a number). Each range rule states
+        checked first (_KEYS; a bool is not a number). Each range rule states
         what must hold, so a NaN, which fails every comparison, breaks it; the
         float rules also bound their key below infinity, so ±inf does too."""
         mistyped = [
-            f"{key} must be {_TYPES[caster][1]}, got {getattr(self, key)!r}"
-            for key, caster in _CASTERS.items()
-            if type(getattr(self, key)) not in _TYPES[caster][0]
+            f"{key} must be {name}, got {getattr(self, key)!r}"
+            for key, (_, types, name) in _KEYS.items()
+            if type(getattr(self, key)) not in types
         ]
         if mistyped:
             raise ConfigError("; ".join(mistyped))
@@ -110,40 +111,23 @@ class SimConfig:
         return {"owner": self.owner_email, "authorities": self.authorities_email}
 
 
-# key -> caster applied to values arriving as text
-_CASTERS = {
-    "threshold_m": float,
-    "max_range_m": float,
-    "speed_of_sound": float,
-    "retrigger_cooldown_ms": int,
-    "password": str,
-    "pulse_period_ms": int,
-    "press_window_ms": int,
-    "clip_duration_ms": int,
-    "clip_bytes": int,
-    "drop_probability": float,
-    "latency_ms": int,
-    "max_retries": int,
-    "presence_to_authorities": _parse_bool,
-    "maildir": _parse_bool,
-    "owner_email": str,
-    "authorities_email": str,
+# field annotation -> (caster for a value arriving as text, the exact types a
+# value of that field may have, their name in messages). SimConfig's fields
+# are the key table: each key is declared once, as a field.
+_BY_ANNOTATION = {
+    "int": (int, (int,), "an integer"),
+    "float": (float, (float, int), "a number"),
+    "bool": (_parse_bool, (bool,), "a boolean"),
+    "str": (str, (str,), "a string"),
 }
-
-# caster -> (exact types a value of its keys may have, their name in messages)
-_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((float, int), "a number"),
-    _parse_bool: ((bool,), "a boolean"),
-    str: ((str,), "a string"),
-}
+_KEYS = {f.name: _BY_ANNOTATION[f.type] for f in dataclasses.fields(SimConfig)}
 
 
 def coerce_value(key: str, value):
     """Check a key is known and cast a text value to its key's type."""
-    if key not in _CASTERS:
+    if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    caster = _CASTERS[key]
+    caster = _KEYS[key][0]
     if isinstance(value, str) and caster is not str:
         try:
             value = caster(value)

@@ -80,8 +80,9 @@ class ClipDone:
 
 @dataclass(frozen=True)
 class AttemptDeadline:
+    """Guarantees an item at the attempt's end, where dispatch decides it."""
+
     at: Instant
-    token: int
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,6 @@ class Controller:
         self.clips: List[RecordingJob] = []
         self._rng = SplitMix64(seed)
         self._door_open = False
-        self._clip_seq = 0
-        self._attempt_token = 0
         self._last_time: Optional[Instant] = None
 
     # -- event routing ----------------------------------------------------
@@ -124,14 +123,12 @@ class Controller:
             )
         self._last_time = t
 
+        # The one point where an attempt is decided: by the first item at or
+        # after its end, at that end, so the log stays in order. Its own
+        # deadline is such an item; a stale deadline never is, because an
+        # attempt begun at or after it ends strictly later (attempt_ms > 0).
         pending = self.state.pending_attempt
-        if (
-            pending is not None
-            and t >= pending.end
-            and type(item) is not AttemptDeadline
-        ):
-            # The schedule ran out before this event; decide the attempt at
-            # its true end time so the log stays in order.
+        if pending is not None and t >= pending.end:
             self._finalize_pending()
 
         handler = self._ITEM_HANDLERS.get(type(item))
@@ -198,8 +195,6 @@ class Controller:
         return []
 
     def _dispatch_deadline(self, deadline: AttemptDeadline) -> list:
-        if self.state.pending_attempt is not None and deadline.token == self._attempt_token:
-            self._finalize_pending()
         return []
 
     def _dispatch_clip_done(self, done: ClipDone) -> list:
@@ -229,12 +224,11 @@ class Controller:
             )
         session = pulselock.begin_attempt(self.cfg.password_spec, t)
         self.state.pending_attempt = session
-        self._attempt_token += 1
         self._log(
             t, "controller", "ATTEMPT_BEGIN",
             f"n={len(session.spec)} end_ms={session.end}",
         )
-        return [AttemptDeadline(session.end, self._attempt_token)]
+        return [AttemptDeadline(session.end)]
 
     def _finalize_pending(self) -> None:
         session = self.state.pending_attempt
@@ -247,8 +241,7 @@ class Controller:
         """Start a recording job unless one is already running."""
         if self.state.active_recording is not None:
             return []
-        self._clip_seq += 1
-        clip_id = f"clip-{self._clip_seq:04d}"
+        clip_id = f"clip-{len(self.clips) + 1:04d}"
         job = RecordingJob(
             clip_id=clip_id,
             started_at=t,

@@ -14,7 +14,6 @@ and follow-ups keep the order in which they were scheduled.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from . import rng
@@ -54,7 +53,6 @@ def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
                 f"distance {ev.meters} m at t={ev.at} exceeds max_range_m={cfg.max_range_m}"
             )
     span = cfg.password_spec.attempt_ms
-    buttons.sort()  # simulate dispatches in time order
     problems += [
         f"mode_button at t={t} comes while the attempt begun at t={s} runs until t={s + span}"
         for s, t in zip(buttons, buttons[1:])
@@ -94,11 +92,10 @@ def simulate(
     dispatcher = Dispatcher(extra_sinks)
     controller = build_controller(cfg, seed, dispatcher)
 
-    # The queue holds only follow-ups; the scenario streams past it. The
-    # stable sort is linear on parse_scenario's already-sorted events and
-    # keeps hand-built scenarios with out-of-order events working.
+    # The queue holds only follow-ups; the scenario's events, which Scenario
+    # keeps in time order, stream past it.
     queue = EventQueue()
-    for item in queue.merge(sorted(scenario.events, key=attrgetter("at"))):
+    for item in queue.merge(scenario.events):
         for followup in controller.dispatch(item):
             queue.push(followup)
 

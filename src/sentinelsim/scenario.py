@@ -10,14 +10,16 @@ Grammar, one directive per line with ``#`` comments:
     <t_ms> press_down
     <t_ms> press_up
 
-Events are stably sorted by time after parsing, so same-time events keep
-their file order. Parse errors are collected for the whole file and carry
-1-based line numbers.
+A ``Scenario`` stably sorts its events by time when it is constructed,
+whether parsed or built by hand, so same-time events keep their given (file)
+order. Parse errors are collected for the whole file and carry 1-based line
+numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Tuple
 
 from .config import coerce_value, ConfigError
@@ -39,6 +41,10 @@ class Scenario:
     name: str = "scenario"
     overrides: Dict[str, object] = field(default_factory=dict)
     events: Tuple[ScenarioEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        # the one home of time order: stable, so same-time events keep their order
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=attrgetter("at"))))
 
 
 _SIMPLE_EVENTS = {
@@ -106,8 +112,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             errors.append((lineno, str(exc)))
     if errors:
         raise ScenarioError(errors)
-    events.sort(key=lambda ev: ev.at)  # stable: same-time events keep file order
-    return Scenario(name=name, overrides=overrides, events=tuple(events))
+    return Scenario(name=name, overrides=overrides, events=events)
 
 
 def _format_value(value) -> str:

@@ -225,6 +225,19 @@ def test_rerun_into_same_out_directory_keeps_only_its_own_files(tmp_path):
     assert len((out_dir / "outbox.log").read_text(encoding="utf-8").splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad_seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_one_before_touching_out(breakin_file, tmp_path, bad_seed, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", breakin_file, "--out", str(out_dir)]) == 0
+    before = (out_dir / "report.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["run", breakin_file, "--seed", bad_seed, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and bad_seed in captured.err
+    assert captured.out == ""
+    assert (out_dir / "report.txt").read_bytes() == before
+
+
 def test_overlapping_password_attempt_exits_one(tmp_path, capsys):
     sc = tmp_path / "double.scn"
     sc.write_text("0 mode_button\n6499 mode_button\n", encoding="utf-8")

@@ -256,6 +256,22 @@ class TestDispatchTraces:
         )
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_SUCCEEDED
 
+    @pytest.mark.parametrize("later, trace", [("", "1000000"), ("7500 press_down\n", "1100000")])
+    def test_stale_deadline_does_not_decide_the_next_attempt(self, later, trace):
+        # The first attempt ends at 6500, where a new one begins. Its deadline,
+        # dispatched after the 6500 scenario events, must leave the second
+        # attempt running until its own end at 13000, so a later press counts.
+        report = run(parse_scenario(
+            "0 arm\n0 mode_button\n250 press_down\n6500 mode_button\n6500 press_down\n" + later
+        ))
+        lines = [(a.at, a.action, a.details) for a in report.actions]
+        assert lines[1:] == [
+            (0, "ATTEMPT_BEGIN", "n=7 end_ms=6500"),
+            (6500, "DEACTIVATION_FAILED", "trace=1000000"),
+            (6500, "ATTEMPT_BEGIN", "n=7 end_ms=13000"),
+            (13000, "DEACTIVATION_FAILED", f"trace={trace}"),
+        ]
+
     def test_out_of_order_dispatch_fails_fast(self):
         c, _ = make_controller()
         c.dispatch(ev(100, EventKind.ARM))
@@ -296,7 +312,7 @@ class TestInternalItems:
 
     def test_stale_attempt_deadline_is_ignored(self):
         c, _ = make_controller()
-        c.dispatch(AttemptDeadline(at=100, token=42))
+        c.dispatch(AttemptDeadline(at=100))
         assert c.state.action_log == []
 
     def test_frame_arrival_with_unknown_type_raises_and_logs_nothing(self):

@@ -11,7 +11,7 @@ from sentinelsim.config import (
     coerce_value,
 )
 from sentinelsim.engine import resolve_run_config
-from sentinelsim.events import EventKind
+from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.scenario import (
     Scenario,
     ScenarioError,
@@ -101,6 +101,18 @@ class TestRender:
         second = parse_scenario(dumped, name="t")
         assert first == second
         assert render_scenario(second) == dumped
+
+    def test_hand_built_scenario_is_time_sorted_on_construction(self):
+        events = (
+            ScenarioEvent(at=3000, kind=EventKind.ARM),
+            ScenarioEvent(at=1000, kind=EventKind.MODE_BUTTON),
+            ScenarioEvent(at=1000, kind=EventKind.PRESS_DOWN),
+            ScenarioEvent(at=0, kind=EventKind.DOOR_OPEN),
+            ScenarioEvent(at=1000, kind=EventKind.PRESS_UP),
+        )
+        sc = Scenario(name="t", events=events)
+        assert sc.events == tuple(events[i] for i in (3, 1, 2, 4, 0))
+        assert parse_scenario(render_scenario(sc), name="t") == sc
 
     def test_float_values_survive_exactly(self):
         sc = parse_scenario("0 distance 0.30000000000000004")
