@@ -26,7 +26,6 @@ from .controller import (
     RecordingJob,
     SimulationOrderError,
     SystemMode,
-    SystemState,
 )
 from .engine import run
 from .events import EventKind, EventQueue, Instant, ScenarioEvent

@@ -1,17 +1,18 @@
 """Coordinator state machine.
 
-Consumes scenario stimuli and link deliveries, keeps the arming mode,
-starts recording jobs on presence detection, raises intrusion alerts on
-beam breaks while armed, and applies pulse-password outcomes. Every
-externally visible action is appended to a timestamped action log whose
-rendered form is one tab-separated line per action:
+``Controller.dispatch`` is the one entrance: it takes scenario stimuli and
+the controller's own follow-ups in time order and returns the follow-ups to
+schedule. The controller holds the run's state: the arming mode, the clip
+being recorded on presence, the pending pulse-password attempt, and an
+action log of every externally visible action, whose rendered form is one
+tab-separated line per action:
 
     <t_ms>\\t<component>\\t<action>\\t<details>
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 
@@ -20,7 +21,6 @@ from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, tr
 from .config import SimConfig
 from .events import EventKind, Instant, ScenarioEvent
 from .notify import Dispatcher, NotificationKind, build_notification
-from .pulselock import AttemptOutcome, AttemptSession
 from .rng import SplitMix64
 from .sensors import distance_from_echo, echo_from_distance, presence_detect
 
@@ -59,15 +59,6 @@ class Action:
         return f"{self.at}\t{self.component}\t{self.action}\t{self.details}"
 
 
-@dataclass
-class SystemState:
-    mode: SystemMode = SystemMode.DISARMED
-    active_recording: Optional[RecordingJob] = None
-    pending_attempt: Optional[AttemptSession] = None
-    last_presence_trigger: Optional[Instant] = None
-    action_log: List[Action] = field(default_factory=list)
-
-
 # Internal followup events the controller schedules for itself. The engine
 # feeds them back through dispatch() in time order alongside scenario events.
 
@@ -96,19 +87,21 @@ class Controller:
     """The coordinator plus the simulated sensor nodes feeding it.
 
     ``cfg`` must have passed ``SimConfig.validate``; ``seed`` seeds the
-    link's loss draws.
+    link's loss draws. ``dispatch`` is the only public method.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, dispatcher: Dispatcher):
         self.cfg = cfg
         self.dispatcher = dispatcher
-        self.state = SystemState()
+        self.mode = SystemMode.DISARMED
+        self.active_recording: Optional[RecordingJob] = None
+        self.pending_attempt: Optional[pulselock.AttemptSession] = None
+        self.last_presence_trigger: Optional[Instant] = None
+        self.action_log: List[Action] = []
         self.clips: List[RecordingJob] = []
         self._rng = SplitMix64(seed)
         self._door_open = False
         self._last_time: Optional[Instant] = None
-
-    # -- event routing ----------------------------------------------------
 
     def dispatch(self, item) -> list:
         """Process one timestamped item; returns followups to schedule.
@@ -127,20 +120,18 @@ class Controller:
         # after its end, at that end, so the log stays in order. Its own
         # deadline is such an item; a stale deadline never is, because an
         # attempt begun at or after it ends strictly later (attempt_ms > 0).
-        pending = self.state.pending_attempt
+        pending = self.pending_attempt
         if pending is not None and t >= pending.end:
-            self._finalize_pending()
+            self._decide_attempt(pending)
 
-        handler = self._ITEM_HANDLERS.get(type(item))
+        key = item.kind if type(item) is ScenarioEvent else type(item)
+        handler = self._HANDLERS.get(key)
         if handler is None:
             raise TypeError(f"cannot dispatch {type(item).__name__}")
         return handler(self, item)
 
-    def _dispatch_scenario(self, ev: ScenarioEvent) -> list:
-        return self._KIND_HANDLERS[ev.kind](self, ev)
-
     def _on_arm(self, ev: ScenarioEvent) -> list:
-        self.state.mode = SystemMode.ARMED
+        self.mode = SystemMode.ARMED
         self._log(ev.at, "controller", "ARMED", "mode=armed")
         return []
 
@@ -160,11 +151,8 @@ class Controller:
         return []
 
     def _on_press_down(self, ev: ScenarioEvent) -> list:
-        if self.state.pending_attempt is not None:
-            self.state.pending_attempt.record_press(ev.at)
-        return []
-
-    def _on_press_up(self, ev: ScenarioEvent) -> list:
+        if self.pending_attempt is not None:
+            self.pending_attempt.record_press(ev.at)
         return []
 
     def _dispatch_distance(self, ev: ScenarioEvent) -> list:
@@ -175,33 +163,58 @@ class Controller:
         # triggers, so dropping the round trip would change reports.
         echo = echo_from_distance(ev.meters, self.cfg)
         distance = distance_from_echo(echo, self.cfg)
-        if presence_detect(distance, self.cfg, self.state.last_presence_trigger, t):
-            self.state.last_presence_trigger = t
-            self._log(
-                t, "sensor", "PRESENCE_TRIGGER",
-                f"source=ultrasonic distance_m={distance:.3f}",
-            )
-            return self.on_presence(t)
-        return []
+        if not presence_detect(distance, self.cfg, self.last_presence_trigger, t):
+            return []
+        self.last_presence_trigger = t
+        self._log(
+            t, "sensor", "PRESENCE_TRIGGER",
+            f"source=ultrasonic distance_m={distance:.3f}",
+        )
+        if self.active_recording is not None:
+            return []
+        clip_id = f"clip-{len(self.clips) + 1:04d}"
+        job = RecordingJob(
+            clip_id=clip_id,
+            started_at=t,
+            duration_ms=self.cfg.clip_duration_ms,
+            stored_ref=f"clips/{clip_id}.bin",
+        )
+        self.active_recording = job
+        self.clips.append(job)
+        self._log(
+            t, "controller", "START_RECORDING",
+            f"clip={clip_id} duration_ms={job.duration_ms}",
+        )
+        return [ClipDone(t + job.duration_ms, clip_id)]
 
     def _dispatch_arrival(self, arrival: FrameArrival) -> list:
         # Decoding is the coordinator's checksum check, so it runs on every
         # arrival. An intruder alert is the only frame type it accepts.
+        t = arrival.at
         data = arrival.data
         decode_frame(data)
         shown = DOOR_ALERT_HEX if data == DOOR_ALERT else hex_dump(data)
-        self._log(arrival.at, "link", "RX", f"frame={shown} attempts={arrival.attempts}")
-        self.on_beam_break(arrival.at)
+        self._log(t, "link", "RX", f"frame={shown} attempts={arrival.attempts}")
+        if self.mode is SystemMode.ARMED:
+            notification = build_notification(NotificationKind.INTRUSION, t)
+            self.dispatcher.dispatch(notification)
+            recipients = ",".join(notification.recipients)
+            self._log(t, "controller", "INTRUSION", f"recipients={recipients}")
+        else:
+            self._log(
+                t, "controller", "SUPPRESSED", "event=intruder_alert reason=disarmed"
+            )
         return []
 
-    def _dispatch_deadline(self, deadline: AttemptDeadline) -> list:
+    def _ignore(self, item) -> list:
+        # a press release changes nothing; a deadline only lets dispatch see an attempt's end
         return []
 
     def _dispatch_clip_done(self, done: ClipDone) -> list:
-        job = self.state.active_recording
+        job = self.active_recording
         if job is None or job.clip_id != done.clip_id:
             return []
-        self.state.active_recording = None
+        self.active_recording = None
         notification = build_notification(
             NotificationKind.PRESENCE,
             done.at,
@@ -218,61 +231,25 @@ class Controller:
 
     def _on_mode_button(self, ev: ScenarioEvent) -> list:
         t = ev.at
-        if self.state.pending_attempt is not None:
+        if self.pending_attempt is not None:
             raise pulselock.AttemptStateError(
                 f"mode button at t={t}: a password attempt is already in progress"
             )
         session = pulselock.begin_attempt(self.cfg.password_spec, t)
-        self.state.pending_attempt = session
+        self.pending_attempt = session
         self._log(
             t, "controller", "ATTEMPT_BEGIN",
             f"n={len(session.spec)} end_ms={session.end}",
         )
         return [AttemptDeadline(session.end)]
 
-    def _finalize_pending(self) -> None:
-        session = self.state.pending_attempt
-        outcome = session.finalize(session.end)
-        self.on_attempt_outcome(outcome, session.end)
-
-    # -- state transitions -------------------------------------------------
-
-    def on_presence(self, t: Instant) -> list:
-        """Start a recording job unless one is already running."""
-        if self.state.active_recording is not None:
-            return []
-        clip_id = f"clip-{len(self.clips) + 1:04d}"
-        job = RecordingJob(
-            clip_id=clip_id,
-            started_at=t,
-            duration_ms=self.cfg.clip_duration_ms,
-            stored_ref=f"clips/{clip_id}.bin",
-        )
-        self.state.active_recording = job
-        self.clips.append(job)
-        self._log(
-            t, "controller", "START_RECORDING",
-            f"clip={clip_id} duration_ms={job.duration_ms}",
-        )
-        return [ClipDone(t + job.duration_ms, clip_id)]
-
-    def on_beam_break(self, t: Instant) -> None:
-        """React to an intruder alert: mail while armed, suppress otherwise."""
-        if self.state.mode is SystemMode.ARMED:
-            notification = build_notification(NotificationKind.INTRUSION, t)
-            self.dispatcher.dispatch(notification)
-            recipients = ",".join(notification.recipients)
-            self._log(t, "controller", "INTRUSION", f"recipients={recipients}")
-        else:
-            self._log(
-                t, "controller", "SUPPRESSED", "event=intruder_alert reason=disarmed"
-            )
-
-    def on_attempt_outcome(self, outcome: AttemptOutcome, t: Instant) -> None:
-        """Apply a finalized password attempt and notify the owner either way."""
-        self.state.pending_attempt = None
+    def _decide_attempt(self, session: pulselock.AttemptSession) -> None:
+        """Decide an ended attempt at its end and notify the owner either way."""
+        t = session.end
+        outcome = session.finalize(t)
+        self.pending_attempt = None
         if outcome.accepted:
-            self.state.mode = SystemMode.DISARMED
+            self.mode = SystemMode.DISARMED
             kind = NotificationKind.DEACTIVATION_SUCCEEDED
         else:
             kind = NotificationKind.DEACTIVATION_FAILED
@@ -282,25 +259,23 @@ class Controller:
         self._log(t, "controller", kind.value, f"trace={trace}")
 
     def _log(self, at: Instant, component: str, action: str, details: str) -> None:
-        self.state.action_log.append(
+        self.action_log.append(
             Action(at=at, component=component, action=action, details=details)
         )
 
-    # Handler tables of plain functions, shared by every controller. Keeping
-    # them on the class (not bound methods on the instance) means a
-    # controller holds no reference cycle and is freed as soon as a run ends.
-    _ITEM_HANDLERS = {
-        ScenarioEvent: _dispatch_scenario,
-        FrameArrival: _dispatch_arrival,
-        ClipDone: _dispatch_clip_done,
-        AttemptDeadline: _dispatch_deadline,
-    }
-    _KIND_HANDLERS = {
+    # One handler table of plain functions, keyed by a scenario event's kind
+    # or a follow-up's type and shared by every controller. Keeping it on the
+    # class (not bound methods on the instance) means a controller holds no
+    # reference cycle and is freed as soon as a run ends.
+    _HANDLERS = {
         EventKind.ARM: _on_arm,
         EventKind.DISTANCE_SAMPLE: _dispatch_distance,
         EventKind.DOOR_OPEN: _on_door_open,
         EventKind.DOOR_CLOSE: _on_door_close,
         EventKind.MODE_BUTTON: _on_mode_button,
         EventKind.PRESS_DOWN: _on_press_down,
-        EventKind.PRESS_UP: _on_press_up,
+        EventKind.PRESS_UP: _ignore,
+        FrameArrival: _dispatch_arrival,
+        ClipDone: _dispatch_clip_done,
+        AttemptDeadline: _ignore,
     }

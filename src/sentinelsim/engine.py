@@ -103,8 +103,8 @@ def simulate(
         scenario=scenario.name,
         seed=seed,
         rng_algorithm=rng.ALGORITHM,
-        final_mode=controller.state.mode.value,
-        actions=tuple(controller.state.action_log),
+        final_mode=controller.mode.value,
+        actions=tuple(controller.action_log),
         outbox_counts=dispatcher.counts,
         clips=tuple(controller.clips),
         clip_bytes=cfg.clip_bytes,

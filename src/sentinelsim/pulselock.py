@@ -18,7 +18,7 @@ t=0 ends at t=6500.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .events import Instant
 
@@ -67,9 +67,6 @@ class PasswordSpec:
         """Length of an attempt: its start to the end of the last pulse's window."""
         return (len(self.bits) - 1) * self.pulse_period_ms + self.press_window_ms
 
-    def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -80,33 +77,22 @@ class AttemptOutcome:
     trace: Tuple[int, ...]
 
 
-def evaluate(observed: Sequence[int], extraneous_press: bool, bits: Sequence[int]) -> bool:
-    """The acceptance rule: exact bit match and no press outside a window."""
-    return not extraneous_press and tuple(observed) == tuple(bits)
-
-
 @dataclass
 class AttemptSession:
-    """One in-progress password entry against a pulse schedule."""
+    """One password entry against a pulse schedule, built from (spec, started_at) alone."""
 
     spec: PasswordSpec
     started_at: Instant
-    observed: List[int] = field(default_factory=list)
-    extraneous_press: bool = False
-    finalized: bool = False
+    observed: List[int] = field(init=False)
+    extraneous_press: bool = field(init=False, default=False)
+    finalized: bool = field(init=False, default=False)
     # First instant at which the outcome is decidable: the end of the last
     # pulse's window. Fixed by spec and start, so computed once.
     end: Instant = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.observed:
-            self.observed = [0] * len(self.spec)
+        self.observed = [0] * len(self.spec)
         self.end = self.started_at + self.spec.attempt_ms
-
-    def window(self, k: int) -> Tuple[Instant, Instant]:
-        """Half-open [lit, off) interval of pulse k, 0-based."""
-        lo = self.started_at + k * self.spec.pulse_period_ms
-        return lo, lo + self.spec.press_window_ms
 
     def record_press(self, at: Instant) -> None:
         """Register a button press at time ``at``.
@@ -132,7 +118,7 @@ class AttemptSession:
             self.extraneous_press = True
 
     def finalize(self, now: Instant) -> AttemptOutcome:
-        """Close the attempt and decide it. Only legal once the schedule ended."""
+        """Close the ended attempt; accept an exact bit match with no stray press."""
         if self.finalized:
             raise AttemptStateError("attempt already finalized")
         if now < self.end:
@@ -142,7 +128,7 @@ class AttemptSession:
         self.finalized = True
         trace = tuple(self.observed)
         return AttemptOutcome(
-            accepted=evaluate(trace, self.extraneous_press, self.spec.bits),
+            accepted=not self.extraneous_press and trace == tuple(self.spec.bits),
             trace=trace,
         )
 

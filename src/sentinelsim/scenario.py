@@ -10,17 +10,19 @@ Grammar, one directive per line with ``#`` comments:
     <t_ms> press_down
     <t_ms> press_up
 
-A ``Scenario`` stably sorts its events by time when it is constructed,
-whether parsed or built by hand, so same-time events keep their given (file)
-order. Parse errors are collected for the whole file and carry 1-based line
-numbers.
+A ``Scenario`` is immutable and compares by value. It stably sorts its
+events by time when it is constructed, whether parsed or built by hand, so
+same-time events keep their given (file) order, and it keeps a read-only
+copy of its overrides. Parse errors are collected for the whole file and
+carry 1-based line numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 from .config import coerce_value, ConfigError
 from .events import EventKind, ScenarioEvent
@@ -39,12 +41,14 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True, eq=True)
 class Scenario:
     name: str = "scenario"
-    overrides: Dict[str, object] = field(default_factory=dict)
+    overrides: Mapping[str, object] = field(default_factory=dict)
     events: Tuple[ScenarioEvent, ...] = ()
 
     def __post_init__(self) -> None:
         # the one home of time order: stable, so same-time events keep their order
         object.__setattr__(self, "events", tuple(sorted(self.events, key=attrgetter("at"))))
+        # a read-only copy: writing to the caller's dict or to s.overrides changes nothing
+        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
 
 
 _SIMPLE_EVENTS = {

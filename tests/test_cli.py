@@ -282,8 +282,8 @@ def test_exit_two_leaves_no_file_the_run_wrote(breakin_file, tmp_path, monkeypat
     def broken_clip_done(self, done):
         raise KeyError("clip")
 
-    handlers = {**controller.Controller._ITEM_HANDLERS, controller.ClipDone: broken_clip_done}
-    monkeypatch.setattr(controller.Controller, "_ITEM_HANDLERS", handlers)
+    handlers = {**controller.Controller._HANDLERS, controller.ClipDone: broken_clip_done}
+    monkeypatch.setattr(controller.Controller, "_HANDLERS", handlers)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     (out_dir / "notes.txt").write_text("mine", encoding="utf-8")

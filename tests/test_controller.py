@@ -4,6 +4,7 @@ import pytest
 
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import (
+    DOOR_ALERT,
     AttemptDeadline,
     ClipDone,
     Controller,
@@ -14,7 +15,7 @@ from sentinelsim.controller import (
 from sentinelsim.engine import run
 from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
-from sentinelsim.pulselock import AttemptOutcome, AttemptStateError
+from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.scenario import parse_scenario
 
 
@@ -39,72 +40,84 @@ def ev(at, kind, **kw):
 
 
 def log_actions(controller):
-    return [(a.at, a.action) for a in controller.state.action_log]
+    return [(a.at, a.action) for a in controller.action_log]
 
 
-class TestOnPresence:
+def attempt(c, presses, start=1000):
+    """Begin an attempt at start, press at each time, then dispatch its deadline."""
+    [deadline] = c.dispatch(ev(start, EventKind.MODE_BUTTON))
+    for t in presses:
+        c.dispatch(ev(t, EventKind.PRESS_DOWN))
+    c.dispatch(deadline)
+
+
+class TestPresence:
     def test_starts_recording_and_schedules_completion(self):
         c, _ = make_controller()
-        c.state.mode = SystemMode.ARMED
-        followups = c.on_presence(2000)
-        job = c.state.active_recording
+        c.dispatch(ev(0, EventKind.ARM))
+        followups = c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        job = c.active_recording
         assert job is not None and job.started_at == 2000
         assert followups == [ClipDone(2000 + job.duration_ms, job.clip_id)]
-        assert log_actions(c) == [(2000, "START_RECORDING")]
+        assert log_actions(c)[1:] == [(2000, "PRESENCE_TRIGGER"), (2000, "START_RECORDING")]
 
     def test_second_presence_keeps_single_job(self):
-        c, _ = make_controller()
-        c.on_presence(2000)
-        assert c.on_presence(2100) == []
+        c, _ = make_controller(retrigger_cooldown_ms=0)
+        c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        assert c.dispatch(ev(2100, EventKind.DISTANCE_SAMPLE, meters=0.5)) == []
+        assert log_actions(c)[-1] == (2100, "PRESENCE_TRIGGER")
         assert len(c.clips) == 1
 
     def test_records_even_while_disarmed(self):
         c, _ = make_controller()
-        assert c.state.mode is SystemMode.DISARMED
-        c.on_presence(500)
-        assert c.state.active_recording is not None
+        assert c.mode is SystemMode.DISARMED
+        c.dispatch(ev(500, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        assert c.active_recording is not None
 
 
-class TestOnBeamBreak:
+class TestBeamBreak:
     def test_armed_break_notifies_owner_and_authorities(self):
         c, sink = make_controller()
-        c.state.mode = SystemMode.ARMED
-        c.on_beam_break(5000)
+        c.dispatch(ev(0, EventKind.ARM))
+        [arrival] = c.dispatch(ev(5000, EventKind.DOOR_OPEN))
+        c.dispatch(arrival)
         assert len(sink.messages) == 1
         n = sink.messages[0]
         assert n.kind is NotificationKind.INTRUSION
         assert n.recipients == ("owner", "authorities")
         assert n.created_at == 5000
-        line = c.state.action_log[-1].line()
+        line = c.action_log[-1].line()
         assert line == "5000\tcontroller\tINTRUSION\trecipients=owner,authorities"
 
     def test_disarmed_break_is_suppressed(self):
         c, sink = make_controller()
-        c.on_beam_break(5000)
+        c.dispatch(FrameArrival(at=5000, data=DOOR_ALERT, attempts=1))
         assert sink.messages == []
-        assert log_actions(c) == [(5000, "SUPPRESSED")]
+        assert log_actions(c) == [(5000, "RX"), (5000, "SUPPRESSED")]
 
 
-class TestOnAttemptOutcome:
+class TestAttemptOutcome:
     def test_accepted_disarms_and_mails_owner(self):
-        c, sink = make_controller()
-        c.state.mode = SystemMode.ARMED
-        c.on_attempt_outcome(AttemptOutcome(True, (1, 0)), 7500)
-        assert c.state.mode is SystemMode.DISARMED
+        c, sink = make_controller(password="10")
+        c.dispatch(ev(0, EventKind.ARM))
+        attempt(c, [1250])
+        assert c.mode is SystemMode.DISARMED
+        assert c.pending_attempt is None
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_SUCCEEDED
         assert sink.messages[-1].recipients == ("owner",)
+        assert log_actions(c)[-1] == (2500, "DEACTIVATION_SUCCEEDED")
 
     def test_rejected_keeps_mode_and_mails_owner(self):
-        c, sink = make_controller()
-        c.state.mode = SystemMode.ARMED
-        c.on_attempt_outcome(AttemptOutcome(False, (0, 0)), 7500)
-        assert c.state.mode is SystemMode.ARMED
+        c, sink = make_controller(password="10")
+        c.dispatch(ev(0, EventKind.ARM))
+        attempt(c, [])
+        assert c.mode is SystemMode.ARMED
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_FAILED
 
     def test_accept_while_disarmed_stays_disarmed(self):
-        c, sink = make_controller()
-        c.on_attempt_outcome(AttemptOutcome(True, (1,)), 100)
-        assert c.state.mode is SystemMode.DISARMED
+        c, sink = make_controller(password="1")
+        attempt(c, [1250])
+        assert c.mode is SystemMode.DISARMED
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_SUCCEEDED
 
 
@@ -119,7 +132,7 @@ class TestDispatchTraces:
                 ev(5000, EventKind.DOOR_OPEN),
             ],
         )
-        names = [a.action for a in c.state.action_log]
+        names = [a.action for a in c.action_log]
         assert names == [
             "ARMED",
             "PRESENCE_TRIGGER",
@@ -149,8 +162,8 @@ class TestDispatchTraces:
         drive(c, events)
         kinds = [n.kind for n in sink.messages]
         assert kinds == [NotificationKind.DEACTIVATION_SUCCEEDED]
-        assert c.state.mode is SystemMode.DISARMED
-        assert [a.action for a in c.state.action_log].count("SUPPRESSED") == 1
+        assert c.mode is SystemMode.DISARMED
+        assert [a.action for a in c.action_log].count("SUPPRESSED") == 1
 
     def test_wrong_password_keeps_system_armed(self):
         c, sink = make_controller()
@@ -161,7 +174,7 @@ class TestDispatchTraces:
         ]
         drive(c, events)
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_FAILED
-        assert c.state.mode is SystemMode.ARMED
+        assert c.mode is SystemMode.ARMED
 
     def test_door_close_never_alerts(self):
         c, sink = make_controller()
@@ -204,7 +217,7 @@ class TestDispatchTraces:
         c, sink = make_controller(drop_probability=1.0, max_retries=2)
         drive(c, [ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)])
         assert sink.messages == []
-        drop = [a for a in c.state.action_log if a.action == "DROP"]
+        drop = [a for a in c.action_log if a.action == "DROP"]
         assert len(drop) == 1
         assert "attempts=3" in drop[0].details
 
@@ -229,7 +242,7 @@ class TestDispatchTraces:
             ],
         )
         # only the press_down registered: pulse 1 got its bit, nothing else
-        finalized = [a for a in c.state.action_log if a.action.startswith("DEACTIVATION")]
+        finalized = [a for a in c.action_log if a.action.startswith("DEACTIVATION")]
         assert finalized[-1].details == "trace=1000000"
 
     def test_mode_button_during_attempt_is_state_error(self):
@@ -288,7 +301,7 @@ class TestDispatchTraces:
                 ev(6000, EventKind.DISTANCE_SAMPLE, meters=0.5),
             ],
         )
-        triggers = [a for a in c.state.action_log if a.action == "PRESENCE_TRIGGER"]
+        triggers = [a for a in c.action_log if a.action == "PRESENCE_TRIGGER"]
         assert [a.at for a in triggers] == [0, 6000]
 
     def test_cooldown_zero_still_single_recording(self):
@@ -313,19 +326,23 @@ class TestInternalItems:
     def test_stale_attempt_deadline_is_ignored(self):
         c, _ = make_controller()
         c.dispatch(AttemptDeadline(at=100))
-        assert c.state.action_log == []
+        assert c.action_log == []
 
     def test_frame_arrival_with_unknown_type_raises_and_logs_nothing(self):
         from sentinelsim.airframe import UnknownFrameType
 
         c, sink = make_controller()
-        c.state.mode = SystemMode.ARMED
+        c.dispatch(ev(0, EventKind.ARM))
         # type byte 0x00 with a valid checksum: 0xFF - (0x00 + 0x03) = 0xFC
         data = bytes([0x7E, 0x02, 0x00, 0x03, 0xFC])
         with pytest.raises(UnknownFrameType):
             c.dispatch(FrameArrival(at=10, data=data, attempts=1))
         assert sink.messages == []
-        assert c.state.action_log == []
+        assert log_actions(c) == [(0, "ARMED")]
+
+    def test_dispatch_is_the_only_public_method(self):
+        public = [n for n in vars(Controller) if not n.startswith("_")]
+        assert public == ["dispatch"]
 
     def test_unknown_item_type_rejected(self):
         from types import SimpleNamespace

@@ -188,20 +188,20 @@ class ControllerMachine(RuleBasedStateMachine):
     @invariant()
     def matches_model(self):
         c, m = self.controller, self.model
-        assert c.state.mode is m.mode
-        job = c.state.active_recording
+        assert c.mode is m.mode
+        job = c.active_recording
         assert (job and (job.clip_id, job.started_at)) == m.recording
-        session = c.state.pending_attempt
+        session = c.pending_attempt
         assert (session and [
             session.started_at, session.observed, session.extraneous_press
         ]) == m.attempt
-        assert c.state.last_presence_trigger == m.last_trigger
-        assert [a.action for a in c.state.action_log].count("TX") == m.alerts_sent
+        assert c.last_presence_trigger == m.last_trigger
+        assert [a.action for a in c.action_log].count("TX") == m.alerts_sent
         assert len(c.clips) == m.clips
         assert self.dispatcher.counts == m.counts
 
 
 ControllerMachine.TestCase.settings = settings(
-    max_examples=150, stateful_step_count=40, deadline=None
+    max_examples=300, stateful_step_count=40, deadline=None
 )
 test_controller_matches_model = ControllerMachine.TestCase

@@ -41,8 +41,8 @@ def reference_run(scenario, seed, overrides):
         scenario=scenario.name,
         seed=seed,
         rng_algorithm=rng.ALGORITHM,
-        final_mode=controller.state.mode.value,
-        actions=tuple(controller.state.action_log),
+        final_mode=controller.mode.value,
+        actions=tuple(controller.action_log),
         outbox_counts=dispatcher.counts,
         clips=tuple(controller.clips),
         clip_bytes=cfg.clip_bytes,

@@ -28,7 +28,6 @@ class TestPasswordSpec:
     def test_from_string_round_trip(self):
         s = spec()
         assert s.bits == (1, 1, 0, 0, 1, 0, 1)
-        assert s.to_string() == PAPER_BITS
 
     def test_rejects_bad_characters(self):
         with pytest.raises(ValueError):
@@ -47,25 +46,44 @@ class TestPasswordSpec:
             spec(window=0)
 
 
+def assert_lit_window(password_spec, start, k, lo, hi):
+    """Pulse k is lit on [lo, hi): a press at lo or at hi - 1 sets bit k only,
+    and a press at hi, the first millisecond after, is extraneous."""
+    only_k = [int(i == k) for i in range(len(password_spec))]
+    for at in (lo, hi - 1):
+        s = begin_attempt(password_spec, start)
+        s.record_press(at)
+        assert (s.observed, s.extraneous_press) == (only_k, False)
+    s = begin_attempt(password_spec, start)
+    s.record_press(hi)
+    assert (s.observed, s.extraneous_press) == ([0] * len(password_spec), True)
+
+
 class TestWindows:
-    def test_window_arithmetic_from_zero(self):
-        s = begin_attempt(spec(), start=0)
-        assert s.window(0) == (0, 500)
-        assert s.window(4) == (4000, 4500)
-        assert s.end == 6500
+    def test_pulse_zero_edges(self):
+        assert_lit_window(spec(), 0, 0, 0, 500)
+        assert begin_attempt(spec(), start=0).end == 6500
+        assert begin_attempt(spec("1"), start=0).end == 500
 
-    def test_single_pulse_schedule(self):
-        s = begin_attempt(spec("1"), start=0)
-        assert s.window(0) == (0, 500)
-        assert s.end == 500
+    def test_later_pulse_edges(self):
+        assert_lit_window(spec(), 0, 4, 4000, 4500)
 
-    def test_offset_start(self):
+    def test_offset_start_edges(self):
+        assert_lit_window(spec("10", 1000, 500), 2500, 0, 2500, 3000)
         s = begin_attempt(spec("10", 1000, 500), start=2500)
-        assert s.window(0) == (2500, 3000)
-        assert s.window(1) == (3500, 4000)
+        assert s.end == 4000
+        s.record_press(3500)
+        s.record_press(3999)
+        assert (s.observed, s.extraneous_press) == ([0, 1], False)
 
 
 class TestRecordPress:
+    def test_session_is_built_from_spec_and_start_alone(self):
+        with pytest.raises(TypeError):
+            AttemptSession(spec(), 0, [1] * 7)
+        s = AttemptSession(spec(), 0)
+        assert (s.observed, s.extraneous_press, s.finalized) == ([0] * 7, False, False)
+
     def test_press_in_first_window(self):
         s = begin_attempt(spec(), start=0)
         s.record_press(100)

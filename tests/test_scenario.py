@@ -114,6 +114,16 @@ class TestRender:
         assert sc.events == tuple(events[i] for i in (3, 1, 2, 4, 0))
         assert parse_scenario(render_scenario(sc), name="t") == sc
 
+    def test_overrides_cannot_change_a_frozen_scenario(self):
+        given = {"latency_ms": 5}
+        sc = Scenario(name="t", overrides=given)
+        with pytest.raises(TypeError):
+            sc.overrides["latency_ms"] = 7
+        given["drop_probability"] = 0.5
+        assert dict(sc.overrides) == {"latency_ms": 5}
+        assert sc == Scenario(name="t", overrides={"latency_ms": 5})
+        assert parse_scenario(render_scenario(sc), name="t") == sc
+
     def test_float_values_survive_exactly(self):
         sc = parse_scenario("0 distance 0.30000000000000004")
         again = parse_scenario(render_scenario(sc))
