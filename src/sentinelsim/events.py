@@ -34,6 +34,13 @@ class EventKind(Enum):
     PRESS_DOWN = "press_down"
     PRESS_UP = "press_up"
 
+    # Members are singletons compared by identity, so identity hashing agrees
+    # with equality. It runs in C, where Enum's own hash(name) is a Python
+    # call paid on every handler lookup in Controller.dispatch. Neither hash
+    # is the same from one process to the next, so nothing may depend on the
+    # order of a set of kinds.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ScenarioEvent:

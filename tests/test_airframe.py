@@ -88,6 +88,12 @@ class TestDecode:
         with pytest.raises(LengthMismatch):
             decode_frame(data[:-1])
 
+    def test_declared_length_too_short_for_the_header(self):
+        # length 1 covers the type byte only; were it accepted, the checksum
+        # byte would be read as the source id
+        with pytest.raises(LengthMismatch):
+            decode_frame(bytes([0x7E, 0x01, 0x01, 0xFE]))
+
     def test_extra_byte(self):
         data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x01))
         with pytest.raises(LengthMismatch):

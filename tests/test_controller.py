@@ -5,6 +5,7 @@ import pytest
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import (
     DOOR_ALERT,
+    Action,
     AttemptDeadline,
     ClipDone,
     Controller,
@@ -91,7 +92,7 @@ class TestBeamBreak:
 
     def test_disarmed_break_is_suppressed(self):
         c, sink = make_controller()
-        c.dispatch(FrameArrival(at=5000, data=DOOR_ALERT, attempts=1))
+        c.dispatch(FrameArrival(at=5000, attempts=1))
         assert sink.messages == []
         assert log_actions(c) == [(5000, "RX"), (5000, "SUPPRESSED")]
 
@@ -328,17 +329,12 @@ class TestInternalItems:
         c.dispatch(AttemptDeadline(at=100))
         assert c.action_log == []
 
-    def test_frame_arrival_with_unknown_type_raises_and_logs_nothing(self):
-        from sentinelsim.airframe import UnknownFrameType
+    def test_door_alert_is_checked_at_import(self):
+        # every FrameArrival carries DOOR_ALERT, so its decode runs once, at
+        # import; rejecting unknown types is the codec's own test
+        from sentinelsim.airframe import Frame, FrameType, decode_frame
 
-        c, sink = make_controller()
-        c.dispatch(ev(0, EventKind.ARM))
-        # type byte 0x00 with a valid checksum: 0xFF - (0x00 + 0x03) = 0xFC
-        data = bytes([0x7E, 0x02, 0x00, 0x03, 0xFC])
-        with pytest.raises(UnknownFrameType):
-            c.dispatch(FrameArrival(at=10, data=data, attempts=1))
-        assert sink.messages == []
-        assert log_actions(c) == [(0, "ARMED")]
+        assert decode_frame(DOOR_ALERT) == Frame(FrameType.INTRUDER_ALERT, 0x02)
 
     def test_dispatch_is_the_only_public_method(self):
         public = [n for n in vars(Controller) if not n.startswith("_")]
@@ -350,6 +346,21 @@ class TestInternalItems:
         c, _ = make_controller()
         with pytest.raises(TypeError):
             c.dispatch(SimpleNamespace(at=5))
+
+
+class TestAction:
+    def test_is_an_immutable_slotted_value(self):
+        a = Action(5, "link", "TX", "x")
+        assert a == Action(5, "link", "TX", "x")
+        assert hash(a) == hash(Action(5, "link", "TX", "x"))
+        assert a != Action(5, "link", "TX", "y")
+        assert a.line() == "5\tlink\tTX\tx"
+        assert repr(a) == "Action(at=5, component='link', action='TX', details='x')"
+        with pytest.raises(AttributeError):
+            a.at = 6
+        with pytest.raises(AttributeError):
+            a.note = "extra"
+        assert not hasattr(a, "__dict__")
 
 
 class TestRecordingJob:

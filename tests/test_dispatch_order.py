@@ -1,12 +1,14 @@
 """engine.run's dispatch order against the all-in-heap reference loop.
 
 engine.run streams the time-sorted scenario past a queue that holds only the
-controller's follow-ups. The reference below pushes every scenario event into
-one queue first and then drains it, so insertion order makes a scenario event
-precede any follow-up at the same millisecond. Both must give the same bytes.
+controller's follow-ups, and skips the events that cannot act. The reference
+below pushes every scenario event into one queue first, drains it and
+dispatches every item, so insertion order makes a scenario event precede any
+follow-up at the same millisecond. Both must give the same bytes.
 """
 
 import gc
+import math
 import os
 import sys
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import random_scenario
 from sentinelsim import rng
-from sentinelsim.config import ConfigError
+from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink
@@ -96,6 +98,51 @@ configs = st.fixed_dictionaries({
 )
 def test_run_matches_all_in_heap_reference(event_list, seed, overrides):
     scenario = Scenario(name="ties", events=tuple(event_list))
+    assert outcome(engine_run, scenario, seed, overrides) == outcome(
+        reference_run, scenario, seed, overrides
+    )
+
+
+# Thresholds whose own value ranges one ulp below itself (0.05, 0.1), one ulp
+# above (0.11, 0.44) or exactly (1.0) after the echo round trip.
+THRESHOLDS = (0.05, 0.1, 0.11, 0.44, 1.0)
+
+
+@st.composite
+def edge_runs(draw):
+    """Scenarios crowded where engine.simulate's skipping could go wrong:
+    press_up at an attempt's end and a millisecond either side of it, and
+    distance samples at threshold_m and one ulp either side of it."""
+    threshold = draw(st.sampled_from(THRESHOLDS))
+    password = draw(st.sampled_from(["1", "10"]))
+    span = SimConfig(password=password).password_spec.attempt_ms
+    near = st.sampled_from([
+        math.nextafter(threshold, 0.0), threshold, math.nextafter(threshold, math.inf),
+        threshold / 2, 3.0,
+    ])
+    event_list = draw(st.lists(events, max_size=8))
+    # at most one attempt per 4 s slot, so none overlaps the next
+    for slot in range(draw(st.integers(0, 3))):
+        begin = slot * 4000 + draw(st.sampled_from([0, 250]))
+        end = begin + span
+        event_list.append(ScenarioEvent(begin, EventKind.MODE_BUTTON))
+        for at in draw(st.lists(st.sampled_from([begin, begin + 1000]), max_size=2)):
+            event_list.append(ScenarioEvent(at, EventKind.PRESS_DOWN))
+        for at in draw(st.lists(st.sampled_from([end - 1, end, end + 1]), max_size=3)):
+            event_list.append(ScenarioEvent(at, EventKind.PRESS_UP))
+        samples = st.tuples(st.sampled_from([begin, end, end + 1]), near)
+        for at, meters in draw(st.lists(samples, max_size=3)):
+            event_list.append(ScenarioEvent(at, EventKind.DISTANCE_SAMPLE, meters=meters))
+    for at, meters in draw(st.lists(st.tuples(times, near), max_size=4)):
+        event_list.append(ScenarioEvent(at, EventKind.DISTANCE_SAMPLE, meters=meters))
+    overrides = dict(draw(configs), threshold_m=repr(threshold), password=password)
+    return Scenario(name="edges", events=tuple(event_list)), overrides
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=edge_runs(), seed=st.integers(0, 3))
+def test_skipped_events_change_no_report_byte(case, seed):
+    scenario, overrides = case
     assert outcome(engine_run, scenario, seed, overrides) == outcome(
         reference_run, scenario, seed, overrides
     )

@@ -315,6 +315,12 @@ class TestValidationBeforeDispatch:
     def test_float_keys_take_an_int(self):
         SimConfig(threshold_m=1, max_range_m=4, speed_of_sound=343, drop_probability=0).validate()
 
+    @pytest.mark.parametrize("key", ["latency_ms", "max_retries"])
+    def test_link_key_takes_zero_but_not_minus_one(self, key):
+        SimConfig(**{key: 0}).validate()
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
+            SimConfig(**{key: -1}).validate()
+
     def test_password_is_parsed_once_per_run(self, deactivate_scenario, monkeypatch):
         calls = []
         parse = PasswordSpec.from_string
