@@ -47,5 +47,5 @@ from .pulselock import (
     search_space,
 )
 from .report import RunReport, render_report
-from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
+from .scenario import Scenario, ScenarioError, parse_scenario
 from .sensors import distance_from_echo, echo_from_distance, presence_detect

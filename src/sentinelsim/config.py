@@ -138,7 +138,8 @@ def coerce_value(key: str, value):
             value = float(value)
         except OverflowError:
             raise ConfigError(f"bad value for {key!r}: not a finite float") from None
-    # nan and inf pass every range check downstream, so stop them here
+    # SimConfig.validate rejects nan and inf too; stopping them here lets a
+    # scenario parse error name the bad set line
     if type(value) is float and not math.isfinite(value):
         raise ConfigError(f"bad value for {key!r}: must be finite, got {value!r}")
     return value

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
@@ -59,43 +59,13 @@ class RecordingJob:
     stored_ref: str
 
 
-_set = object.__setattr__
+class Action(NamedTuple):
+    """One externally visible action: an immutable record, equal by value."""
 
-
-class Action:
-    """One externally visible action: an immutable record, equal by value.
-
-    Slotted rather than a frozen dataclass because a run logs one per
-    visible action, and this builds in about half the time.
-    """
-
-    __slots__ = ("at", "component", "action", "details")
-
-    def __init__(self, at: Instant, component: str, action: str, details: str):
-        _set(self, "at", at)
-        _set(self, "component", component)
-        _set(self, "action", action)
-        _set(self, "details", details)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.at, self.component, self.action, self.details)
-
-    def __eq__(self, other):
-        if type(other) is not Action:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "Action(at={!r}, component={!r}, action={!r}, details={!r})".format(*self._fields())
+    at: Instant
+    component: str
+    action: str
+    details: str
 
     def line(self) -> str:
         return f"{self.at}\t{self.component}\t{self.action}\t{self.details}"

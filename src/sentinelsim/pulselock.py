@@ -143,26 +143,3 @@ def search_space(n: int) -> int:
     if not 1 <= n <= MAX_BITS:
         raise ValueError(f"pulse count must be in [1, {MAX_BITS}], got {n}")
     return 2**n
-
-
-def mid_window_press_times(
-    spec: PasswordSpec, pattern: int, start: Instant = 0
-) -> List[Instant]:
-    """Press times for a candidate entry, pressing mid-window for each 1 bit.
-
-    Bit k of ``pattern`` (value ``1 << k``) corresponds to pulse k.
-    """
-    half = spec.press_window_ms // 2
-    return [
-        start + k * spec.pulse_period_ms + half
-        for k in range(len(spec))
-        if pattern >> k & 1
-    ]
-
-
-def run_pattern(spec: PasswordSpec, pattern: int, start: Instant = 0) -> AttemptOutcome:
-    """Drive a full attempt for one mid-window press pattern."""
-    session = AttemptSession(spec, start)
-    for t in mid_window_press_times(spec, pattern, start):
-        session.record_press(t)
-    return session.finalize(session.end)

@@ -1,4 +1,4 @@
-"""Scenario file parsing and normalized rendering.
+"""Scenario file parsing.
 
 Grammar, one directive per line with ``#`` comments:
 
@@ -117,28 +117,3 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if errors:
         raise ScenarioError(errors)
     return Scenario(name=name, overrides=overrides, events=events)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def render_scenario(scenario: Scenario) -> str:
-    """Normalized dump that parses back to an equal Scenario."""
-    lines = [f"# scenario: {scenario.name}"]
-    for key, value in scenario.overrides.items():
-        lines.append(f"set {key} {_format_value(value)}")
-    for ev in scenario.events:
-        if ev.kind is EventKind.DISTANCE_SAMPLE:
-            lines.append(f"{ev.at} distance {repr(ev.meters)}")
-        elif ev.kind is EventKind.DOOR_OPEN:
-            lines.append(f"{ev.at} door open")
-        elif ev.kind is EventKind.DOOR_CLOSE:
-            lines.append(f"{ev.at} door close")
-        else:
-            lines.append(f"{ev.at} {ev.kind.value}")
-    return "\n".join(lines) + "\n"

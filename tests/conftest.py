@@ -1,9 +1,11 @@
-"""Shared helpers: canned scenarios and a randomized scenario generator."""
+"""Shared helpers: canned scenarios, a randomized scenario generator, and
+helpers that only tests call (press patterns, scenario rendering)."""
 
 from __future__ import annotations
 
 import random
 import time
+from typing import List
 
 import pytest
 
@@ -22,7 +24,8 @@ def pytest_terminal_summary(terminalreporter):
         f"total suite wall time: {elapsed:.1f}s (acceptance budget: 60s)"
     )
 
-from sentinelsim.events import EventKind, ScenarioEvent
+from sentinelsim.events import EventKind, Instant, ScenarioEvent
+from sentinelsim.pulselock import AttemptOutcome, AttemptSession, PasswordSpec
 from sentinelsim.scenario import Scenario
 
 BREAKIN_TEXT = """\
@@ -97,3 +100,51 @@ def random_scenario(seed: int, n_events: int = 40, max_range: float = 4.0) -> Sc
         else:
             events.append(ScenarioEvent(at=t, kind=EventKind.PRESS_UP))
     return Scenario(name=f"fuzz-{seed}", events=tuple(events))
+
+
+def mid_window_press_times(
+    spec: PasswordSpec, pattern: int, start: Instant = 0
+) -> List[Instant]:
+    """Press times for a candidate entry, pressing mid-window for each 1 bit.
+
+    Bit k of ``pattern`` (value ``1 << k``) corresponds to pulse k.
+    """
+    half = spec.press_window_ms // 2
+    return [
+        start + k * spec.pulse_period_ms + half
+        for k in range(len(spec))
+        if pattern >> k & 1
+    ]
+
+
+def run_pattern(spec: PasswordSpec, pattern: int, start: Instant = 0) -> AttemptOutcome:
+    """Drive a full attempt for one mid-window press pattern."""
+    session = AttemptSession(spec, start)
+    for t in mid_window_press_times(spec, pattern, start):
+        session.record_press(t)
+    return session.finalize(session.end)
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def render_scenario(scenario: Scenario) -> str:
+    """Normalized dump that parses back to an equal Scenario."""
+    lines = [f"# scenario: {scenario.name}"]
+    for key, value in scenario.overrides.items():
+        lines.append(f"set {key} {_format_value(value)}")
+    for ev in scenario.events:
+        if ev.kind is EventKind.DISTANCE_SAMPLE:
+            lines.append(f"{ev.at} distance {repr(ev.meters)}")
+        elif ev.kind is EventKind.DOOR_OPEN:
+            lines.append(f"{ev.at} door open")
+        elif ev.kind is EventKind.DOOR_CLOSE:
+            lines.append(f"{ev.at} door close")
+        else:
+            lines.append(f"{ev.at} {ev.kind.value}")
+    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import random
 import time
 
 import conftest
-from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
+from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT, mid_window_press_times, run_pattern
 from sentinelsim.airframe import (
     MAX_PAYLOAD,
     ChecksumMismatch,
@@ -20,12 +20,7 @@ from sentinelsim.airframe import (
 from sentinelsim.config import SimConfig
 from sentinelsim.engine import run
 from sentinelsim.notify import MemorySink, NotificationKind
-from sentinelsim.pulselock import (
-    AttemptSession,
-    PasswordSpec,
-    mid_window_press_times,
-    run_pattern,
-)
+from sentinelsim.pulselock import AttemptSession, PasswordSpec
 from sentinelsim.report import render_report
 from sentinelsim.rng import SplitMix64
 from sentinelsim.scenario import parse_scenario

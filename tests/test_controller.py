@@ -323,6 +323,12 @@ class TestInternalItems:
         c, sink = make_controller()
         c.dispatch(ClipDone(at=100, clip_id="clip-9999"))
         assert sink.messages == []
+        # another clip's ClipDone must not end the recording that runs
+        [done] = c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        c.dispatch(ClipDone(at=3000, clip_id="clip-9999"))
+        assert c.active_recording.clip_id == done.clip_id
+        assert [a.action for a in c.action_log] == ["PRESENCE_TRIGGER", "START_RECORDING"]
+        assert sink.messages == []
 
     def test_stale_attempt_deadline_is_ignored(self):
         c, _ = make_controller()

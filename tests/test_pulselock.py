@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import mid_window_press_times, run_pattern
 from sentinelsim.pulselock import (
     AttemptOutcome,
     AttemptSession,
     AttemptStateError,
     PasswordSpec,
     begin_attempt,
-    mid_window_press_times,
-    run_pattern,
     search_space,
 )
 
@@ -112,6 +111,10 @@ class TestRecordPress:
         s = begin_attempt(spec(), start=1000)
         s.record_press(999)
         assert s.extraneous_press
+        # a window as long as the period: 1 ms early must not wrap to the last pulse
+        s = begin_attempt(spec("10", period=1000, window=1000), start=1000)
+        s.record_press(999)
+        assert (s.observed, s.extraneous_press) == ([0, 0], True)
 
     def test_press_after_schedule_end_is_state_error(self):
         s = begin_attempt(spec(), start=0)

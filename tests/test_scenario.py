@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import render_scenario
 from sentinelsim.config import (
     ConfigError,
     SimConfig,
@@ -12,12 +13,7 @@ from sentinelsim.config import (
 )
 from sentinelsim.engine import resolve_run_config
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.scenario import (
-    Scenario,
-    ScenarioError,
-    parse_scenario,
-    render_scenario,
-)
+from sentinelsim.scenario import Scenario, ScenarioError, parse_scenario
 
 
 class TestParse:
