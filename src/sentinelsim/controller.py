@@ -51,6 +51,13 @@ class SystemMode(Enum):
     DISARMED = "DISARMED"
 
 
+# bound once: see events.py
+_ARMED, _DISARMED = SystemMode.ARMED, SystemMode.DISARMED
+_PRESENCE, _INTRUSION = NotificationKind.PRESENCE, NotificationKind.INTRUSION
+_SUCCEEDED = NotificationKind.DEACTIVATION_SUCCEEDED
+_FAILED = NotificationKind.DEACTIVATION_FAILED
+
+
 @dataclass(frozen=True)
 class RecordingJob:
     clip_id: str
@@ -106,7 +113,7 @@ class Controller:
     def __init__(self, cfg: SimConfig, seed: int, dispatcher: Dispatcher):
         self.cfg = cfg
         self.dispatcher = dispatcher
-        self.mode = SystemMode.DISARMED
+        self.mode = _DISARMED
         self.active_recording: Optional[RecordingJob] = None
         self.pending_attempt: Optional[pulselock.AttemptSession] = None
         self.last_presence_trigger: Optional[Instant] = None
@@ -144,7 +151,7 @@ class Controller:
         return handler(self, item)
 
     def _on_arm(self, ev: ScenarioEvent) -> list:
-        self.mode = SystemMode.ARMED
+        self.mode = _ARMED
         self._log(ev.at, "controller", "ARMED", "mode=armed")
         return []
 
@@ -204,8 +211,8 @@ class Controller:
         # the frame is always DOOR_ALERT, whose checksum was checked at import
         t = arrival.at
         self._log(t, "link", "RX", f"frame={DOOR_ALERT_HEX} attempts={arrival.attempts}")
-        if self.mode is SystemMode.ARMED:
-            notification = build_notification(NotificationKind.INTRUSION, t)
+        if self.mode is _ARMED:
+            notification = build_notification(_INTRUSION, t)
             self.dispatcher.dispatch(notification)
             recipients = ",".join(notification.recipients)
             self._log(t, "controller", "INTRUSION", f"recipients={recipients}")
@@ -225,7 +232,7 @@ class Controller:
             return []
         self.active_recording = None
         notification = build_notification(
-            NotificationKind.PRESENCE,
+            _PRESENCE,
             done.at,
             attachment=job.clip_id,
             presence_to_authorities=self.cfg.presence_to_authorities,
@@ -258,14 +265,14 @@ class Controller:
         outcome = session.finalize(t)
         self.pending_attempt = None
         if outcome.accepted:
-            self.mode = SystemMode.DISARMED
-            kind = NotificationKind.DEACTIVATION_SUCCEEDED
+            self.mode = _DISARMED
+            kind = _SUCCEEDED
         else:
-            kind = NotificationKind.DEACTIVATION_FAILED
+            kind = _FAILED
         notification = build_notification(kind, t)
         self.dispatcher.dispatch(notification)
-        trace = "".join(str(b) for b in outcome.trace)
-        self._log(t, "controller", kind.value, f"trace={trace}")
+        trace = "".join(map(str, outcome.trace))
+        self._log(t, "controller", kind._value_, f"trace={trace}")
 
     def _log(self, at: Instant, component: str, action: str, details: str) -> None:
         self.action_log.append(Action(at, component, action, details))

@@ -32,6 +32,11 @@ from .report import RunReport
 from .scenario import Scenario
 from .sensors import distance_from_echo, echo_from_distance
 
+# bound once: see events.py
+_DISTANCE_SAMPLE, _MODE_BUTTON, _PRESS_UP = (
+    EventKind.DISTANCE_SAMPLE, EventKind.MODE_BUTTON, EventKind.PRESS_UP
+)
+
 
 def resolve_run_config(
     scenario: Scenario,
@@ -54,9 +59,10 @@ def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
     problems = []
     buttons = []
     for ev in scenario.events:
-        if ev.kind is EventKind.MODE_BUTTON:
+        kind = ev.kind
+        if kind is _MODE_BUTTON:
             buttons.append(ev.at)
-        elif ev.kind is EventKind.DISTANCE_SAMPLE and ev.meters > cfg.max_range_m:
+        elif kind is _DISTANCE_SAMPLE and ev.meters > cfg.max_range_m:
             problems.append(
                 f"distance {ev.meters} m at t={ev.at} exceeds max_range_m={cfg.max_range_m}"
             )
@@ -96,9 +102,9 @@ def _live_events(scenario: Scenario, cfg: SimConfig) -> Iterator[ScenarioEvent]:
     below = {}  # meters -> whether its round-tripped range is below threshold_m
     for ev in scenario.events:
         kind = ev.kind
-        if kind is EventKind.PRESS_UP:
+        if kind is _PRESS_UP:
             continue
-        if kind is EventKind.DISTANCE_SAMPLE:
+        if kind is _DISTANCE_SAMPLE:
             meters = ev.meters
             hit = below.get(meters)
             if hit is None:

@@ -42,7 +42,12 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+# Python 3.11's EnumType.__getattr__ slows every EventKind.X, and .value is a Python
+# property, so per-event code binds members once and reads the plain _value_.
+_DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE
+
+
+@dataclass(frozen=True, slots=True)
 class ScenarioEvent:
     """A timestamped external stimulus; construction checks its shape."""
 
@@ -55,13 +60,15 @@ class ScenarioEvent:
             raise ValueError(f"time must be an integer, got {self.at!r}")
         if self.at < 0:
             raise ValueError(f"negative time {self.at}")
-        if self.kind is EventKind.DISTANCE_SAMPLE:
+        if self.kind is _DISTANCE_SAMPLE:
             if self.meters is None:
                 raise ValueError("distance sample requires a meters value")
+            if type(self.meters) not in (float, int):  # not isinstance: a bool is an int
+                raise ValueError(f"meters must be a number, got {self.meters!r}")
             if not self.meters >= 0:  # NaN fails too
                 raise ValueError(f"distance must be >= 0, got {self.meters}")
         elif self.meters is not None:
-            raise ValueError(f"{self.kind.value} event does not take a distance")
+            raise ValueError(f"{self.kind._value_} event does not take a distance")
 
 
 class EventQueue:

@@ -29,6 +29,10 @@ class NotificationKind(Enum):
     DEACTIVATION_SUCCEEDED = "DEACTIVATION_SUCCEEDED"
 
 
+# bound once: see events.py
+_PRESENCE, _INTRUSION = NotificationKind.PRESENCE, NotificationKind.INTRUSION
+
+
 @dataclass(frozen=True)
 class Notification:
     """One message; ``build_notification`` sets its owner-first recipients."""
@@ -39,19 +43,19 @@ class Notification:
     created_at: Instant
 
     def __post_init__(self) -> None:
-        if self.kind is NotificationKind.PRESENCE:
+        if self.kind is _PRESENCE:
             if self.attachment is None:
                 raise ValueError("presence notifications carry a clip attachment")
         elif self.attachment is not None:
-            raise ValueError(f"{self.kind.value} notifications carry no attachment")
+            raise ValueError(f"{self.kind._value_} notifications carry no attachment")
 
     @property
     def subject(self) -> str:
-        return f"{SUBJECT_TAG} {self.kind.value} at t={self.created_at}"
+        return f"{SUBJECT_TAG} {self.kind._value_} at t={self.created_at}"
 
     @property
     def body(self) -> str:
-        lines = [f"Kind: {self.kind.value}", f"Simulation time: {self.created_at} ms"]
+        lines = [f"Kind: {self.kind._value_}", f"Simulation time: {self.created_at} ms"]
         if self.attachment is not None:
             lines.append(f"Clip: {self.attachment}")
         return "\n".join(lines) + "\n"
@@ -74,9 +78,7 @@ def build_notification(
     owner-only unless presence mail is explicitly configured to copy the
     authorities as well.
     """
-    if kind is NotificationKind.INTRUSION or (
-        kind is NotificationKind.PRESENCE and presence_to_authorities
-    ):
+    if kind is _INTRUSION or (kind is _PRESENCE and presence_to_authorities):
         recipients = _OWNER_AND_AUTHORITIES
     else:
         recipients = _OWNER_ONLY
@@ -105,7 +107,7 @@ def format_outbox_line(n: Notification) -> str:
     """One-line record: created_at|kind|recipients (sorted)|attachment or -|subject."""
     recipients = ",".join(sorted(n.recipients))
     attachment = n.attachment if n.attachment is not None else "-"
-    return f"{n.created_at}|{n.kind.value}|{recipients}|{attachment}|{n.subject}"
+    return f"{n.created_at}|{n.kind._value_}|{recipients}|{attachment}|{n.subject}"
 
 
 class LineFileSink:
@@ -151,7 +153,7 @@ class MaildirSink:
         ]
         if notification.attachment is not None:
             headers.append(f"X-Clip-Id: {notification.attachment}")
-        name = f"{self._seq:06d}.{notification.kind.value.lower()}.eml"
+        name = f"{self._seq:06d}.{notification.kind._value_.lower()}.eml"
         path = os.path.join(self.root, "new", name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(headers) + "\n\n" + notification.body)
@@ -181,5 +183,5 @@ class Dispatcher:
                 self.failures.append(receipts[-1])
             else:
                 receipts.append(Receipt(sink=sink.name, ok=True))
-        self.counts[notification.kind.value] += 1
+        self.counts[notification.kind._value_] += 1
         return tuple(receipts)

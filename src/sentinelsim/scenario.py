@@ -57,6 +57,8 @@ _SIMPLE_EVENTS = {
     "press_down": EventKind.PRESS_DOWN,
     "press_up": EventKind.PRESS_UP,
 }
+_DOOR_EVENTS = {"open": EventKind.DOOR_OPEN, "close": EventKind.DOOR_CLOSE}
+_DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE  # bound once: see events.py
 
 
 def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
@@ -77,12 +79,10 @@ def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
             meters = float(args[0])
         except ValueError:
             raise ValueError(f"malformed number {args[0]!r}") from None
-        return ScenarioEvent(at=at, kind=EventKind.DISTANCE_SAMPLE, meters=meters)
+        return ScenarioEvent(at=at, kind=_DISTANCE_SAMPLE, meters=meters)
     if word == "door":
-        if args == ["open"]:
-            return ScenarioEvent(at=at, kind=EventKind.DOOR_OPEN)
-        if args == ["close"]:
-            return ScenarioEvent(at=at, kind=EventKind.DOOR_CLOSE)
+        if len(args) == 1 and args[0] in _DOOR_EVENTS:
+            return ScenarioEvent(at=at, kind=_DOOR_EVENTS[args[0]])
         raise ValueError("door takes exactly one of: open, close")
     raise ValueError(f"unknown event {word!r}")
 

@@ -1,6 +1,7 @@
 """Event vocabulary and queue ordering."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -35,8 +36,49 @@ class TestScenarioEvent:
         with pytest.raises(ValueError, match="does not take"):
             ScenarioEvent(at=0, kind=EventKind.DOOR_OPEN, meters=1.0)
 
+    @pytest.mark.parametrize("meters", ["1", True, [1]])
+    def test_non_number_meters_rejected(self, meters):
+        with pytest.raises(ValueError, match="meters must be a number"):
+            ScenarioEvent(at=0, kind=EventKind.DISTANCE_SAMPLE, meters=meters)
+
+    @pytest.mark.parametrize("meters", [0, 3, 0.0, 2.5])
+    def test_int_and_float_meters_accepted(self, meters):
+        assert ScenarioEvent(at=0, kind=EventKind.DISTANCE_SAMPLE, meters=meters).meters == meters
+
     def test_large_times_supported(self):
         assert ev(2**32 - 1).at == 2**32 - 1
+
+
+class TestScenarioEventRecord:
+    def test_name_repr_and_value_equality(self):
+        a = ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.5)
+        assert type(a).__name__ == "ScenarioEvent"
+        assert repr(a) == (
+            "ScenarioEvent(at=5, kind=<EventKind.DISTANCE_SAMPLE: 'distance'>, meters=0.5)"
+        )
+        assert a == ScenarioEvent(at=5, kind=EventKind.DISTANCE_SAMPLE, meters=0.5)
+        assert hash(a) == hash(ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.5))
+        assert a != ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.25)
+
+    def test_slotted(self):
+        assert not hasattr(ev(0), "__dict__")
+
+    @pytest.mark.parametrize("field", ["at", "kind", "meters"])
+    def test_assigning_a_field_raises(self, field):
+        e = ev(0)
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, field, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(e, field)
+        assert e == ev(0)
+
+    def test_no_new_attribute(self):
+        # Python 3.11's generated __setattr__ for a frozen, slotted dataclass
+        # raises TypeError here rather than FrozenInstanceError; either refuses.
+        e = ev(0)
+        with pytest.raises((AttributeError, TypeError)):
+            e.extra = 1
+        assert not hasattr(e, "extra")
 
 
 class TestEventQueue:
