@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import SimConfig
 from .events import Instant
@@ -120,8 +120,7 @@ def hex_dump(data: bytes) -> str:
     return " ".join(f"{b:02X}" for b in data)
 
 
-@dataclass(frozen=True)
-class DeliveryResult:
+class DeliveryResult(NamedTuple):
     delivered: bool
     delivered_at: Optional[Instant]
     attempts: int

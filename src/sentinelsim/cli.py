@@ -146,7 +146,7 @@ def _cmd_run(args) -> int:
             os.makedirs(os.path.join(args.out, "clips"), exist_ok=True)
         for job in report.clips:
             with open(os.path.join(args.out, job.stored_ref), "wb") as fh:
-                fh.write(b"\x00" * report.clip_bytes)
+                fh.truncate(report.clip_bytes)  # zero bytes, never held in memory
 
     sys.stdout.write(rendered.decode("utf-8"))
     return EXIT_OK

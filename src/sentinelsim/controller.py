@@ -17,7 +17,6 @@ coordinator's checksum check, a decode of those bytes, runs once, at import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple, Optional
 
@@ -58,12 +57,17 @@ _SUCCEEDED = NotificationKind.DEACTIVATION_SUCCEEDED
 _FAILED = NotificationKind.DEACTIVATION_FAILED
 
 
-@dataclass(frozen=True)
-class RecordingJob:
+class RecordingJob(NamedTuple):
     clip_id: str
     started_at: Instant
     duration_ms: int
     stored_ref: str
+
+
+# The one layout of a rendered action line, for Action.line and the text render.
+ACTION_LINE = "%s\t%s\t%s\t%s"
+# namedtuple's generated __new__ is a Python function; tuple.__new__ builds the same object in C.
+_new_tuple = tuple.__new__
 
 
 class Action(NamedTuple):
@@ -75,28 +79,25 @@ class Action(NamedTuple):
     details: str
 
     def line(self) -> str:
-        return f"{self.at}\t{self.component}\t{self.action}\t{self.details}"
+        return ACTION_LINE % self
 
 
 # Internal followup events the controller schedules for itself. The engine
 # feeds them back through dispatch() in time order alongside scenario events.
 
 
-@dataclass(frozen=True)
-class ClipDone:
+class ClipDone(NamedTuple):
     at: Instant
     clip_id: str
 
 
-@dataclass(frozen=True)
-class AttemptDeadline:
+class AttemptDeadline(NamedTuple):
     """Guarantees an item at the attempt's end, where dispatch decides it."""
 
     at: Instant
 
 
-@dataclass(frozen=True)
-class FrameArrival:
+class FrameArrival(NamedTuple):
     """The door alert reaching the coordinator after ``attempts`` sends."""
 
     at: Instant
@@ -188,7 +189,7 @@ class Controller:
         self.last_presence_trigger = t
         self._log(
             t, "sensor", "PRESENCE_TRIGGER",
-            f"source=ultrasonic distance_m={distance:.3f}",
+            f"source=ultrasonic distance_m={distance + 0.0:.3f}",  # -0.0 + 0.0 is 0.0
         )
         if self.active_recording is not None:
             return []
@@ -275,7 +276,7 @@ class Controller:
         self._log(t, "controller", kind._value_, f"trace={trace}")
 
     def _log(self, at: Instant, component: str, action: str, details: str) -> None:
-        self.action_log.append(Action(at, component, action, details))
+        self.action_log.append(_new_tuple(Action, (at, component, action, details)))
 
     # One handler table of plain functions, keyed by a scenario event's kind
     # or a follow-up's type and shared by every controller. Keeping it on the

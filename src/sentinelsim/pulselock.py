@@ -18,7 +18,7 @@ t=0 ends at t=6500.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .events import Instant
 
@@ -71,8 +71,7 @@ class PasswordSpec:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class AttemptOutcome:
+class AttemptOutcome(NamedTuple):
     accepted: bool
     trace: Tuple[int, ...]
 

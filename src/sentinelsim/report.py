@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Tuple
 
-from .controller import Action, RecordingJob
+from .controller import ACTION_LINE, Action, RecordingJob
 
 FORMATS = ("text", "structured")
 
@@ -54,7 +54,7 @@ class RunReport:
 def render_report(report: RunReport, fmt: str = "text") -> bytes:
     """Render to UTF-8 bytes in the requested format."""
     if fmt == "text":
-        lines = [a.line() for a in report.actions]
+        lines = list(map(ACTION_LINE.__mod__, report.actions))
         lines.extend(report.summary_lines())
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "structured":

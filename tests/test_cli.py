@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -34,6 +35,24 @@ def test_run_writes_output_directory(breakin_file, tmp_path):
     clip = out_dir / "clips" / "clip-0001.bin"
     assert clip.is_file()
     assert clip.stat().st_size == 1024
+
+
+def test_clip_placeholder_is_not_built_in_memory(breakin_file, tmp_path):
+    size = 64 * 1024 * 1024
+    out_dir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        argv = ["run", breakin_file, "--set", f"clip_bytes={size}", "--out", str(out_dir)]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    clip = out_dir / "clips" / "clip-0001.bin"
+    assert clip.stat().st_size == size
+    with open(clip, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            assert chunk == bytes(len(chunk))
 
 
 def test_run_structured_format(breakin_file, tmp_path, capsys):

@@ -1,0 +1,110 @@
+"""The data-only records: their contract as values, and the action log's type and lines."""
+
+import pytest
+
+from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
+from sentinelsim.airframe import DeliveryResult
+from sentinelsim.config import SimConfig
+from sentinelsim.controller import (
+    Action,
+    AttemptDeadline,
+    ClipDone,
+    Controller,
+    FrameArrival,
+    RecordingJob,
+)
+from sentinelsim.engine import run
+from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
+from sentinelsim.notify import Dispatcher
+from sentinelsim.pulselock import AttemptOutcome
+from sentinelsim.report import render_report
+from sentinelsim.scenario import parse_scenario
+
+# (record, its fields in order, its repr as the frozen dataclasses printed it)
+RECORDS = [
+    (ClipDone(7000, "clip-0001"), ("at", "clip_id"),
+     "ClipDone(at=7000, clip_id='clip-0001')"),
+    (AttemptDeadline(6500), ("at",), "AttemptDeadline(at=6500)"),
+    (FrameArrival(5020, 2), ("at", "attempts"), "FrameArrival(at=5020, attempts=2)"),
+    (DeliveryResult(True, 5020, 2), ("delivered", "delivered_at", "attempts"),
+     "DeliveryResult(delivered=True, delivered_at=5020, attempts=2)"),
+    (DeliveryResult(False, None, 3), ("delivered", "delivered_at", "attempts"),
+     "DeliveryResult(delivered=False, delivered_at=None, attempts=3)"),
+    (AttemptOutcome(True, (1, 0, 1)), ("accepted", "trace"),
+     "AttemptOutcome(accepted=True, trace=(1, 0, 1))"),
+    (RecordingJob("clip-0001", 2000, 5000, "clips/clip-0001.bin"),
+     ("clip_id", "started_at", "duration_ms", "stored_ref"),
+     "RecordingJob(clip_id='clip-0001', started_at=2000, duration_ms=5000, "
+     "stored_ref='clips/clip-0001.bin')"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, text", RECORDS, ids=[type(r).__name__ for r, _, _ in RECORDS]
+)
+class TestRecordContract:
+    def test_fields_in_order(self, record, fields, text):
+        assert type(record)._fields == fields
+
+    def test_repr(self, record, fields, text):
+        assert repr(record) == text
+
+    def test_equal_and_hashed_by_value(self, record, fields, text):
+        twin = type(record)(*record)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        other = type(record)(*record[:-1], "other")
+        assert other != record
+
+    def test_fields_cannot_be_assigned(self, record, fields, text):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_action_log_holds_actions_with_unchanged_lines():
+    scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
+    cfg = SimConfig(threshold_m=1.0)
+    controller = Controller(cfg, 0, Dispatcher(()))
+    queue = EventQueue()
+    for item in queue.merge(scenario.events):
+        for followup in controller.dispatch(item):
+            queue.push(followup)
+    log = controller.action_log
+    assert {a.action for a in log} >= {
+        "ARMED", "PRESENCE_TRIGGER", "START_RECORDING", "TX", "RX", "INTRUSION",
+        "PRESENCE", "ATTEMPT_BEGIN", "DEACTIVATION_SUCCEEDED",
+    }
+    for a in log:
+        assert type(a) is Action
+        assert a.line() == f"{a.at}\t{a.component}\t{a.action}\t{a.details}"
+
+
+def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
+    controller = Controller(SimConfig(), 0, Dispatcher(()))
+    [done] = controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
+    twin = FrameArrival(done.at, done.clip_id)
+    assert twin == done and hash(twin) == hash(done)
+    controller.dispatch(twin)
+    assert [a.action for a in controller.action_log[-2:]] == ["RX", "SUPPRESSED"]
+    assert controller.active_recording is not None
+    controller.dispatch(done)
+    assert controller.action_log[-1].action == "PRESENCE"
+    assert controller.active_recording is None
+
+
+class TestNegativeZeroDistance:
+    # -0.0 >= 0 holds, so a negative zero is a valid sample; it logs as 0.000
+    TRIGGER = (100, "sensor", "PRESENCE_TRIGGER", "source=ultrasonic distance_m=0.000")
+
+    @pytest.mark.parametrize("meters", ["-0", "-0.0", "-0.000"])
+    def test_parsed(self, meters):
+        report = run(parse_scenario(f"100 distance {meters}"))
+        assert report.actions[0] == self.TRIGGER
+        for fmt in ("text", "structured"):
+            assert b"-0.000" not in render_report(report, fmt)
+
+    def test_hand_built(self):
+        controller = Controller(SimConfig(), 0, Dispatcher(()))
+        controller.dispatch(ScenarioEvent(100, EventKind.DISTANCE_SAMPLE, meters=-0.0))
+        assert controller.action_log[0] == self.TRIGGER

@@ -62,3 +62,11 @@ reports = st.builds(
 @given(reports)
 def test_structured_matches_the_json_dumps_reference(report):
     assert render_report(report, "structured") == reference_structured(report)
+
+
+@given(st.lists(st.builds(Action, ints, st.text(), st.text(), st.text()), max_size=4))
+def test_text_action_lines_keep_the_f_string_layout(actions):
+    report = RunReport("s", 0, "rng", "ARMED", tuple(actions), {}, (), 0)
+    lines = [f"{a.at}\t{a.component}\t{a.action}\t{a.details}" for a in actions]
+    expected = "\n".join(lines + report.summary_lines()) + "\n"
+    assert render_report(report, "text") == expected.encode("utf-8")
