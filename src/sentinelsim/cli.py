@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes follow the phase: 0 on success; 1 for usage, file, scenario and
-config problems (all found before the simulation, --out writes aside); 2
-for any exception raised inside engine.simulate, an internal fault.
+`run` has three phases with one failure rule each. Prepare reads and checks
+the inputs (exit 1). Simulate writes no file; any exception in it is an
+internal fault (exit 2). Write puts every --out file in place or none (exit 1).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import __version__, engine, pulselock, rng
 from .config import ConfigError, SimConfig, apply_overrides, load_config_file
-from .notify import LineFileSink, MaildirSink
+from .notify import LineFileSink, MaildirSink, MemorySink
 from .report import FORMATS, render_report
 from .scenario import ScenarioError, parse_scenario
 
@@ -55,9 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=seed, default=0, help="RNG seed in [0, 2^64) (default 0)")
     run_p.add_argument("--config", help="JSON config file of overrides")
     run_p.add_argument("--out", help="directory for report, outbox log and clips")
-    run_p.add_argument(
-        "--format", choices=FORMATS, default="text", help="report format"
-    )
+    run_p.add_argument("--format", choices=FORMATS, default="text", help="report format")
     run_p.add_argument(
         "--set",
         dest="overrides",
@@ -109,29 +107,44 @@ def _clear_out_dir(out: str) -> None:
             os.remove(path)
 
 
+def _write_out(out: str, fmt: str, rendered: bytes, report, cfg, mail) -> None:
+    """Write every --out file of a finished run, or on an OSError none of them."""
+    path = os.path.join(out, "report.json" if fmt == "structured" else "report.txt")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(rendered)
+        path = os.path.join(out, "outbox.log")
+        open(path, "w", encoding="utf-8").close()  # the sink appends
+        sinks = [(path, LineFileSink(path))]
+        if cfg.maildir:
+            root = os.path.join(out, "maildir")
+            sinks.append((root, MaildirSink(root, cfg.addresses())))
+        for path, sink in sinks:  # dispatch order: the bytes it would write as a run's sink
+            for notification in mail:
+                sink.deliver(notification)
+        for job in report.clips:
+            path = os.path.join(out, job.stored_ref)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.truncate(report.clip_bytes)  # zero bytes, never held in memory
+    except OSError as exc:
+        _clear_out_dir(out)
+        raise OSError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     file_overrides = load_config_file(args.config) if args.config else {}
     # only the fully layered config is validated, inside engine.prepare
     base = apply_overrides(SimConfig(), file_overrides)
     cfg = engine.prepare(scenario, base, _parse_cli_overrides(args.overrides))
-
-    extra_sinks = []
     if args.out:
         _clear_out_dir(args.out)
-        outbox_path = os.path.join(args.out, "outbox.log")
-        open(outbox_path, "w", encoding="utf-8").close()  # the sink appends
-        extra_sinks.append(LineFileSink(outbox_path))
-        if cfg.maildir:
-            extra_sinks.append(
-                MaildirSink(os.path.join(args.out, "maildir"), cfg.addresses())
-            )
+    mail = MemorySink()
 
     try:
-        report = engine.simulate(scenario, cfg, args.seed, extra_sinks)
+        report = engine.simulate(scenario, cfg, args.seed, [mail] if args.out else [])
     except Exception as exc:
-        if args.out:  # leave nothing that looks like a finished run's files
-            _clear_out_dir(args.out)
         tb = traceback.extract_tb(exc.__traceback__)[-1]  # the innermost frame
         where = f"{os.path.basename(tb.filename)}:{tb.lineno} in {tb.name}"
         print(f"runtime error: {type(exc).__name__}: {exc}\n  at {where}", file=sys.stderr)
@@ -139,15 +152,7 @@ def _cmd_run(args) -> int:
     rendered = render_report(report, args.format)
 
     if args.out:
-        ext = "json" if args.format == "structured" else "txt"
-        with open(os.path.join(args.out, f"report.{ext}"), "wb") as fh:
-            fh.write(rendered)
-        if report.clips:
-            os.makedirs(os.path.join(args.out, "clips"), exist_ok=True)
-        for job in report.clips:
-            with open(os.path.join(args.out, job.stored_ref), "wb") as fh:
-                fh.truncate(report.clip_bytes)  # zero bytes, never held in memory
-
+        _write_out(args.out, args.format, rendered, report, cfg, mail.messages)
     sys.stdout.write(rendered.decode("utf-8"))
     return EXIT_OK
 
@@ -155,9 +160,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args.scenario)
     engine.prepare(scenario)
-    print(
-        f"OK: {len(scenario.events)} events, {len(scenario.overrides)} overrides"
-    )
+    print(f"OK: {len(scenario.events)} events, {len(scenario.overrides)} overrides")
     return EXIT_OK
 
 

@@ -3,8 +3,8 @@
 prepare() layers the config and makes every check that must pass before the
 first event, so an exception raised in simulate() is an internal fault.
 simulate() touches no wall clock and no filesystem: identical (scenario,
-seed, config) give byte-identical reports. File outputs (report, outbox
-log, clip placeholders) are the CLI layer's job.
+seed, config) give byte-identical reports. File outputs are the CLI's job,
+written from a MemorySink's notifications once simulate() has returned.
 
 Dispatch order: scenario events in time order (ties keep scenario order),
 merged with the controller's follow-ups (clip ends, attempt deadlines, frame

@@ -92,13 +92,8 @@ class EventQueue:
             return None
         return heapq.heappop(self._heap)[2]
 
-    def drain(self) -> Iterator:
-        """Yield items in dispatch order until the queue is empty."""
-        while self._heap:
-            yield self.pop()
-
     def merge(self, stream: Iterable) -> Iterator:
-        """Yield ``stream`` interleaved with this queue's items, then drain it.
+        """Yield ``stream`` interleaved with this queue's items, then the rest.
 
         ``stream`` must already be in time order. Before each stream item the
         queued items due strictly earlier are yielded, so a stream item
@@ -111,7 +106,8 @@ class EventQueue:
             while heap and heap[0][0] < at:
                 yield self.pop()
             yield item
-        yield from self.drain()
+        while heap:
+            yield self.pop()
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -11,8 +11,8 @@ the half-open window
 
     [start + k*period, start + k*period + press_window)
 
-so with the defaults (period 1000, window 500) a 7-pulse attempt started at
-t=0 ends at t=6500.
+so with SimConfig's defaults (period 1000, window 500) a 7-pulse attempt
+started at t=0 ends at t=6500.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class PasswordSpec:
     """The configured password and its pulse timing."""
 
     bits: Tuple[int, ...]
-    pulse_period_ms: int = 1000
-    press_window_ms: int = 500
+    pulse_period_ms: int
+    press_window_ms: int
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.bits) <= MAX_BITS:
@@ -53,9 +53,7 @@ class PasswordSpec:
             )
 
     @classmethod
-    def from_string(
-        cls, text: str, pulse_period_ms: int = 1000, press_window_ms: int = 500
-    ) -> "PasswordSpec":
+    def from_string(cls, text: str, pulse_period_ms: int, press_window_ms: int) -> "PasswordSpec":
         """Parse the config-file form, a string of '0'/'1' characters."""
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"password must be a non-empty string of 0/1, got {text!r}")

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes and output files."""
 
+import errno
 import json
 import os
 import tracemalloc
@@ -7,8 +8,9 @@ import tracemalloc
 import pytest
 
 from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
-from sentinelsim import controller, engine
+from sentinelsim import cli, controller, engine
 from sentinelsim.cli import main
+from sentinelsim.notify import LineFileSink, MaildirSink
 
 
 @pytest.fixture
@@ -311,6 +313,79 @@ def test_exit_two_leaves_no_file_the_run_wrote(breakin_file, tmp_path, monkeypat
     assert "runtime error: KeyError: 'clip'" in capsys.readouterr().err
     left = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
     assert left == ["notes.txt"]
+
+
+def _out_dir_with_notes(tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("mine", encoding="utf-8")
+    return out_dir
+
+
+def _files_under(out_dir):
+    return sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
+
+
+def test_simulation_writes_no_out_file(breakin_file, tmp_path, monkeypatch):
+    out_dir = _out_dir_with_notes(tmp_path)
+    simulate = engine.simulate
+    seen = []
+
+    def watched_simulate(*args, **kwargs):
+        report = simulate(*args, **kwargs)
+        seen.append(_files_under(out_dir))
+        return report
+
+    monkeypatch.setattr(engine, "simulate", watched_simulate)
+    argv = ["run", breakin_file, "--set", "maildir=true", "--out", str(out_dir)]
+    assert main(argv) == 0
+    assert seen == [["notes.txt"]]
+    assert {"report.txt", "outbox.log", "clips/clip-0001.bin"} <= set(_files_under(out_dir))
+    assert len(list((out_dir / "maildir" / "new").iterdir())) == 2
+
+
+@pytest.mark.parametrize("sink, named", [(LineFileSink, "outbox.log"), (MaildirSink, "maildir")])
+def test_failed_sink_write_leaves_no_file_and_names_it(
+    breakin_file, tmp_path, monkeypatch, capsys, sink, named
+):
+    deliver = sink.deliver
+    calls = []
+
+    def full_disk_deliver(self, notification):
+        calls.append(notification)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        deliver(self, notification)
+
+    monkeypatch.setattr(sink, "deliver", full_disk_deliver)
+    out_dir = _out_dir_with_notes(tmp_path)
+    argv = ["run", breakin_file, "--set", "maildir=true", "--out", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: cannot write " in captured.err
+    assert named in captured.err and "No space left on device" in captured.err
+    assert captured.out == ""
+    assert _files_under(out_dir) == ["notes.txt"]
+
+
+def test_failed_clip_write_leaves_no_file_and_names_it(breakin_file, tmp_path, monkeypatch, capsys):
+    # as under a file-size limit: the clip file is made, then growing it fails
+    def too_large_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if str(path).endswith(".bin"):
+            fh.close()
+            raise OSError(errno.EFBIG, "File too large")
+        return fh
+
+    monkeypatch.setattr(cli, "open", too_large_open, raising=False)
+    out_dir = _out_dir_with_notes(tmp_path)
+    argv = ["run", breakin_file, "--set", "maildir=true", "--out", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    clip = os.path.join(str(out_dir), "clips", "clip-0001.bin")
+    assert f"error: cannot write {clip}: File too large" in captured.err
+    assert captured.out == ""
+    assert _files_under(out_dir) == ["notes.txt"]
 
 
 def test_run_resolves_its_config_once(breakin_file, tmp_path, monkeypatch):

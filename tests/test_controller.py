@@ -31,7 +31,7 @@ def drive(controller, events):
     queue = EventQueue()
     for e in events:
         queue.push(e)
-    for item in queue.drain():
+    for item in queue.merge(()):
         for followup in controller.dispatch(item):
             queue.push(followup)
 

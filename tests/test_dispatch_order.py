@@ -36,7 +36,7 @@ def reference_run(scenario, seed, overrides):
     queue = EventQueue()
     for ev in scenario.events:
         queue.push(ev)
-    for item in queue.drain():
+    for item in queue.merge(()):
         for followup in controller.dispatch(item):
             queue.push(followup)
     return RunReport(

@@ -93,7 +93,7 @@ class TestEventQueue:
         q = EventQueue()
         q.push(ev(5))
         q.push(ev(3))
-        assert [e.at for e in q.drain()] == [3, 5]
+        assert [e.at for e in q.merge(())] == [3, 5]
 
     def test_stable_tie_break(self):
         q = EventQueue()
@@ -101,7 +101,7 @@ class TestEventQueue:
         b = ev(7, EventKind.DOOR_CLOSE)
         q.push(a)
         q.push(b)
-        assert list(q.drain()) == [a, b]
+        assert list(q.merge(())) == [a, b]
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
@@ -112,7 +112,7 @@ class TestEventQueue:
         q = EventQueue()
         for e in events:
             q.push(e)
-        drained = [id(e) for e in q.drain()]
+        drained = [id(e) for e in q.merge(())]
         expected = [id(e) for e in sorted(events, key=lambda e: e.at)]
         assert drained == expected
 
@@ -122,7 +122,7 @@ class TestEventQueue:
         q = EventQueue()
         for e in events:
             q.push(e)
-        assert [id(e) for e in q.drain()] == [
+        assert [id(e) for e in q.merge(())] == [
             id(e) for e in sorted(events, key=lambda e: e.at)
         ]
 
@@ -131,7 +131,7 @@ class TestEventQueue:
         events = [ev(i % 3) for i in range(50)]
         for e in events:
             q.push(e)
-        drained = list(q.drain())
+        drained = list(q.merge(()))
         assert len(drained) == 50
         assert sorted(map(id, drained)) == sorted(map(id, events))
 

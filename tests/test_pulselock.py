@@ -30,13 +30,13 @@ class TestPasswordSpec:
 
     def test_rejects_bad_characters(self):
         with pytest.raises(ValueError):
-            PasswordSpec.from_string("10x1")
+            PasswordSpec.from_string("10x1", 1000, 500)
 
     def test_rejects_empty_and_oversized(self):
         with pytest.raises(ValueError):
-            PasswordSpec.from_string("")
+            PasswordSpec.from_string("", 1000, 500)
         with pytest.raises(ValueError):
-            PasswordSpec.from_string("1" * 33)
+            PasswordSpec.from_string("1" * 33, 1000, 500)
 
     def test_window_must_fit_period(self):
         with pytest.raises(ValueError):
