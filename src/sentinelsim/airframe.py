@@ -135,7 +135,8 @@ def transmit(cfg: SimConfig, at: Instant, rng: SplitMix64) -> DeliveryResult:
     the frame is dropped.
     """
     attempts = cfg.max_retries + 1
+    draw, drop_probability = rng.random, cfg.drop_probability
     for k in range(1, attempts + 1):
-        if rng.random() >= cfg.drop_probability:
-            return DeliveryResult(True, at + k * cfg.latency_ms, k)
-    return DeliveryResult(False, None, attempts)
+        if draw() >= drop_probability:
+            return tuple.__new__(DeliveryResult, (True, at + k * cfg.latency_ms, k))
+    return tuple.__new__(DeliveryResult, (False, None, attempts))  # C, not namedtuple's __new__

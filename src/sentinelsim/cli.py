@@ -8,6 +8,7 @@ internal fault (exit 2). Write puts every --out file in place or none (exit 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -43,6 +44,7 @@ def seed(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sentinelsim", description=__doc__)
     parser.add_argument(
@@ -90,8 +92,13 @@ def _parse_cli_overrides(pairs: List[str]) -> dict:
 
 
 def _load_scenario(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # name the bad byte's line as the parser counts lines
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(text, name=name)
 

@@ -87,7 +87,7 @@ class SimConfig:
                 f"clip_duration_ms must be in [{CLIP_DURATION_MIN_MS}, "
                 f"{CLIP_DURATION_MAX_MS}], got {self.clip_duration_ms}",
             ),
-            (self.clip_bytes >= 0, "clip_bytes must be >= 0"),
+            (0 <= self.clip_bytes < 2**63, "clip_bytes must be a file size in [0, 2^63)"),
             (0.0 <= self.drop_probability <= 1.0, "drop_probability must be in [0, 1]"),
             (self.latency_ms >= 0, "latency_ms must be >= 0"),
             (self.max_retries >= 0, "max_retries must be >= 0"),

@@ -24,7 +24,7 @@ from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
 from .config import SimConfig
 from .events import EventKind, Instant, ScenarioEvent
-from .notify import Dispatcher, NotificationKind, build_notification
+from .notify import OWNER_AND_AUTHORITIES, Dispatcher, NotificationKind, build_notification
 from .rng import SplitMix64
 from .sensors import distance_from_echo, echo_from_distance, presence_detect
 
@@ -39,6 +39,11 @@ DOOR_ALERT_HEX = hex_dump(DOOR_ALERT)
 # rather than a run.
 if decode_frame(DOOR_ALERT) != DOOR_FRAME:
     raise RuntimeError(f"door alert {DOOR_ALERT_HEX} does not decode to {DOOR_FRAME}")
+
+# Log details that never vary, built once; RX and DROP lines add the attempt count.
+_TX_DETAILS = f"src=door frame={DOOR_ALERT_HEX}"
+_ATTEMPTS_PREFIX = f"frame={DOOR_ALERT_HEX} attempts="
+_INTRUSION_DETAILS = "recipients=" + ",".join(OWNER_AND_AUTHORITIES)
 
 
 class SimulationOrderError(RuntimeError):
@@ -122,7 +127,7 @@ class Controller:
         self.clips: List[RecordingJob] = []
         self._rng = SplitMix64(seed)
         self._door_open = False
-        self._last_time: Optional[Instant] = None
+        self._last_time: Instant = -1  # before every item: instants are >= 0
 
     def dispatch(self, item) -> list:
         """Process one timestamped item; returns followups to schedule.
@@ -131,7 +136,7 @@ class Controller:
         simulation bug and fails fast.
         """
         t = item.at
-        if self._last_time is not None and t < self._last_time:
+        if t < self._last_time:
             raise SimulationOrderError(
                 f"event at t={t} dispatched after t={self._last_time}"
             )
@@ -145,10 +150,10 @@ class Controller:
         if pending is not None and t >= pending.end:
             self._decide_attempt(pending)
 
-        key = item.kind if type(item) is ScenarioEvent else type(item)
-        handler = self._HANDLERS.get(key)
-        if handler is None:
-            raise TypeError(f"cannot dispatch {type(item).__name__}")
+        try:
+            handler = self._HANDLERS[item.kind if type(item) is ScenarioEvent else type(item)]
+        except KeyError:
+            raise TypeError(f"cannot dispatch {type(item).__name__}") from None
         return handler(self, item)
 
     def _on_arm(self, ev: ScenarioEvent) -> list:
@@ -161,10 +166,10 @@ class Controller:
             return []
         self._door_open = True
         result = transmit(self.cfg, ev.at, self._rng)
-        self._log(ev.at, "link", "TX", f"src=door frame={DOOR_ALERT_HEX}")
+        self._log(ev.at, "link", "TX", _TX_DETAILS)
         if result.delivered:
-            return [FrameArrival(result.delivered_at, result.attempts)]
-        self._log(ev.at, "link", "DROP", f"frame={DOOR_ALERT_HEX} attempts={result.attempts}")
+            return [_new_tuple(FrameArrival, (result.delivered_at, result.attempts))]
+        self._log(ev.at, "link", "DROP", f"{_ATTEMPTS_PREFIX}{result.attempts}")
         return []
 
     def _on_door_close(self, ev: ScenarioEvent) -> list:
@@ -211,12 +216,10 @@ class Controller:
     def _dispatch_arrival(self, arrival: FrameArrival) -> list:
         # the frame is always DOOR_ALERT, whose checksum was checked at import
         t = arrival.at
-        self._log(t, "link", "RX", f"frame={DOOR_ALERT_HEX} attempts={arrival.attempts}")
+        self._log(t, "link", "RX", f"{_ATTEMPTS_PREFIX}{arrival.attempts}")
         if self.mode is _ARMED:
-            notification = build_notification(_INTRUSION, t)
-            self.dispatcher.dispatch(notification)
-            recipients = ",".join(notification.recipients)
-            self._log(t, "controller", "INTRUSION", f"recipients={recipients}")
+            self.dispatcher.dispatch(build_notification(_INTRUSION, t))
+            self._log(t, "controller", "INTRUSION", _INTRUSION_DETAILS)
         else:
             self._log(
                 t, "controller", "SUPPRESSED", "event=intruder_alert reason=disarmed"
@@ -240,10 +243,7 @@ class Controller:
         )
         self.dispatcher.dispatch(notification)
         recipients = ",".join(notification.recipients)
-        self._log(
-            done.at, "controller", "PRESENCE",
-            f"clip={job.clip_id} recipients={recipients}",
-        )
+        self._log(done.at, "controller", "PRESENCE", f"clip={job.clip_id} recipients={recipients}")
         return []
 
     def _on_mode_button(self, ev: ScenarioEvent) -> list:

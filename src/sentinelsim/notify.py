@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .events import Instant
 
@@ -33,21 +33,25 @@ class NotificationKind(Enum):
 _PRESENCE, _INTRUSION = NotificationKind.PRESENCE, NotificationKind.INTRUSION
 
 
-@dataclass(frozen=True)
-class Notification:
-    """One message; ``build_notification`` sets its owner-first recipients."""
-
+class _NotificationFields(NamedTuple):
     kind: NotificationKind
     recipients: Tuple[str, ...]
     attachment: Optional[str]
     created_at: Instant
 
-    def __post_init__(self) -> None:
-        if self.kind is _PRESENCE:
-            if self.attachment is None:
+
+class Notification(_NotificationFields):
+    """One immutable message, equal by value; ``build_notification`` sets its recipients."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, recipients, attachment, created_at):
+        if kind is _PRESENCE:
+            if attachment is None:
                 raise ValueError("presence notifications carry a clip attachment")
-        elif self.attachment is not None:
-            raise ValueError(f"{self.kind._value_} notifications carry no attachment")
+        elif attachment is not None:
+            raise ValueError(f"{kind._value_} notifications carry no attachment")
+        return tuple.__new__(cls, (kind, recipients, attachment, created_at))  # in C
 
     @property
     def subject(self) -> str:
@@ -62,7 +66,7 @@ class Notification:
 
 
 _OWNER_ONLY = (OWNER,)
-_OWNER_AND_AUTHORITIES = (OWNER, AUTHORITIES)
+OWNER_AND_AUTHORITIES = (OWNER, AUTHORITIES)  # an intrusion's recipients
 
 
 def build_notification(
@@ -79,7 +83,7 @@ def build_notification(
     authorities as well.
     """
     if kind is _INTRUSION or (kind is _PRESENCE and presence_to_authorities):
-        recipients = _OWNER_AND_AUTHORITIES
+        recipients = OWNER_AND_AUTHORITIES
     else:
         recipients = _OWNER_ONLY
     return Notification(kind, recipients, attachment, t)

@@ -32,5 +32,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def random(self) -> float:
-        """Uniform float in [0, 1) built from the top 53 bits of one draw."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        """Uniform float in [0, 1) from the top 53 bits of one draw; next_u64 inlined."""
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53

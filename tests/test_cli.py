@@ -3,6 +3,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -459,3 +461,57 @@ def test_shipped_scenarios_parse():
     root = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
     for name in ("breakin.scn", "deactivate.scn"):
         assert main(["validate", os.path.join(root, name)]) == 0
+
+
+def _python(*args) -> bytes:
+    """Stdout of a new interpreter that imports sentinelsim from this tree."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True).stdout
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    code = "import sentinelsim.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert _python("-c", code) == b"0\n"
+
+
+def test_cached_parser_carries_nothing_between_calls(breakin_file, capsys):
+    assert main(["run", breakin_file, "--set", "drop_probability=0.5", "--seed", "9"]) == 0
+    first = capsys.readouterr().out
+    assert main(["run", breakin_file, "--format", "yaml"]) == 1  # a usage error
+    capsys.readouterr()
+    assert main(["run", breakin_file]) == 0
+    third = capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    assert third != first
+    assert third.encode("utf-8") == _python("-m", "sentinelsim.cli", "run", breakin_file)
+
+
+def test_huge_clip_bytes_exits_one_before_the_run_and_writes_nothing(breakin_file, tmp_path, capsys):
+    # 10^20 is past any file offset; fh.truncate once raised OverflowError on it
+    out_dir = tmp_path / "out"
+    argv = ["run", breakin_file, "--set", "clip_bytes=100000000000000000000", "--out", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "clip_bytes" in captured.err and "Traceback" not in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (b"0 arm\n1000 distance 0.5\n\xff000 door open\n", 3),
+        (b"0 arm\r\n# caf\xe9\r\n", 2),  # Latin-1, not UTF-8
+        (b"0 arm\r1000 distance 0.5\r2000 door open \xc3\r", 3),  # parser splits on CR too
+    ],
+    ids=["lf", "crlf-latin-1", "cr"],
+)
+def test_non_utf8_scenario_names_its_file_and_line(tmp_path, command, text, line, capsys):
+    path = tmp_path / "latin.scn"
+    path.write_bytes(text)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: not UTF-8 text (")
+    assert "Traceback" not in err

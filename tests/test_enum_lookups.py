@@ -1,9 +1,9 @@
-"""No Enum member or ``.value`` lookup on the per-event and per-notification paths.
+"""No Enum member or ``.value`` lookup on the per-event, per-draw and per-notification paths.
 
 On Python 3.11, ``EnumType.__getattr__`` routes every ``EventKind.X`` lookup
 through a slow attribute hook (many times the cost of a global), and a
 member's ``value`` is a Python-level property. The functions below run once
-per event or per notification, so they compare against members bound once
+per event, link draw or notification, so they compare against members bound once
 at import and read ``_value_``, the plain attribute behind ``value``. This
 test reads their source and fails on any such lookup creeping back in.
 """
@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from sentinelsim import controller, engine, events, notify, scenario
+from sentinelsim import controller, engine, events, notify, rng, scenario
 
 ENUM_CLASSES = {"EventKind", "SystemMode", "NotificationKind", "FrameType"}
 
@@ -29,13 +29,14 @@ HOT_FUNCTIONS = {
         for fn in controller.Controller._HANDLERS.values()
     },
     "controller.Controller._decide_attempt": controller.Controller._decide_attempt,
-    "notify.Notification.__post_init__": notify.Notification.__post_init__,
+    "notify.Notification.__new__": notify.Notification.__new__,
     "notify.Notification.subject": notify.Notification.subject.fget,
     "notify.Notification.body": notify.Notification.body.fget,
     "notify.build_notification": notify.build_notification,
     "notify.format_outbox_line": notify.format_outbox_line,
     "notify.MaildirSink.deliver": notify.MaildirSink.deliver,
     "notify.Dispatcher.dispatch": notify.Dispatcher.dispatch,
+    "rng.SplitMix64.random": rng.SplitMix64.random,
 }
 
 

@@ -11,6 +11,7 @@ from sentinelsim.notify import (
     LineFileSink,
     MaildirSink,
     MemorySink,
+    Notification,
     NotificationKind,
     Receipt,
     build_notification,
@@ -65,6 +66,36 @@ class TestBuildNotification:
         b = build_notification(NotificationKind.INTRUSION, 123)
         assert a == b
 
+
+class TestNotification:
+    """Built directly, not through build_notification: the same construction rules."""
+
+    def test_presence_without_attachment_raises(self):
+        with pytest.raises(ValueError, match="presence notifications carry a clip attachment"):
+            Notification(NotificationKind.PRESENCE, (OWNER,), None, 2000)
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in NotificationKind if k is not NotificationKind.PRESENCE]
+    )
+    def test_attachment_on_another_kind_raises(self, kind):
+        with pytest.raises(ValueError, match=f"{kind.value} notifications carry no attachment"):
+            Notification(kind, (OWNER,), "clip-0001", 2000)
+
+    def test_keywords_take_the_same_rules(self):
+        n = Notification(
+            kind=NotificationKind.PRESENCE, recipients=(OWNER,), attachment="clip-0001", created_at=2000
+        )
+        assert n == build_notification(NotificationKind.PRESENCE, 2000, "clip-0001")
+        with pytest.raises(ValueError):
+            Notification(kind=NotificationKind.PRESENCE, recipients=(OWNER,), attachment=None, created_at=0)
+
+    def test_is_an_immutable_named_tuple(self):
+        n = build_notification(NotificationKind.INTRUSION, 5000)
+        assert type(n) is Notification and isinstance(n, tuple)
+        assert n == (NotificationKind.INTRUSION, (OWNER, AUTHORITIES), None, 5000)
+        assert not hasattr(n, "__dict__")
+        with pytest.raises(AttributeError):
+            n.subject_override = "x"
 
 
 class TestDispatcher:

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
-from sentinelsim.airframe import DeliveryResult
+from sentinelsim.airframe import DeliveryResult, transmit
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import (
     Action,
@@ -15,9 +15,10 @@ from sentinelsim.controller import (
 )
 from sentinelsim.engine import run
 from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
-from sentinelsim.notify import Dispatcher
+from sentinelsim.notify import AUTHORITIES, OWNER, Dispatcher, Notification, NotificationKind
 from sentinelsim.pulselock import AttemptOutcome
 from sentinelsim.report import render_report
+from sentinelsim.rng import SplitMix64
 from sentinelsim.scenario import parse_scenario
 
 # (record, its fields in order, its repr as the frozen dataclasses printed it)
@@ -36,6 +37,10 @@ RECORDS = [
      ("clip_id", "started_at", "duration_ms", "stored_ref"),
      "RecordingJob(clip_id='clip-0001', started_at=2000, duration_ms=5000, "
      "stored_ref='clips/clip-0001.bin')"),
+    (Notification(NotificationKind.INTRUSION, (OWNER, AUTHORITIES), None, 5000),
+     ("kind", "recipients", "attachment", "created_at"),
+     "Notification(kind=<NotificationKind.INTRUSION: 'INTRUSION'>, "
+     "recipients=('owner', 'authorities'), attachment=None, created_at=5000)"),
 ]
 
 
@@ -108,3 +113,14 @@ class TestNegativeZeroDistance:
         controller = Controller(SimConfig(), 0, Dispatcher(()))
         controller.dispatch(ScenarioEvent(100, EventKind.DISTANCE_SAMPLE, meters=-0.0))
         assert controller.action_log[0] == self.TRIGGER
+
+
+def test_link_records_are_built_as_their_own_types():
+    # transmit and the door handler build these with tuple.__new__, not the class call
+    for p in (0.0, 1.0):
+        result = transmit(SimConfig(drop_probability=p), 100, SplitMix64(0))
+        assert type(result) is DeliveryResult
+    assert result == DeliveryResult(False, None, 3)
+    controller = Controller(SimConfig(latency_ms=20), 0, Dispatcher(()))
+    [arrival] = controller.dispatch(ScenarioEvent(100, EventKind.DOOR_OPEN))
+    assert type(arrival) is FrameArrival and arrival == FrameArrival(120, 1)

@@ -1,6 +1,8 @@
 """splitmix64 stream correctness and determinism."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentinelsim.rng import ALGORITHM, SplitMix64
 
@@ -49,6 +51,14 @@ def test_random_unit_interval():
     assert all(0.0 <= v < 1.0 for v in values)
     # crude uniformity sanity check
     assert 0.4 < sum(values) / len(values) < 0.6
+
+
+@given(st.integers(0, MASK))
+def test_random_is_the_top_53_bits_of_next_u64(seed):
+    # random() draws in its own frame; it must stay the same stream as next_u64
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(64):
+        assert a.random() == (b.next_u64() >> 11) * 2.0**-53
 
 
 def test_seed_bounds():
