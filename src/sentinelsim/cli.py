@@ -16,7 +16,7 @@ import traceback
 from typing import List, Optional
 
 from . import __version__, engine, pulselock, rng
-from .config import ConfigError, SimConfig, apply_overrides, load_config_file
+from .config import ConfigError, SimConfig, apply_overrides, integer, load_config_file, read_text
 from .notify import LineFileSink, MaildirSink, MemorySink
 from .report import FORMATS, render_report
 from .scenario import ScenarioError, parse_scenario
@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 def seed(text: str) -> int:
     """The --seed type; argparse names it in a usage error, rng owns the range."""
-    value = int(text)
+    value = integer(text)
     try:
         rng.SplitMix64(value)
     except ValueError as exc:
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     space_p = sub.add_parser(
         "password-space", help="print the candidate count for an n-pulse password"
     )
-    space_p.add_argument("n", type=int, help="pulse count")
+    space_p.add_argument("n", type=integer, help="pulse count")
     space_p.set_defaults(func=_cmd_password_space)
 
     return parser
@@ -92,15 +92,8 @@ def _parse_cli_overrides(pairs: List[str]) -> dict:
 
 
 def _load_scenario(path: str):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # name the bad byte's line as the parser counts lines
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse_scenario(text, name=name)
+    return parse_scenario(read_text(path), name=name)
 
 
 def _clear_out_dir(out: str) -> None:
@@ -115,7 +108,7 @@ def _clear_out_dir(out: str) -> None:
 
 
 def _write_out(out: str, fmt: str, rendered: bytes, report, cfg, mail) -> None:
-    """Write every --out file of a finished run, or on an OSError none of them."""
+    """Write every --out file of a finished run, or on a failed write none of them."""
     path = os.path.join(out, "report.json" if fmt == "structured" else "report.txt")
     try:
         with open(path, "wb") as fh:
@@ -134,9 +127,10 @@ def _write_out(out: str, fmt: str, rendered: bytes, report, cfg, mail) -> None:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "wb") as fh:
                 fh.truncate(report.clip_bytes)  # zero bytes, never held in memory
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # the latter: an address no file can hold
         _clear_out_dir(out)
-        raise OSError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+        name = getattr(exc, "filename", None) or path
+        raise OSError(f"cannot write {name}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -186,7 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         for line, msg in exc.errors:
-            print(f"error: line {line}: {msg}", file=sys.stderr)
+            print(f"error: {args.scenario}: line {line}: {msg}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

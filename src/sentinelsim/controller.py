@@ -69,7 +69,7 @@ class RecordingJob(NamedTuple):
     stored_ref: str
 
 
-# The one layout of a rendered action line, for Action.line and the text render.
+# The one layout of a rendered action line: ACTION_LINE % action.
 ACTION_LINE = "%s\t%s\t%s\t%s"
 # namedtuple's generated __new__ is a Python function; tuple.__new__ builds the same object in C.
 _new_tuple = tuple.__new__
@@ -82,9 +82,6 @@ class Action(NamedTuple):
     component: str
     action: str
     details: str
-
-    def line(self) -> str:
-        return ACTION_LINE % self
 
 
 # Internal followup events the controller schedules for itself. The engine
@@ -199,12 +196,7 @@ class Controller:
         if self.active_recording is not None:
             return []
         clip_id = f"clip-{len(self.clips) + 1:04d}"
-        job = RecordingJob(
-            clip_id=clip_id,
-            started_at=t,
-            duration_ms=self.cfg.clip_duration_ms,
-            stored_ref=f"clips/{clip_id}.bin",
-        )
+        job = RecordingJob(clip_id, t, self.cfg.clip_duration_ms, f"clips/{clip_id}.bin")
         self.active_recording = job
         self.clips.append(job)
         self._log(
@@ -270,8 +262,7 @@ class Controller:
             kind = _SUCCEEDED
         else:
             kind = _FAILED
-        notification = build_notification(kind, t)
-        self.dispatcher.dispatch(notification)
+        self.dispatcher.dispatch(build_notification(kind, t))
         trace = "".join(map(str, outcome.trace))
         self._log(t, "controller", kind._value_, f"trace={trace}")
 

@@ -1,10 +1,10 @@
 """Email-like notifications, pluggable delivery sinks and the dispatcher.
 
 Transport is mocked. The dispatcher hands every notification to each sink
-in order, counts notifications per kind for the report and keeps the
-receipts of failed deliveries. A notification stores facts only; its
-subject and body are derived from them when a sink reads them. Clip
-attachments are carried as identifiers, never media bytes.
+in order, counts notifications per kind for the report and returns one
+receipt per sink, a failed delivery's with its error. A notification stores
+facts only; its subject and body are derived from them when a sink reads
+them. Clip attachments are carried as identifiers, never media bytes.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ class Notification(_NotificationFields):
         elif attachment is not None:
             raise ValueError(f"{kind._value_} notifications carry no attachment")
         return tuple.__new__(cls, (kind, recipients, attachment, created_at))  # in C
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__'s rule
+        return cls(*iterable)
 
     @property
     def subject(self) -> str:
@@ -168,14 +173,12 @@ class Dispatcher:
 
     A sink failure is isolated to its own receipt; remaining sinks still
     receive the notification. ``counts`` holds every kind, zeros included,
-    so summaries have stable keys; ``failures`` holds each failed receipt
-    in dispatch order.
+    so summaries have stable keys.
     """
 
     def __init__(self, sinks: Sequence):
         self.sinks = list(sinks)
         self.counts: Dict[str, int] = {kind.value: 0 for kind in NotificationKind}
-        self.failures: List[Receipt] = []
 
     def dispatch(self, notification: Notification) -> Tuple[Receipt, ...]:
         receipts = []
@@ -184,7 +187,6 @@ class Dispatcher:
                 sink.deliver(notification)
             except Exception as exc:
                 receipts.append(Receipt(sink=sink.name, ok=False, error=str(exc)))
-                self.failures.append(receipts[-1])
             else:
                 receipts.append(Receipt(sink=sink.name, ok=True))
         self.counts[notification.kind._value_] += 1

@@ -24,7 +24,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from .config import coerce_value, ConfigError
+from .config import coerce_value, ConfigError, integer
 from .events import EventKind, ScenarioEvent
 
 
@@ -63,15 +63,15 @@ _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE  # bound once: see events.py
 
 def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
     try:
-        at = int(tokens[0])
+        at = integer(tokens[0])
     except ValueError:
         raise ValueError(f"malformed time {tokens[0]!r}") from None
     word = tokens[1]
-    args = tokens[2:]
     if word in _SIMPLE_EVENTS:
-        if args:
+        if len(tokens) > 2:
             raise ValueError(f"{word} takes no arguments")
         return ScenarioEvent(at=at, kind=_SIMPLE_EVENTS[word])
+    args = tokens[2:]  # sliced only for the events that take arguments
     if word == "distance":
         if len(args) != 1:
             raise ValueError("distance takes exactly one value in meters")
@@ -93,10 +93,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     events: List[ScenarioEvent] = []
     errors: List[Tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if tokens[0] == "set":
             if len(tokens) < 3:
                 errors.append((lineno, "set requires a key and a value"))
@@ -108,7 +107,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 errors.append((lineno, str(exc)))
             continue
         if len(tokens) < 2:
-            errors.append((lineno, f"unknown directive {line!r}"))
+            errors.append((lineno, f"unknown directive {tokens[0]!r}"))
             continue
         try:
             events.append(_parse_event_line(tokens))

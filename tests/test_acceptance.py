@@ -18,6 +18,7 @@ from sentinelsim.airframe import (
     transmit,
 )
 from sentinelsim.config import SimConfig
+from sentinelsim.controller import ACTION_LINE
 from sentinelsim.engine import run
 from sentinelsim.notify import MemorySink, NotificationKind
 from sentinelsim.pulselock import AttemptSession, PasswordSpec
@@ -106,9 +107,9 @@ def test_breakin_scenario_end_to_end():
     assert 5000 <= clip.duration_ms <= 10000
     assert intrusion[0].recipients == ("owner", "authorities")
 
-    log_a = "\n".join(a.line() for a in report.actions).encode("utf-8")
+    log_a = "\n".join(ACTION_LINE % a for a in report.actions).encode("utf-8")
     rerun = run(scenario, seed=42, extra_sinks=[MemorySink()])
-    log_b = "\n".join(a.line() for a in rerun.actions).encode("utf-8")
+    log_b = "\n".join(ACTION_LINE % a for a in rerun.actions).encode("utf-8")
     assert log_a == log_b
     assert render_report(report, "structured") == render_report(rerun, "structured")
     _passed("breakin-end-to-end")

@@ -1,18 +1,26 @@
 """CLI subcommands, exit codes and output files."""
 
+import contextlib
+import dataclasses
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
 from sentinelsim import cli, controller, engine
 from sentinelsim.cli import main
+from sentinelsim.config import SimConfig
 from sentinelsim.notify import LineFileSink, MaildirSink
+from sentinelsim.report import FORMATS
 
 
 @pytest.fixture
@@ -515,3 +523,203 @@ def test_non_utf8_scenario_names_its_file_and_line(tmp_path, command, text, line
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line {line}: not UTF-8 text (")
     assert "Traceback" not in err
+
+
+RUN_NAMES = ("report.txt", "report.json", "outbox.log", "clips", "maildir")
+
+
+def _run_names_under(out_dir) -> list:
+    return [name for name in RUN_NAMES if os.path.lexists(os.path.join(out_dir, name))]
+
+
+def test_non_utf8_config_file_names_its_file_and_line(breakin_file, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"latency_ms": 5,\n "owner_email": "\xff"}\n')
+    seen = []
+    load = cli.load_config_file
+    monkeypatch.setattr(cli, "load_config_file", lambda path: seen.append(path) or load(path))
+    out_dir = tmp_path / "out"
+    assert main(["run", breakin_file, "--config", str(cfg), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: line 2: not UTF-8 text (invalid start byte)\n"
+    assert captured.out == ""
+    assert _run_names_under(out_dir) == []
+    assert seen == [str(cfg)]  # still read through cli.load_config_file, with its path
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("0 arm\n1_000 door open\n", [], "line 2: malformed time '1_000'"),
+        ("٣ arm\n", [], "line 1: malformed time '٣'"),
+        ("+5 arm\n", [], "line 1: malformed time '+5'"),
+        ("0 arm\n-5 arm\n", [], "line 2: negative time -5"),
+        ("set latency_ms 1_0\n", [], "line 1: bad value for 'latency_ms': expected an integer"),
+        (BREAKIN_TEXT, ["--set", "latency_ms=1_0"], "bad value for 'latency_ms'"),
+        (BREAKIN_TEXT, ["--set", "max_retries=٣"], "bad value for 'max_retries'"),
+        (BREAKIN_TEXT, ["--seed", "1_0"], "argument --seed: invalid seed value: '1_0'"),
+        (BREAKIN_TEXT, ["--seed", "٣"], "argument --seed"),
+    ],
+    ids=["time-underscore", "time-arabic-indic", "time-plus", "time-negative", "set-line",
+         "set-flag", "set-flag-arabic-indic", "seed-underscore", "seed-arabic-indic"],
+)
+def test_integers_outside_the_grammar_exit_one_naming_where(tmp_path, text, argv, message, capsys):
+    sc = tmp_path / "ints.scn"
+    sc.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(sc), *argv, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    if not argv:  # a scenario line is named with its file
+        assert captured.err.startswith(f"error: {sc}: line ")
+    assert captured.out == ""
+    assert _run_names_under(out_dir) == []
+
+
+def test_config_file_int_string_takes_the_integer_grammar(breakin_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"latency_ms": "1_0"}), encoding="utf-8")
+    assert main(["run", breakin_file, "--config", str(cfg)]) == 1
+    assert "bad value for 'latency_ms': expected an integer, got '1_0'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"latency_ms": "10"}), encoding="utf-8")
+    assert main(["run", breakin_file, "--config", str(cfg), "--set", "max_retries=0"]) == 0
+
+
+def test_password_space_takes_the_integer_grammar(capsys):
+    assert main(["password-space", "1_0"]) == 1
+    assert "argument n: invalid integer value: '1_0'" in capsys.readouterr().err
+
+
+def test_unencodable_address_fails_the_write_phase_cleanly(breakin_file, tmp_path, capsys):
+    # a non-UTF-8 byte in argv arrives as a lone surrogate, which no UTF-8 mail file can hold
+    out_dir = _out_dir_with_notes(tmp_path)
+    argv = ["run", breakin_file, "--set", "maildir=true", "--set", "owner_email=a\udcffb"]
+    assert main([*argv, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {os.path.join(str(out_dir), 'maildir')}: ")
+    assert "surrogates not allowed" in captured.err
+    assert captured.out == ""
+    assert _files_under(out_dir) == ["notes.txt"]
+    assert main(argv) == 0  # without --out nothing holds the address
+
+
+# -- every input runs or is refused: a property over cli.main ----------------
+
+_KEYS = [f.name for f in dataclasses.fields(SimConfig)]
+_EDGES = ["0", "-1", str(2**63), "1e308", "nan", "inf", "true", ""]
+_KEY_TEXTS = {
+    **{key: st.sampled_from(_EDGES) for key in _KEYS},
+    "threshold_m": st.sampled_from(_EDGES + ["0.5", "1.5", "3"]),
+    "drop_probability": st.sampled_from(_EDGES + ["0.5", "1", "1.0"]),
+    "latency_ms": st.sampled_from(_EDGES + ["10", "007", "1_0", "٣"]),
+    # no upper bound yet: drop_probability=1 makes max_retries + 1 draws per door opening
+    "max_retries": st.integers(0, 8).map(str),
+    "clip_bytes": st.sampled_from(_EDGES + ["16", str(2**63 - 1)]),
+    "clip_duration_ms": st.sampled_from(_EDGES + ["5000", "10000", "7_000"]),
+    "password": st.sampled_from(_EDGES + ["1", "0110", "1" * 33]),
+    "maildir": st.sampled_from(_EDGES + ["on", "false"]),
+    "owner_email": st.sampled_from(_EDGES + ["o@x.example", "ü@x.example", "a\udcffb"]),
+}
+_FILE_KEYS = [key for key in _KEYS if key != "max_retries"]  # its values: see _KEY_TEXTS
+_set_flags = st.lists(
+    st.one_of(
+        st.sampled_from(_KEYS).flatmap(lambda k: _KEY_TEXTS[k].map(f"{k}={{}}".format)),
+        st.sampled_from(["latency_ms", "=5", "warp=9"]),
+    ),
+    max_size=3,
+)
+_json_values = st.one_of(
+    st.integers(-1, 10**20), st.floats(), st.booleans(), st.none(), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_config_texts = st.one_of(
+    st.none(),
+    st.sampled_from([b"not json", b"[1, 2]", b'{"latency_ms": \xff}', b"\xef\xbb\xbf{}"]),
+    st.dictionaries(
+        st.sampled_from(_FILE_KEYS + ["warp"]),
+        st.one_of(_json_values, st.sampled_from(_EDGES)),
+        max_size=3,
+    ),
+).map(lambda doc: doc if doc is None or isinstance(doc, bytes) else json.dumps(doc).encode())
+_times = st.one_of(
+    st.integers(0, 30000).map(str),
+    st.sampled_from(["1_000", "٣", "-5", "+5", "1" * 40, str(2**64), "0x10", "1e3", "¹"]),
+)
+_event_words = st.sampled_from([
+    "arm", "mode_button", "press_down", "press_up", "door open", "door close", "door ajar",
+    "distance 0.5", "distance 3.5", "distance nan", "distance 1e999", "distance -1", "distance 0_5",
+])
+_scenario_lines = st.one_of(
+    st.builds("{} {}".format, _times, _event_words),
+    st.sampled_from(_KEYS).flatmap(lambda k: _KEY_TEXTS[k].map(f"set {k} {{}}".format)),
+    st.sampled_from(["# a comment", "", "set", "arm"]),
+).flatmap(lambda line: st.sampled_from([line, line + "  # note"]))
+
+
+def _scenario_bytes(lines, bad, at) -> bytes:
+    encoded = [line.encode("utf-8", "surrogateescape") for line in lines]
+    encoded.insert(at, bad)  # a line of non-UTF-8 bytes, or an empty line
+    return b"\n".join(encoded)
+
+
+_scenario_files = st.builds(
+    _scenario_bytes,
+    st.lists(_scenario_lines, max_size=8),
+    st.sampled_from([b"", b"", b"", b"\xff", b"caf\xe9"]),
+    st.integers(0, 8),
+)
+_seeds = st.one_of(
+    st.integers(0, 2**64 - 1).map(str),
+    st.sampled_from(["0", "7", str(2**64 - 1)]),
+    st.sampled_from(["-1", str(2**64), "1_0", "٣", "+3"]),
+)
+
+
+def _tree(root) -> dict:
+    """An --out tree: file bytes, but a clip's size only (a huge one is sparse)."""
+    tree = {}
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root)
+            if rel.startswith("clips"):
+                tree[rel] = os.path.getsize(path)
+            else:
+                with open(path, "rb") as fh:
+                    tree[rel] = fh.read()
+    return tree
+
+
+def _main_captured(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenario_files, _config_texts, _set_flags, _seeds, st.sampled_from(FORMATS))
+def test_every_input_runs_or_is_refused(scenario, config, sets, seed, fmt):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "s.scn")
+        with open(path, "wb") as fh:
+            fh.write(scenario)
+        argv = ["run", path, "--seed", seed, "--format", fmt]
+        if config is not None:
+            argv += ["--config", os.path.join(root, "c.json")]
+            with open(argv[-1], "wb") as fh:
+                fh.write(config)
+        for flag in sets:
+            argv += ["--set", flag]
+        first = os.path.join(root, "a")
+        code, out, err = _main_captured([*argv, "--out", first])
+        assert code in (0, 1), err
+        if code == 1:
+            assert "error: " in err and "Traceback" not in err
+            assert out == ""
+            assert _run_names_under(first) == []
+            return
+        assert err == ""
+        again = os.path.join(root, "b")
+        assert _main_captured([*argv, "--out", again]) == (0, out, "")
+        assert _tree(again) == _tree(first)

@@ -1,8 +1,8 @@
-"""SimConfig.validate range rules that no run-level test reaches."""
+"""SimConfig.validate range rules that no run-level test reaches, and the integer grammar."""
 
 import pytest
 
-from sentinelsim.config import ConfigError, SimConfig
+from sentinelsim.config import ConfigError, SimConfig, integer
 
 
 @pytest.mark.parametrize("size", [0, 1024, 2**63 - 1])
@@ -15,3 +15,19 @@ def test_clip_bytes_outside_a_file_size_is_rejected_naming_it(size):
     # 10**20 once passed and reached fh.truncate, which raised OverflowError
     with pytest.raises(ConfigError, match=r"clip_bytes must be a file size in \[0, 2\^63\)"):
         SimConfig(clip_bytes=size).validate()
+
+
+@pytest.mark.parametrize(
+    "text, value", [("0", 0), ("007", 7), ("-5", -5), ("1" * 30, int("1" * 30))]
+)
+def test_integer_takes_an_optional_minus_then_ascii_digits(text, value):
+    assert integer(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-", "--5", "+5", "1_000", "1_0", "٣", "1٣", "¹", " 5", "5 ", "0x10", "1e3", "5.0"],
+)
+def test_integer_rejects_every_other_spelling(text):
+    with pytest.raises(ValueError, match="expected an integer"):
+        integer(text)

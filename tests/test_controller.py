@@ -4,6 +4,7 @@ import pytest
 
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import (
+    ACTION_LINE,
     DOOR_ALERT,
     Action,
     AttemptDeadline,
@@ -87,7 +88,7 @@ class TestBeamBreak:
         assert n.kind is NotificationKind.INTRUSION
         assert n.recipients == ("owner", "authorities")
         assert n.created_at == 5000
-        line = c.action_log[-1].line()
+        line = ACTION_LINE % c.action_log[-1]
         assert line == "5000\tcontroller\tINTRUSION\trecipients=owner,authorities"
 
     def test_disarmed_break_is_suppressed(self):
@@ -360,7 +361,8 @@ class TestAction:
         assert a == Action(5, "link", "TX", "x")
         assert hash(a) == hash(Action(5, "link", "TX", "x"))
         assert a != Action(5, "link", "TX", "y")
-        assert a.line() == "5\tlink\tTX\tx"
+        assert ACTION_LINE % a == "5\tlink\tTX\tx"
+        assert not hasattr(a, "line")  # the text render's ACTION_LINE is the one layout
         assert repr(a) == "Action(at=5, component='link', action='TX', details='x')"
         with pytest.raises(AttributeError):
             a.at = 6

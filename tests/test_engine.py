@@ -375,3 +375,18 @@ class TestValidationBeforeDispatch:
         else:
             refused = False
         assert rejected == refused
+
+
+def test_package_root_holds_the_readme_entry_points():
+    # everything else is reached through its submodule
+    import sentinelsim
+    from sentinelsim import engine, report, scenario
+
+    names = {
+        name for name, value in vars(sentinelsim).items()
+        if not name.startswith("_") and not isinstance(value, type(sentinelsim))
+    }
+    assert names == {"parse_scenario", "run", "render_report"}
+    assert sentinelsim.run is engine.run and sentinelsim.render_report is report.render_report
+    assert sentinelsim.parse_scenario is scenario.parse_scenario
+    assert isinstance(sentinelsim.__version__, str)

@@ -6,6 +6,7 @@ from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
 from sentinelsim.airframe import DeliveryResult, transmit
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import (
+    ACTION_LINE,
     Action,
     AttemptDeadline,
     ClipDone,
@@ -82,7 +83,7 @@ def test_action_log_holds_actions_with_unchanged_lines():
     }
     for a in log:
         assert type(a) is Action
-        assert a.line() == f"{a.at}\t{a.component}\t{a.action}\t{a.details}"
+        assert ACTION_LINE % a == f"{a.at}\t{a.component}\t{a.action}\t{a.details}"
 
 
 def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
