@@ -93,6 +93,11 @@ def _parse_cli_overrides(pairs: List[str]) -> dict:
 
 def _load_scenario(path: str):
     name = os.path.splitext(os.path.basename(path))[0]
+    try:
+        name.encode("utf-8")  # the report carries the name as UTF-8 text
+    except UnicodeEncodeError:  # a lone surrogate: a non-UTF-8 byte in the file name
+        # repr escapes the surrogate, so the message itself can be written out
+        raise ValueError(f"{path!r}: file name is not UTF-8 text") from None
     return parse_scenario(read_text(path), name=name)
 
 

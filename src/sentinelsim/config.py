@@ -111,6 +111,8 @@ class SimConfig:
             (0.0 <= self.drop_probability <= 1.0, "drop_probability must be in [0, 1]"),
             (self.latency_ms >= 0, "latency_ms must be >= 0"),
             (self.max_retries >= 0, "max_retries must be >= 0"),
+            # each door opening makes up to max_retries + 1 link draws
+            (self.max_retries <= 255, "max_retries must be <= 255"),
         )
         problems = [message for holds, message in rules if not holds]
         try:

@@ -47,7 +47,7 @@ class EventKind(Enum):
 _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScenarioEvent:
     """A timestamped external stimulus; construction checks its shape."""
 
@@ -55,20 +55,32 @@ class ScenarioEvent:
     kind: EventKind
     meters: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if type(self.at) is not int:  # not isinstance: a bool is an int
-            raise ValueError(f"time must be an integer, got {self.at!r}")
-        if self.at < 0:
-            raise ValueError(f"negative time {self.at}")
-        if self.kind is _DISTANCE_SAMPLE:
-            if self.meters is None:
+    def __init__(self, at: Instant, kind: EventKind, meters: Optional[float] = None) -> None:
+        if type(at) is not int:  # not isinstance: a bool is an int
+            raise ValueError(f"time must be an integer, got {at!r}")
+        if at < 0:
+            raise ValueError(f"negative time {at}")
+        if kind is _DISTANCE_SAMPLE:
+            if meters is None:
                 raise ValueError("distance sample requires a meters value")
-            if type(self.meters) not in (float, int):  # not isinstance: a bool is an int
-                raise ValueError(f"meters must be a number, got {self.meters!r}")
-            if not self.meters >= 0:  # NaN fails too
-                raise ValueError(f"distance must be >= 0, got {self.meters}")
-        elif self.meters is not None:
-            raise ValueError(f"{self.kind._value_} event does not take a distance")
+            if type(meters) not in (float, int):  # not isinstance: a bool is an int
+                raise ValueError(f"meters must be a number, got {meters!r}")
+            if not meters >= 0:  # NaN fails too
+                raise ValueError(f"distance must be >= 0, got {meters}")
+        elif meters is not None:
+            raise ValueError(f"{kind._value_} event does not take a distance")
+        _set_at(self, at)
+        _set_kind(self, kind)
+        _set_meters(self, meters)
+
+
+# The generated frozen __init__ reaches these same slot setters through
+# object.__setattr__, one attribute lookup and call per field; calling the
+# bound setters directly stores each field in a single C call, and every
+# event of a parsed scenario is built here.
+_set_at = ScenarioEvent.__dict__["at"].__set__
+_set_kind = ScenarioEvent.__dict__["kind"].__set__
+_set_meters = ScenarioEvent.__dict__["meters"].__set__
 
 
 class EventQueue:

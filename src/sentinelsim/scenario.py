@@ -15,10 +15,18 @@ events by time when it is constructed, whether parsed or built by hand, so
 same-time events keep their given (file) order, and it keeps a read-only
 copy of its overrides. Parse errors are collected for the whole file and
 carry 1-based line numbers.
+
+One compiled match takes the plain event lines: a time of 1 to 18 ASCII
+digits and an event word, ``distance`` with a plain decimal (``5``, ``5.``,
+``.5``), and only spaces and tabs as blanks. Every other line (comments,
+``set`` lines, other blanks, signs, underscores, exponents, longer times and
+every error) takes the token path, which defines the grammar and words
+every message.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
@@ -59,6 +67,14 @@ _SIMPLE_EVENTS = {
 }
 _DOOR_EVENTS = {"open": EventKind.DOOR_OPEN, "close": EventKind.DOOR_CLOSE}
 _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE  # bound once: see events.py
+# A line this matches means exactly what the token path makes of it. At most
+# 18 digits keep int() under its digit limit: a longer time takes the token
+# path, which words its error.
+_PLAIN_EVENT = re.compile(
+    r"[ \t]*(\d{1,18})[ \t]+(?:(arm|mode_button|press_down|press_up)"
+    r"|door[ \t]+(open|close)|distance[ \t]+(\d+\.?\d*|\.\d+))[ \t]*",
+    re.ASCII,
+).fullmatch
 
 
 def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
@@ -70,7 +86,7 @@ def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
     if word in _SIMPLE_EVENTS:
         if len(tokens) > 2:
             raise ValueError(f"{word} takes no arguments")
-        return ScenarioEvent(at=at, kind=_SIMPLE_EVENTS[word])
+        return ScenarioEvent(at, _SIMPLE_EVENTS[word])
     args = tokens[2:]  # sliced only for the events that take arguments
     if word == "distance":
         if len(args) != 1:
@@ -79,10 +95,10 @@ def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
             meters = float(args[0])
         except ValueError:
             raise ValueError(f"malformed number {args[0]!r}") from None
-        return ScenarioEvent(at=at, kind=_DISTANCE_SAMPLE, meters=meters)
+        return ScenarioEvent(at, _DISTANCE_SAMPLE, meters)
     if word == "door":
         if len(args) == 1 and args[0] in _DOOR_EVENTS:
-            return ScenarioEvent(at=at, kind=_DOOR_EVENTS[args[0]])
+            return ScenarioEvent(at, _DOOR_EVENTS[args[0]])
         raise ValueError("door takes exactly one of: open, close")
     raise ValueError(f"unknown event {word!r}")
 
@@ -93,6 +109,16 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     events: List[ScenarioEvent] = []
     errors: List[Tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        plain = _PLAIN_EVENT(raw)
+        if plain is not None:
+            at, word, door, meters = plain.groups()
+            if word is not None:
+                events.append(ScenarioEvent(int(at), _SIMPLE_EVENTS[word]))
+            elif door is not None:
+                events.append(ScenarioEvent(int(at), _DOOR_EVENTS[door]))
+            else:
+                events.append(ScenarioEvent(int(at), _DISTANCE_SAMPLE, float(meters)))
+            continue
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue

@@ -1,5 +1,6 @@
 """Shared helpers: canned scenarios, a randomized scenario generator, and
-helpers that only tests call (press patterns, scenario rendering)."""
+helpers that only tests call (press patterns, scenario rendering, the
+token-only reference parser)."""
 
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ def pytest_terminal_summary(terminalreporter):
         f"total suite wall time: {elapsed:.1f}s (acceptance budget: 60s)"
     )
 
+from sentinelsim.config import ConfigError, coerce_value, integer
 from sentinelsim.events import EventKind, Instant, ScenarioEvent
 from sentinelsim.pulselock import AttemptOutcome, AttemptSession, PasswordSpec
-from sentinelsim.scenario import Scenario
+from sentinelsim.scenario import Scenario, ScenarioError
 
 BREAKIN_TEXT = """\
 set threshold_m 1.0
@@ -148,3 +150,68 @@ def render_scenario(scenario: Scenario) -> str:
         else:
             lines.append(f"{ev.at} {ev.kind.value}")
     return "\n".join(lines) + "\n"
+
+
+_REFERENCE_SIMPLE = {
+    "arm": EventKind.ARM,
+    "mode_button": EventKind.MODE_BUTTON,
+    "press_down": EventKind.PRESS_DOWN,
+    "press_up": EventKind.PRESS_UP,
+}
+_REFERENCE_DOOR = {"open": EventKind.DOOR_OPEN, "close": EventKind.DOOR_CLOSE}
+
+
+def _reference_event(tokens: List[str]) -> ScenarioEvent:
+    try:
+        at = integer(tokens[0])
+    except ValueError:
+        raise ValueError(f"malformed time {tokens[0]!r}") from None
+    word, args = tokens[1], tokens[2:]
+    if word in _REFERENCE_SIMPLE:
+        if args:
+            raise ValueError(f"{word} takes no arguments")
+        return ScenarioEvent(at=at, kind=_REFERENCE_SIMPLE[word])
+    if word == "distance":
+        if len(args) != 1:
+            raise ValueError("distance takes exactly one value in meters")
+        try:
+            meters = float(args[0])
+        except ValueError:
+            raise ValueError(f"malformed number {args[0]!r}") from None
+        return ScenarioEvent(at=at, kind=EventKind.DISTANCE_SAMPLE, meters=meters)
+    if word == "door":
+        if len(args) == 1 and args[0] in _REFERENCE_DOOR:
+            return ScenarioEvent(at=at, kind=_REFERENCE_DOOR[args[0]])
+        raise ValueError("door takes exactly one of: open, close")
+    raise ValueError(f"unknown event {word!r}")
+
+
+def reference_parse_scenario(text: str, name: str = "scenario") -> Scenario:
+    """scenario.parse_scenario as it was with every line on the token path."""
+    overrides = {}
+    events = []
+    errors = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] == "set":
+            if len(tokens) < 3:
+                errors.append((lineno, "set requires a key and a value"))
+                continue
+            key, value = tokens[1], " ".join(tokens[2:])
+            try:
+                overrides[key] = coerce_value(key, value)
+            except ConfigError as exc:
+                errors.append((lineno, str(exc)))
+            continue
+        if len(tokens) < 2:
+            errors.append((lineno, f"unknown directive {tokens[0]!r}"))
+            continue
+        try:
+            events.append(_reference_event(tokens))
+        except ValueError as exc:
+            errors.append((lineno, str(exc)))
+    if errors:
+        raise ScenarioError(errors)
+    return Scenario(name=name, overrides=overrides, events=events)

@@ -525,6 +525,23 @@ def test_non_utf8_scenario_names_its_file_and_line(tmp_path, command, text, line
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_non_utf8_scenario_file_name_is_refused_naming_it(tmp_path, command, capsys):
+    # a non-UTF-8 byte in a file name arrives as a lone surrogate, which no report can hold
+    path = tmp_path / "x\udcff.scn"
+    path.write_bytes(BREAKIN_TEXT.encode("utf-8"))
+    out_dir = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out_dir)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {str(path)!r}: file name is not UTF-8 text\n"
+    assert "\\udcff.scn'" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+    path.rename(tmp_path / "xÿ.scn")  # the same file under a UTF-8 name runs
+    assert main([command, str(tmp_path / "xÿ.scn")]) == 0
+
+
 RUN_NAMES = ("report.txt", "report.json", "outbox.log", "clips", "maildir")
 
 
@@ -612,15 +629,13 @@ _KEY_TEXTS = {
     "threshold_m": st.sampled_from(_EDGES + ["0.5", "1.5", "3"]),
     "drop_probability": st.sampled_from(_EDGES + ["0.5", "1", "1.0"]),
     "latency_ms": st.sampled_from(_EDGES + ["10", "007", "1_0", "٣"]),
-    # no upper bound yet: drop_probability=1 makes max_retries + 1 draws per door opening
-    "max_retries": st.integers(0, 8).map(str),
+    "max_retries": st.sampled_from(_EDGES + ["1", "8", "255", "256", "007"]),
     "clip_bytes": st.sampled_from(_EDGES + ["16", str(2**63 - 1)]),
     "clip_duration_ms": st.sampled_from(_EDGES + ["5000", "10000", "7_000"]),
     "password": st.sampled_from(_EDGES + ["1", "0110", "1" * 33]),
     "maildir": st.sampled_from(_EDGES + ["on", "false"]),
     "owner_email": st.sampled_from(_EDGES + ["o@x.example", "ü@x.example", "a\udcffb"]),
 }
-_FILE_KEYS = [key for key in _KEYS if key != "max_retries"]  # its values: see _KEY_TEXTS
 _set_flags = st.lists(
     st.one_of(
         st.sampled_from(_KEYS).flatmap(lambda k: _KEY_TEXTS[k].map(f"{k}={{}}".format)),
@@ -636,7 +651,7 @@ _config_texts = st.one_of(
     st.none(),
     st.sampled_from([b"not json", b"[1, 2]", b'{"latency_ms": \xff}', b"\xef\xbb\xbf{}"]),
     st.dictionaries(
-        st.sampled_from(_FILE_KEYS + ["warp"]),
+        st.sampled_from(_KEYS + ["warp"]),
         st.one_of(_json_values, st.sampled_from(_EDGES)),
         max_size=3,
     ),

@@ -17,6 +17,14 @@ def test_clip_bytes_outside_a_file_size_is_rejected_naming_it(size):
         SimConfig(clip_bytes=size).validate()
 
 
+def test_max_retries_is_bounded_above_naming_it():
+    # each door opening makes up to max_retries + 1 link draws, so the bound caps a run
+    SimConfig(max_retries=255).validate()
+    for retries in (256, 10**6):
+        with pytest.raises(ConfigError, match=r"^max_retries must be <= 255$"):
+            SimConfig(max_retries=retries).validate()
+
+
 @pytest.mark.parametrize(
     "text, value", [("0", 0), ("007", 7), ("-5", -5), ("1" * 30, int("1" * 30))]
 )

@@ -1,5 +1,8 @@
 """Event vocabulary and queue ordering."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from dataclasses import FrozenInstanceError
 
@@ -79,6 +82,35 @@ class TestScenarioEventRecord:
         with pytest.raises((AttributeError, TypeError)):
             e.extra = 1
         assert not hasattr(e, "extra")
+
+    @pytest.mark.parametrize("kind, meters", [
+        (EventKind.ARM, None), (EventKind.DOOR_CLOSE, None), (EventKind.DISTANCE_SAMPLE, 0.5),
+    ])
+    def test_keyword_and_positional_calls_build_equal_events(self, kind, meters):
+        by_position = ScenarioEvent(9, kind, meters)
+        by_keyword = ScenarioEvent(meters=meters, kind=kind, at=9)
+        assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+        assert (by_position.at, by_position.kind, by_position.meters) == (9, kind, meters)
+
+    def test_replace_checks_the_new_fields(self):
+        e = ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.5)
+        assert dataclasses.replace(e, at=6) == ScenarioEvent(6, EventKind.DISTANCE_SAMPLE, 0.5)
+        with pytest.raises(ValueError, match="negative time -1"):
+            dataclasses.replace(e, at=-1)
+        with pytest.raises(ValueError, match="arm event does not take a distance"):
+            dataclasses.replace(e, kind=EventKind.ARM)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_round_trip(self, round_trip):
+        for e in (ev(3), ScenarioEvent(4, EventKind.DISTANCE_SAMPLE, 2.5)):
+            again = round_trip(e)
+            assert again == e and hash(again) == hash(e) and repr(again) == repr(e)
+            with pytest.raises(FrozenInstanceError):
+                again.at = 0
 
 
 class TestEventQueue:

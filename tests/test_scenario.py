@@ -1,10 +1,11 @@
 """Scenario grammar, error reporting and config layering."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import render_scenario
+from conftest import reference_parse_scenario, render_scenario
+from sentinelsim import scenario as scenario_module
 from sentinelsim.config import (
     ConfigError,
     SimConfig,
@@ -176,6 +177,101 @@ class TestProperties:
         dumped = render_scenario(scenario)
         assert parse_scenario(dumped, name="t") == scenario
         assert render_scenario(parse_scenario(dumped, name="t")) == dumped
+
+
+# Plain event lines, which the compiled match takes, each with at most one
+# part swapped for one that only looks plain and must reach the token path.
+_ascii_blanks = st.text(st.sampled_from([" ", "\t"]), max_size=2)
+_ascii_gaps = st.text(st.sampled_from([" ", "\t"]), min_size=1, max_size=2)
+_other_gaps = st.sampled_from(["\xa0", "\u2003", " \xa0", "\u2003\t"])
+_plain_times = st.one_of(
+    st.integers(0, 30000).map(str),
+    st.integers(0, 999).map("00{}".format),  # leading zeros
+    st.just("9" * 18),
+)
+_odd_times = st.sampled_from(["1" * 19, "9" * 5000, "+5", "1_000", "٣", "-0", "-5", "0x10", "1e3"])
+_plain_meters = st.sampled_from(["0.5", "3", ".5", "5.", "00.25", "1" * 400])
+_odd_meters = st.sampled_from(["1e3", "inf", "nan", "-0", "-0.5", ".", "0_5", "1.2.3", "٣"])
+_plain_words = st.one_of(
+    st.sampled_from(["arm", "mode_button", "press_down", "press_up"]),
+    st.builds("door{}{}".format, _ascii_gaps, st.sampled_from(["open", "close"])),
+    st.builds("distance{}{}".format, _ascii_gaps, _plain_meters),
+)
+_odd_words = st.one_of(
+    st.sampled_from(["jump", "ARM", "door", "distance", "arm now", "door open wide", "distance 1 2"]),
+    st.builds("door{}{}".format, _other_gaps, st.sampled_from(["open", "close"])),
+    st.builds("distance{}{}".format, _other_gaps, _plain_meters),
+    st.builds("distance{}{}".format, _ascii_gaps, _odd_meters),
+    st.just("door ajar"),
+)
+_LINE_PARTS = (  # (plain, odd) for: blanks, time, gap, event words, blanks
+    (_ascii_blanks, _other_gaps),
+    (_plain_times, _odd_times),
+    (_ascii_gaps, _other_gaps),
+    (_plain_words, _odd_words),
+    (_ascii_blanks, _other_gaps),
+)
+_line_forms = st.one_of(  # about half the lines as built, the rest in or beside a comment
+    st.just("{}"),
+    st.sampled_from(["{}# note", "{} #", "# {}", "set latency_ms 5", "set", "arm", ""]),
+)
+
+
+@st.composite
+def _edge_lines(draw):
+    odd = draw(st.one_of(st.just(-1), st.integers(0, len(_LINE_PARTS) - 1)))  # swapped part
+    line = "".join(draw(pair[i == odd]) for i, pair in enumerate(_LINE_PARTS))
+    return draw(_line_forms).format(line)
+
+
+_line_ends = st.sampled_from(["\n", "\r\n", "\r", "\v", "\x85", "\u2028"])
+_edge_texts = st.lists(st.tuples(_edge_lines(), _line_ends), max_size=10).map(
+    lambda pairs: "".join(line + end for line, end in pairs)
+)
+
+
+def _parsed(parse, text):
+    """A parse's result as comparable data: the scenario, or the errors it raised."""
+    try:
+        scenario = parse(text, name="t")
+    except ScenarioError as exc:
+        return "errors", exc.errors
+    return "scenario", scenario, repr(scenario)  # repr tells -0.0 from 0.0
+
+
+@settings(max_examples=300)
+@given(_edge_texts)
+def test_fast_path_parses_as_the_token_path_does(text):
+    assert _parsed(parse_scenario, text) == _parsed(reference_parse_scenario, text)
+
+
+@pytest.mark.parametrize("line, event", [
+    ("7 arm", ScenarioEvent(7, EventKind.ARM)),
+    ("\t007  door\tclose ", ScenarioEvent(7, EventKind.DOOR_CLOSE)),
+    ("1 distance .5", ScenarioEvent(1, EventKind.DISTANCE_SAMPLE, 0.5)),
+    ("1 distance 5.", ScenarioEvent(1, EventKind.DISTANCE_SAMPLE, 5.0)),
+    ("9" * 18 + " press_up", ScenarioEvent(int("9" * 18), EventKind.PRESS_UP)),
+])
+def test_fast_path_takes_plain_event_lines(line, event):
+    assert scenario_module._PLAIN_EVENT(line) is not None
+    assert parse_scenario(line).events == (event,)
+
+
+@pytest.mark.parametrize("line", [
+    "1" * 19 + " arm", "+5 arm", "1_000 arm", "٣ arm", "-0 arm", "1 arm # note",
+    "1\xa0arm", "1 distance 1e3", "1 distance -0", "1 distance inf", "1 distance .",
+    "1 door ajar", "1 arm 2",
+])
+def test_other_lines_take_the_token_path(line):
+    assert scenario_module._PLAIN_EVENT(line) is None
+
+
+def test_a_5000_digit_time_is_a_scenario_error_naming_the_line():
+    # int() refuses over 4300 digits with a bare ValueError; the parse error must name line 2
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario("0 arm\n" + "1" * 5000 + " arm\n")
+    [(line, message)] = caught.value.errors
+    assert line == 2 and message.startswith("malformed time '1111")
 
 
 def resolve(file_overrides=(), scenario_overrides=(), cli_overrides=()):
