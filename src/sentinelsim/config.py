@@ -36,6 +36,11 @@ def integer(text: str) -> int:
     raise ValueError(f"expected an integer, got {text!r}")
 
 
+def one_line(text: str) -> bool:
+    """Whether ``text`` holds no character that ``str.splitlines`` breaks on."""
+    return "".join(text.splitlines()) == text
+
+
 def read_text(path) -> str:
     """A UTF-8 input file's text; a bad byte is a ValueError naming the file and line."""
     with open(path, "rb") as fh:
@@ -113,6 +118,9 @@ class SimConfig:
             (self.max_retries >= 0, "max_retries must be >= 0"),
             # each door opening makes up to max_retries + 1 link draws
             (self.max_retries <= 255, "max_retries must be <= 255"),
+            # a line break in an address would start a new mail header
+            (one_line(self.owner_email), "owner_email must hold no line break"),
+            (one_line(self.authorities_email), "authorities_email must hold no line break"),
         )
         problems = [message for holds, message in rules if not holds]
         try:

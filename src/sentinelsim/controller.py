@@ -1,11 +1,11 @@
 """Coordinator state machine.
 
 ``Controller.dispatch`` is the one entrance: it takes scenario stimuli and
-the controller's own follow-ups in time order and returns the follow-ups to
-schedule. The controller holds the run's state: the arming mode, the clip
-being recorded on presence, the pending pulse-password attempt, and an
-action log of every externally visible action, whose rendered form is one
-tab-separated line per action:
+the controller's own follow-ups in time order and pushes new follow-ups onto
+``Controller.followups``. The controller holds the run's state: the arming
+mode, the clip being recorded on presence, the pending pulse-password
+attempt, and an action log of every externally visible action, whose
+rendered form is one tab-separated line per action:
 
     <t_ms>\\t<component>\\t<action>\\t<details>
 
@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Optional
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
 from .config import SimConfig
-from .events import EventKind, Instant, ScenarioEvent
+from .events import EventKind, EventQueue, Instant, ScenarioEvent
 from .notify import OWNER_AND_AUTHORITIES, Dispatcher, NotificationKind, build_notification
 from .rng import SplitMix64
 from .sensors import distance_from_echo, echo_from_distance, presence_detect
@@ -84,8 +84,8 @@ class Action(NamedTuple):
     details: str
 
 
-# Internal followup events the controller schedules for itself. The engine
-# feeds them back through dispatch() in time order alongside scenario events.
+# Internal followup events the controller pushes onto its own followups
+# queue, whose merge hands them back to dispatch() among scenario events.
 
 
 class ClipDone(NamedTuple):
@@ -122,12 +122,13 @@ class Controller:
         self.last_presence_trigger: Optional[Instant] = None
         self.action_log: List[Action] = []
         self.clips: List[RecordingJob] = []
+        self.followups = EventQueue()
         self._rng = SplitMix64(seed)
         self._door_open = False
         self._last_time: Instant = -1  # before every item: instants are >= 0
 
-    def dispatch(self, item) -> list:
-        """Process one timestamped item; returns followups to schedule.
+    def dispatch(self, item) -> None:
+        """Process one timestamped item, pushing any follow-up onto ``followups``.
 
         Items must arrive in non-decreasing time order; anything else is a
         simulation bug and fails fast.
@@ -151,34 +152,31 @@ class Controller:
             handler = self._HANDLERS[item.kind if type(item) is ScenarioEvent else type(item)]
         except KeyError:
             raise TypeError(f"cannot dispatch {type(item).__name__}") from None
-        return handler(self, item)
+        handler(self, item)
 
-    def _on_arm(self, ev: ScenarioEvent) -> list:
+    def _on_arm(self, ev: ScenarioEvent) -> None:
         self.mode = _ARMED
         self._log(ev.at, "controller", "ARMED", "mode=armed")
-        return []
 
-    def _on_door_open(self, ev: ScenarioEvent) -> list:
+    def _on_door_open(self, ev: ScenarioEvent) -> None:
         if self._door_open:
-            return []
+            return
         self._door_open = True
         result = transmit(self.cfg, ev.at, self._rng)
         self._log(ev.at, "link", "TX", _TX_DETAILS)
         if result.delivered:
-            return [_new_tuple(FrameArrival, (result.delivered_at, result.attempts))]
-        self._log(ev.at, "link", "DROP", f"{_ATTEMPTS_PREFIX}{result.attempts}")
-        return []
+            self.followups.push(_new_tuple(FrameArrival, (result.delivered_at, result.attempts)))
+        else:
+            self._log(ev.at, "link", "DROP", f"{_ATTEMPTS_PREFIX}{result.attempts}")
 
-    def _on_door_close(self, ev: ScenarioEvent) -> list:
+    def _on_door_close(self, ev: ScenarioEvent) -> None:
         self._door_open = False
-        return []
 
-    def _on_press_down(self, ev: ScenarioEvent) -> list:
+    def _on_press_down(self, ev: ScenarioEvent) -> None:
         if self.pending_attempt is not None:
             self.pending_attempt.record_press(ev.at)
-        return []
 
-    def _dispatch_distance(self, ev: ScenarioEvent) -> list:
+    def _dispatch_distance(self, ev: ScenarioEvent) -> None:
         t = ev.at
         # The echo round trip stays because it is not an identity: 68 of the
         # 401 centimetre distances from 0.00 to 4.00 m come back one ulp off.
@@ -187,14 +185,14 @@ class Controller:
         echo = echo_from_distance(ev.meters, self.cfg)
         distance = distance_from_echo(echo, self.cfg)
         if not presence_detect(distance, self.cfg, self.last_presence_trigger, t):
-            return []
+            return
         self.last_presence_trigger = t
         self._log(
             t, "sensor", "PRESENCE_TRIGGER",
             f"source=ultrasonic distance_m={distance + 0.0:.3f}",  # -0.0 + 0.0 is 0.0
         )
         if self.active_recording is not None:
-            return []
+            return
         clip_id = f"clip-{len(self.clips) + 1:04d}"
         job = RecordingJob(clip_id, t, self.cfg.clip_duration_ms, f"clips/{clip_id}.bin")
         self.active_recording = job
@@ -203,9 +201,9 @@ class Controller:
             t, "controller", "START_RECORDING",
             f"clip={clip_id} duration_ms={job.duration_ms}",
         )
-        return [ClipDone(t + job.duration_ms, clip_id)]
+        self.followups.push(ClipDone(t + job.duration_ms, clip_id))
 
-    def _dispatch_arrival(self, arrival: FrameArrival) -> list:
+    def _dispatch_arrival(self, arrival: FrameArrival) -> None:
         # the frame is always DOOR_ALERT, whose checksum was checked at import
         t = arrival.at
         self._log(t, "link", "RX", f"{_ATTEMPTS_PREFIX}{arrival.attempts}")
@@ -216,16 +214,14 @@ class Controller:
             self._log(
                 t, "controller", "SUPPRESSED", "event=intruder_alert reason=disarmed"
             )
-        return []
 
-    def _ignore(self, item) -> list:
-        # a press release changes nothing; a deadline only lets dispatch see an attempt's end
-        return []
+    def _ignore(self, item) -> None:
+        """A press release changes nothing; a deadline only lets dispatch see an attempt's end."""
 
-    def _dispatch_clip_done(self, done: ClipDone) -> list:
+    def _dispatch_clip_done(self, done: ClipDone) -> None:
         job = self.active_recording
         if job is None or job.clip_id != done.clip_id:
-            return []
+            return
         self.active_recording = None
         notification = build_notification(
             _PRESENCE,
@@ -236,9 +232,8 @@ class Controller:
         self.dispatcher.dispatch(notification)
         recipients = ",".join(notification.recipients)
         self._log(done.at, "controller", "PRESENCE", f"clip={job.clip_id} recipients={recipients}")
-        return []
 
-    def _on_mode_button(self, ev: ScenarioEvent) -> list:
+    def _on_mode_button(self, ev: ScenarioEvent) -> None:
         t = ev.at
         if self.pending_attempt is not None:
             raise pulselock.AttemptStateError(
@@ -250,7 +245,7 @@ class Controller:
             t, "controller", "ATTEMPT_BEGIN",
             f"n={len(session.spec)} end_ms={session.end}",
         )
-        return [AttemptDeadline(session.end)]
+        self.followups.push(AttemptDeadline(session.end))
 
     def _decide_attempt(self, session: pulselock.AttemptSession) -> None:
         """Decide an ended attempt at its end and notify the owner either way."""

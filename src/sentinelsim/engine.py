@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from . import rng
 from .config import ConfigError, SimConfig, apply_overrides
 from .controller import Controller
-from .events import EventKind, EventQueue, ScenarioEvent
+from .events import EventKind, ScenarioEvent
 from .notify import Dispatcher
 from .report import RunReport
 from .scenario import Scenario
@@ -129,12 +129,11 @@ def simulate(
     dispatcher = Dispatcher(extra_sinks)
     controller = build_controller(cfg, seed, dispatcher)
 
-    # The queue holds only follow-ups; the scenario's events, which Scenario
-    # keeps in time order, stream past it.
-    queue = EventQueue()
-    for item in queue.merge(_live_events(scenario, cfg)):
-        for followup in controller.dispatch(item):
-            queue.push(followup)
+    # The controller's queue holds only its follow-ups; the scenario's events,
+    # which Scenario keeps in time order, stream past it.
+    dispatch = controller.dispatch
+    for item in controller.followups.merge(_live_events(scenario, cfg)):
+        dispatch(item)
 
     return RunReport(
         scenario=scenario.name,

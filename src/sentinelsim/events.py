@@ -99,9 +99,7 @@ class EventQueue:
         self._seq += 1
 
     def pop(self):
-        """Remove and return the earliest item, or None when empty."""
-        if not self._heap:
-            return None
+        """Remove and return the earliest item; the queue must not be empty."""
         return heapq.heappop(self._heap)[2]
 
     def merge(self, stream: Iterable) -> Iterator:

@@ -24,15 +24,8 @@ class SplitMix64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self._state = seed
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
     def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits of one draw; next_u64 inlined."""
+        """Uniform float in [0, 1) from the top 53 bits of one splitmix64 draw."""
         z = self._state = (self._state + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -13,8 +13,9 @@ Grammar, one directive per line with ``#`` comments:
 A ``Scenario`` is immutable and compares by value. It stably sorts its
 events by time when it is constructed, whether parsed or built by hand, so
 same-time events keep their given (file) order, and it keeps a read-only
-copy of its overrides. Parse errors are collected for the whole file and
-carry 1-based line numbers.
+copy of its overrides. Its name must hold no line break (a ``ValueError``
+otherwise). Parse errors are collected for the whole file and carry 1-based
+line numbers.
 
 One compiled match takes the plain event lines: a time of 1 to 18 ASCII
 digits and an event word, ``distance`` with a plain decimal (``5``, ``5.``,
@@ -32,7 +33,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from .config import coerce_value, ConfigError, integer
+from .config import coerce_value, ConfigError, integer, one_line
 from .events import EventKind, ScenarioEvent
 
 
@@ -53,6 +54,9 @@ class Scenario:
     events: Tuple[ScenarioEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        # the report's one-line header carries the name: a line break would forge lines
+        if not one_line(str(self.name)):
+            raise ValueError(f"scenario name must hold no line break, got {self.name!r}")
         # the one home of time order: stable, so same-time events keep their order
         object.__setattr__(self, "events", tuple(sorted(self.events, key=attrgetter("at"))))
         # a read-only copy: writing to the caller's dict or to s.overrides changes nothing

@@ -30,6 +30,10 @@ from sentinelsim.events import EventKind, Instant, ScenarioEvent
 from sentinelsim.pulselock import AttemptOutcome, AttemptSession, PasswordSpec
 from sentinelsim.scenario import Scenario, ScenarioError
 
+# characters str.splitlines breaks on, beyond the plain line feed: no mail
+# address or scenario name may hold one
+LINE_BREAKS = ["\n", "\r", "\x85", "\u2028"]
+
 BREAKIN_TEXT = """\
 set threshold_m 1.0
 0 arm

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
+from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT, LINE_BREAKS
 from sentinelsim import cli, controller, engine
 from sentinelsim.cli import main
 from sentinelsim.config import SimConfig
@@ -542,6 +542,35 @@ def test_non_utf8_scenario_file_name_is_refused_naming_it(tmp_path, command, cap
     assert main([command, str(tmp_path / "xÿ.scn")]) == 0
 
 
+@pytest.mark.parametrize("key", ["owner_email", "authorities_email"])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_an_address_with_a_line_break_is_refused_naming_it(breakin_file, tmp_path, key, brk, capsys):
+    # once written into every .eml as "To: owner <a@x" then a forged "Bcc: evil@x>" header
+    out_dir = tmp_path / "out"
+    argv = ["run", breakin_file, "--set", "maildir=true", "--set", f"{key}=a@x{brk}Bcc: evil@x"]
+    assert main([*argv, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key} must hold no line break\n"
+    assert captured.out == ""
+    assert _run_names_under(out_dir) == []
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_a_scenario_name_with_a_line_break_is_refused_showing_it(tmp_path, command, brk, capsys):
+    # the report's "scenario: <name>" line would otherwise be followed by a forged line
+    name = f"x{brk}final_mode: ARMED"
+    path = tmp_path / f"{name}.scn"
+    path.write_bytes(BREAKIN_TEXT.encode("utf-8"))
+    out_dir = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out_dir)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: scenario name must hold no line break, got {name!r}\n"
+    assert captured.out == ""
+    assert _run_names_under(out_dir) == []
+
+
 RUN_NAMES = ("report.txt", "report.json", "outbox.log", "clips", "maildir")
 
 
@@ -624,6 +653,7 @@ def test_unencodable_address_fails_the_write_phase_cleanly(breakin_file, tmp_pat
 
 _KEYS = [f.name for f in dataclasses.fields(SimConfig)]
 _EDGES = ["0", "-1", str(2**63), "1e308", "nan", "inf", "true", ""]
+_BROKEN = [f"a@x{brk}Bcc: e@x" for brk in LINE_BREAKS]  # string texts that hold a line break
 _KEY_TEXTS = {
     **{key: st.sampled_from(_EDGES) for key in _KEYS},
     "threshold_m": st.sampled_from(_EDGES + ["0.5", "1.5", "3"]),
@@ -634,7 +664,8 @@ _KEY_TEXTS = {
     "clip_duration_ms": st.sampled_from(_EDGES + ["5000", "10000", "7_000"]),
     "password": st.sampled_from(_EDGES + ["1", "0110", "1" * 33]),
     "maildir": st.sampled_from(_EDGES + ["on", "false"]),
-    "owner_email": st.sampled_from(_EDGES + ["o@x.example", "ü@x.example", "a\udcffb"]),
+    "owner_email": st.sampled_from(_EDGES + ["o@x.example", "ü@x.example", "a\udcffb"] + _BROKEN),
+    "authorities_email": st.sampled_from(_EDGES + _BROKEN),
 }
 _set_flags = st.lists(
     st.one_of(
@@ -688,6 +719,7 @@ _seeds = st.one_of(
     st.sampled_from(["0", "7", str(2**64 - 1)]),
     st.sampled_from(["-1", str(2**64), "1_0", "٣", "+3"]),
 )
+_scenario_names = st.sampled_from(["s", "s"] + [f"s{brk}final_mode: ARMED" for brk in LINE_BREAKS])
 
 
 def _tree(root) -> dict:
@@ -713,10 +745,10 @@ def _main_captured(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_scenario_files, _config_texts, _set_flags, _seeds, st.sampled_from(FORMATS))
-def test_every_input_runs_or_is_refused(scenario, config, sets, seed, fmt):
+@given(_scenario_files, _scenario_names, _config_texts, _set_flags, _seeds, st.sampled_from(FORMATS))
+def test_every_input_runs_or_is_refused(scenario, name, config, sets, seed, fmt):
     with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "s.scn")
+        path = os.path.join(root, name + ".scn")
         with open(path, "wb") as fh:
             fh.write(scenario)
         argv = ["run", path, "--seed", seed, "--format", fmt]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import LINE_BREAKS
 from sentinelsim.config import ConfigError, SimConfig, integer
 
 
@@ -23,6 +24,15 @@ def test_max_retries_is_bounded_above_naming_it():
     for retries in (256, 10**6):
         with pytest.raises(ConfigError, match=r"^max_retries must be <= 255$"):
             SimConfig(max_retries=retries).validate()
+
+
+@pytest.mark.parametrize("key", ["owner_email", "authorities_email"])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_an_address_with_a_line_break_is_refused_naming_it(key, brk):
+    # a line break in an address would start a new mail header, e.g. a Bcc
+    SimConfig(**{key: "a@x Bcc: evil@x"}).validate()
+    with pytest.raises(ConfigError, match=rf"^{key} must hold no line break$"):
+        SimConfig(**{key: f"a@x{brk}Bcc: evil@x"}).validate()
 
 
 @pytest.mark.parametrize(

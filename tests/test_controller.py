@@ -1,6 +1,8 @@
 """Coordinator state machine transitions and full dispatch traces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import (
@@ -15,7 +17,7 @@ from sentinelsim.controller import (
     SystemMode,
 )
 from sentinelsim.engine import run
-from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
+from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
 from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.scenario import parse_scenario
@@ -28,13 +30,14 @@ def make_controller(**kw):
 
 
 def drive(controller, events):
-    """Run a full event loop over scenario events plus controller followups."""
-    queue = EventQueue()
-    for e in events:
-        queue.push(e)
-    for item in queue.merge(()):
-        for followup in controller.dispatch(item):
-            queue.push(followup)
+    """Run a full event loop over time-ordered scenario events plus controller followups."""
+    for item in controller.followups.merge(events):
+        controller.dispatch(item)
+
+
+def scheduled(controller):
+    """The follow-ups the controller has scheduled, taken off its queue in time order."""
+    return list(controller.followups.merge(()))
 
 
 def ev(at, kind, **kw):
@@ -47,7 +50,8 @@ def log_actions(controller):
 
 def attempt(c, presses, start=1000):
     """Begin an attempt at start, press at each time, then dispatch its deadline."""
-    [deadline] = c.dispatch(ev(start, EventKind.MODE_BUTTON))
+    c.dispatch(ev(start, EventKind.MODE_BUTTON))
+    [deadline] = scheduled(c)
     for t in presses:
         c.dispatch(ev(t, EventKind.PRESS_DOWN))
     c.dispatch(deadline)
@@ -57,16 +61,18 @@ class TestPresence:
     def test_starts_recording_and_schedules_completion(self):
         c, _ = make_controller()
         c.dispatch(ev(0, EventKind.ARM))
-        followups = c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
         job = c.active_recording
         assert job is not None and job.started_at == 2000
-        assert followups == [ClipDone(2000 + job.duration_ms, job.clip_id)]
+        assert scheduled(c) == [ClipDone(2000 + job.duration_ms, job.clip_id)]
         assert log_actions(c)[1:] == [(2000, "PRESENCE_TRIGGER"), (2000, "START_RECORDING")]
 
     def test_second_presence_keeps_single_job(self):
         c, _ = make_controller(retrigger_cooldown_ms=0)
         c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
-        assert c.dispatch(ev(2100, EventKind.DISTANCE_SAMPLE, meters=0.5)) == []
+        assert len(c.followups) == 1
+        c.dispatch(ev(2100, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        assert len(c.followups) == 1
         assert log_actions(c)[-1] == (2100, "PRESENCE_TRIGGER")
         assert len(c.clips) == 1
 
@@ -81,7 +87,8 @@ class TestBeamBreak:
     def test_armed_break_notifies_owner_and_authorities(self):
         c, sink = make_controller()
         c.dispatch(ev(0, EventKind.ARM))
-        [arrival] = c.dispatch(ev(5000, EventKind.DOOR_OPEN))
+        c.dispatch(ev(5000, EventKind.DOOR_OPEN))
+        [arrival] = scheduled(c)
         c.dispatch(arrival)
         assert len(sink.messages) == 1
         n = sink.messages[0]
@@ -325,7 +332,8 @@ class TestInternalItems:
         c.dispatch(ClipDone(at=100, clip_id="clip-9999"))
         assert sink.messages == []
         # another clip's ClipDone must not end the recording that runs
-        [done] = c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        [done] = scheduled(c)
         c.dispatch(ClipDone(at=3000, clip_id="clip-9999"))
         assert c.active_recording.clip_id == done.clip_id
         assert [a.action for a in c.action_log] == ["PRESENCE_TRIGGER", "START_RECORDING"]
@@ -353,6 +361,41 @@ class TestInternalItems:
         c, _ = make_controller()
         with pytest.raises(TypeError):
             c.dispatch(SimpleNamespace(at=5))
+
+
+_ITEM_KINDS = [*EventKind, ClipDone, AttemptDeadline, FrameArrival]
+
+
+def _item(at, kind, n):
+    """A scenario event or a follow-up at ``at``; ``n`` picks its meters or clip id."""
+    if kind is EventKind.DISTANCE_SAMPLE:
+        return ev(at, kind, meters=(0.25, 0.5, 3.0)[n])
+    if isinstance(kind, EventKind):
+        return ev(at, kind)
+    if kind is ClipDone:
+        return ClipDone(at, f"clip-{n:04d}")
+    if kind is FrameArrival:
+        return FrameArrival(at, n + 1)
+    return AttemptDeadline(at)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.integers(0, 12).map(lambda k: k * 250), st.integers(0, 3000)),
+    st.sampled_from(_ITEM_KINDS),
+    st.integers(0, 2),
+), max_size=40))
+def test_dispatch_returns_none_and_schedules_at_most_one_item(steps):
+    c, _ = make_controller(password="10", retrigger_cooldown_ms=0, latency_ms=40)
+    t = 0
+    for gap, kind, n in steps:
+        t += gap
+        pending = c.pending_attempt
+        if kind is EventKind.MODE_BUTTON and pending is not None and t < pending.end:
+            continue  # an overlapping attempt is refused before a run starts
+        before = len(c.followups)
+        assert c.dispatch(_item(t, kind, n)) is None
+        assert len(c.followups) - before in (0, 1)
 
 
 class TestAction:

@@ -1,12 +1,12 @@
 """Stateful oracle: Controller.dispatch against a small reference model.
 
-A Hypothesis state machine feeds scenario events to a controller through an
-EventQueue merge, the engine's own tie rule: follow-ups due strictly before
-a scenario event are dispatched first, and a scenario event precedes the
-follow-ups at its own millisecond. After every step the controller's mode,
-recording, pending attempt, presence cooldown, door alerts and notification
-counts must match the model's. With latency_ms=0 and drop_probability=0
-every door alert arrives, at its own send time.
+A Hypothesis state machine feeds scenario events to a controller through the
+merge of its followups queue, the engine's own tie rule: follow-ups due
+strictly before a scenario event are dispatched first, and a scenario event
+precedes the follow-ups at its own millisecond. After every step the
+controller's mode, recording, pending attempt, presence cooldown, door
+alerts and notification counts must match the model's. With latency_ms=0
+and drop_probability=0 every door alert arrives, at its own send time.
 """
 
 import heapq
@@ -17,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import Controller, SystemMode
-from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
+from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import Dispatcher, NotificationKind
 
 CFG = SimConfig(
@@ -122,9 +122,8 @@ class ControllerMachine(RuleBasedStateMachine):
         self.controller = Controller(CFG, 0, self.dispatcher)
         self.model = Model()
         self.now = 0
-        self.queue = EventQueue()
         self._next = None
-        self._items = self.queue.merge(self._stream())
+        self._items = self.controller.followups.merge(self._stream())
 
     def _stream(self):
         while True:
@@ -136,13 +135,9 @@ class ControllerMachine(RuleBasedStateMachine):
         for due in self._items:
             if due is item:
                 break
-            self._dispatch(due)
+            self.controller.dispatch(due)
         if not isinstance(item, Tick):
-            self._dispatch(item)
-
-    def _dispatch(self, item):
-        for followup in self.controller.dispatch(item):
-            self.queue.push(followup)
+            self.controller.dispatch(item)
 
     def _event(self, kind, meters=None):
         self._feed(ScenarioEvent(at=self.now, kind=kind, meters=meters))

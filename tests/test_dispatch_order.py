@@ -2,9 +2,10 @@
 
 engine.run streams the time-sorted scenario past a queue that holds only the
 controller's follow-ups, and skips the events that cannot act. The reference
-below pushes every scenario event into one queue first, drains it and
-dispatches every item, so insertion order makes a scenario event precede any
-follow-up at the same millisecond. Both must give the same bytes.
+below pushes every scenario event onto the controller's follow-up queue
+first, drains it and dispatches every item, so insertion order makes a
+scenario event precede any follow-up at the same millisecond. Both must give
+the same bytes.
 """
 
 import gc
@@ -19,7 +20,7 @@ from conftest import random_scenario
 from sentinelsim import rng
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
-from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
+from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink
 from sentinelsim.report import RunReport, render_report
 from sentinelsim.scenario import Scenario, parse_scenario
@@ -33,12 +34,10 @@ def reference_run(scenario, seed, overrides):
     validate_events(scenario, cfg)
     dispatcher = Dispatcher([MemorySink()])
     controller = build_controller(cfg, seed, dispatcher)
-    queue = EventQueue()
     for ev in scenario.events:
-        queue.push(ev)
-    for item in queue.merge(()):
-        for followup in controller.dispatch(item):
-            queue.push(followup)
+        controller.followups.push(ev)
+    for item in controller.followups.merge(()):
+        controller.dispatch(item)
     return RunReport(
         scenario=scenario.name,
         seed=seed,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import random_scenario
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
-from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
+from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
 from sentinelsim.pulselock import AttemptStateError, PasswordSpec
 from sentinelsim.report import render_report
@@ -365,11 +365,9 @@ class TestValidationBeforeDispatch:
         else:
             rejected = False
         controller = build_controller(cfg, 0, Dispatcher([]))
-        queue = EventQueue()
         try:
-            for item in queue.merge(sorted(events, key=attrgetter("at"))):
-                for followup in controller.dispatch(item):
-                    queue.push(followup)
+            for item in controller.followups.merge(sorted(events, key=attrgetter("at"))):
+                controller.dispatch(item)
         except AttemptStateError:
             refused = True
         else:

@@ -135,9 +135,6 @@ class TestEventQueue:
         q.push(b)
         assert list(q.merge(())) == [a, b]
 
-    def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
-
     def test_drain_matches_independent_stable_sort(self):
         rnd = random.Random(1234)
         events = [ev(rnd.randint(0, 500), EventKind.PRESS_UP) for _ in range(1000)]

@@ -15,7 +15,7 @@ from sentinelsim.controller import (
     RecordingJob,
 )
 from sentinelsim.engine import run
-from sentinelsim.events import EventKind, EventQueue, ScenarioEvent
+from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import AUTHORITIES, OWNER, Dispatcher, Notification, NotificationKind
 from sentinelsim.pulselock import AttemptOutcome
 from sentinelsim.report import render_report
@@ -72,10 +72,8 @@ def test_action_log_holds_actions_with_unchanged_lines():
     scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
     cfg = SimConfig(threshold_m=1.0)
     controller = Controller(cfg, 0, Dispatcher(()))
-    queue = EventQueue()
-    for item in queue.merge(scenario.events):
-        for followup in controller.dispatch(item):
-            queue.push(followup)
+    for item in controller.followups.merge(scenario.events):
+        controller.dispatch(item)
     log = controller.action_log
     assert {a.action for a in log} >= {
         "ARMED", "PRESENCE_TRIGGER", "START_RECORDING", "TX", "RX", "INTRUSION",
@@ -88,7 +86,8 @@ def test_action_log_holds_actions_with_unchanged_lines():
 
 def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
     controller = Controller(SimConfig(), 0, Dispatcher(()))
-    [done] = controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
+    controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
+    [done] = controller.followups.merge(())
     twin = FrameArrival(done.at, done.clip_id)
     assert twin == done and hash(twin) == hash(done)
     controller.dispatch(twin)
@@ -123,5 +122,6 @@ def test_link_records_are_built_as_their_own_types():
         assert type(result) is DeliveryResult
     assert result == DeliveryResult(False, None, 3)
     controller = Controller(SimConfig(latency_ms=20), 0, Dispatcher(()))
-    [arrival] = controller.dispatch(ScenarioEvent(100, EventKind.DOOR_OPEN))
+    controller.dispatch(ScenarioEvent(100, EventKind.DOOR_OPEN))
+    [arrival] = controller.followups.merge(())
     assert type(arrival) is FrameArrival and arrival == FrameArrival(120, 1)

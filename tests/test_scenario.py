@@ -1,10 +1,12 @@
 """Scenario grammar, error reporting and config layering."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_parse_scenario, render_scenario
+from conftest import LINE_BREAKS, reference_parse_scenario, render_scenario
 from sentinelsim import scenario as scenario_module
 from sentinelsim.config import (
     ConfigError,
@@ -120,6 +122,17 @@ class TestRender:
         assert dict(sc.overrides) == {"latency_ms": 5}
         assert sc == Scenario(name="t", overrides={"latency_ms": 5})
         assert parse_scenario(render_scenario(sc), name="t") == sc
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_a_name_with_a_line_break_is_refused_naming_it(self, brk):
+        # the report's header carries the name, so a line break would forge a line
+        name = f"x{brk}final_mode: ARMED"
+        message = rf"^scenario name must hold no line break, got {re.escape(repr(name))}$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(name=name)
+        with pytest.raises(ValueError, match=message):
+            parse_scenario("0 arm", name=name)
+        assert Scenario(name="x final_mode: ARMED").name == "x final_mode: ARMED"
 
     def test_float_values_survive_exactly(self):
         sc = parse_scenario("0 distance 0.30000000000000004")
