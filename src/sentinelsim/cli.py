@@ -19,7 +19,7 @@ from . import __version__, engine, pulselock, rng
 from .config import ConfigError, SimConfig, apply_overrides, integer, load_config_file, read_text
 from .notify import LineFileSink, MaildirSink, MemorySink
 from .report import FORMATS, render_report
-from .scenario import ScenarioError, parse_scenario
+from .scenario import Scenario, ScenarioError, parse_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -98,6 +98,7 @@ def _load_scenario(path: str):
     except UnicodeEncodeError:  # a lone surrogate: a non-UTF-8 byte in the file name
         # repr escapes the surrogate, so the message itself can be written out
         raise ValueError(f"{path!r}: file name is not UTF-8 text") from None
+    Scenario(name=name)  # its name rule, before the file is read: a parse error prints the path
     return parse_scenario(read_text(path), name=name)
 
 

@@ -571,6 +571,19 @@ def test_a_scenario_name_with_a_line_break_is_refused_showing_it(tmp_path, comma
     assert _run_names_under(out_dir) == []
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_a_scenario_name_with_a_line_break_is_refused_before_its_lines(tmp_path, command, brk, capsys):
+    # a parse error prints the path, so the name is checked before the file is read
+    name = f"x{brk}final_mode: ARMED"
+    path = tmp_path / f"{name}.scn"
+    path.write_bytes(b"0 arm\nbogus\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: scenario name must hold no line break, got {name!r}\n"
+    assert captured.out == ""
+
+
 RUN_NAMES = ("report.txt", "report.json", "outbox.log", "clips", "maildir")
 
 
@@ -719,7 +732,6 @@ _seeds = st.one_of(
     st.sampled_from(["0", "7", str(2**64 - 1)]),
     st.sampled_from(["-1", str(2**64), "1_0", "٣", "+3"]),
 )
-_scenario_names = st.sampled_from(["s", "s"] + [f"s{brk}final_mode: ARMED" for brk in LINE_BREAKS])
 
 
 def _tree(root) -> dict:
@@ -745,10 +757,10 @@ def _main_captured(argv):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_scenario_files, _scenario_names, _config_texts, _set_flags, _seeds, st.sampled_from(FORMATS))
-def test_every_input_runs_or_is_refused(scenario, name, config, sets, seed, fmt):
+@given(_scenario_files, _config_texts, _set_flags, _seeds, st.sampled_from(FORMATS))
+def test_every_input_runs_or_is_refused(scenario, config, sets, seed, fmt):
     with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, name + ".scn")
+        path = os.path.join(root, "s.scn")
         with open(path, "wb") as fh:
             fh.write(scenario)
         argv = ["run", path, "--seed", seed, "--format", fmt]
