@@ -16,7 +16,9 @@ import traceback
 from typing import List, Optional
 
 from . import __version__, engine, pulselock, rng
-from .config import ConfigError, SimConfig, apply_overrides, integer, load_config_file, read_text
+from .config import (
+    ConfigError, SimConfig, apply_overrides, integer, load_config_file, read_text, shown,
+)
 from .notify import LineFileSink, MaildirSink, MemorySink
 from .report import FORMATS, render_report
 from .scenario import Scenario, ScenarioError, parse_scenario
@@ -135,7 +137,7 @@ def _write_out(out: str, fmt: str, rendered: bytes, report, cfg, mail) -> None:
                 fh.truncate(report.clip_bytes)  # zero bytes, never held in memory
     except (OSError, UnicodeEncodeError) as exc:  # the latter: an address no file can hold
         _clear_out_dir(out)
-        name = getattr(exc, "filename", None) or path
+        name = shown(getattr(exc, "filename", None) or path)
         raise OSError(f"cannot write {name}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
@@ -186,7 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         for line, msg in exc.errors:
-            print(f"error: {args.scenario}: line {line}: {msg}", file=sys.stderr)
+            print(f"error: {shown(args.scenario)}: line {line}: {msg}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,22 +5,22 @@ Precedence, lowest to highest: built-in defaults, config file, scenario
 layers them. Each key is a SimConfig field, declared nowhere else. Values
 arriving as text (scenario lines, --set flags, strings in a config file) are
 cast by the field's annotation; other values keep their type, which
-SimConfig.validate checks against the key's.
+SimConfig.validate checks against the key's. The password is a config value
+too: its four rules, and the length of an attempt (``SimConfig.attempt_ms``),
+live here, and ``pulselock`` runs an attempt against a validated config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
-from . import pulselock
-
 CLIP_DURATION_MIN_MS = 5000
 CLIP_DURATION_MAX_MS = 10000
+MAX_BITS = 32  # the longest password, in pulses
 
 
 class ConfigError(ValueError):
@@ -41,6 +41,11 @@ def one_line(text: str) -> bool:
     return "".join(text.splitlines()) == text
 
 
+def shown(path) -> str:
+    """A path as an error message shows it: as is, or as its repr if it holds a line break."""
+    return str(path) if one_line(str(path)) else repr(str(path))
+
+
 def read_text(path) -> str:
     """A UTF-8 input file's text; a bad byte is a ValueError naming the file and line."""
     with open(path, "rb") as fh:
@@ -49,7 +54,7 @@ def read_text(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # name the bad byte's line as the parser counts lines
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+        raise ValueError(f"{shown(path)}: line {line}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -123,19 +128,26 @@ class SimConfig:
             (one_line(self.authorities_email), "authorities_email must hold no line break"),
         )
         problems = [message for holds, message in rules if not holds]
-        try:
-            self.password_spec
-        except ValueError as exc:
-            problems.append(str(exc))
+        # the password's rules report only their first failure: a bad
+        # password hides the messages of the pulse timing rules after it
+        if self.password == "" or not set(self.password) <= {"0", "1"}:
+            problems.append(f"password must be a non-empty string of 0/1, got {self.password!r}")
+        elif len(self.password) > MAX_BITS:
+            problems.append(f"password length must be in [1, {MAX_BITS}], got {len(self.password)}")
+        elif not self.pulse_period_ms > 0:
+            problems.append("pulse_period_ms must be > 0")
+        elif not 0 < self.press_window_ms <= self.pulse_period_ms:
+            problems.append(
+                "press_window_ms must satisfy 0 < window <= period, got "
+                f"window={self.press_window_ms} period={self.pulse_period_ms}"
+            )
         if problems:
             raise ConfigError("; ".join(problems))
 
-    @functools.cached_property
-    def password_spec(self) -> pulselock.PasswordSpec:
-        """The password with its pulse timing, parsed once per config."""
-        return pulselock.PasswordSpec.from_string(
-            self.password, self.pulse_period_ms, self.press_window_ms
-        )
+    @property
+    def attempt_ms(self) -> int:
+        """Length of a password attempt: its start to the end of the last pulse's window."""
+        return (len(self.password) - 1) * self.pulse_period_ms + self.press_window_ms
 
     def addresses(self) -> Dict[str, str]:
         return {"owner": self.owner_email, "authorities": self.authorities_email}
@@ -186,8 +198,8 @@ def load_config_file(path) -> Dict[str, object]:
     try:
         raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        raise ConfigError(f"{shown(path)}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config file must be a JSON object")
+        raise ConfigError(f"{shown(path)}: config file must be a JSON object")
     return raw
 

@@ -239,11 +239,11 @@ class Controller:
             raise pulselock.AttemptStateError(
                 f"mode button at t={t}: a password attempt is already in progress"
             )
-        session = pulselock.begin_attempt(self.cfg.password_spec, t)
+        session = pulselock.begin_attempt(self.cfg, t)
         self.pending_attempt = session
         self._log(
             t, "controller", "ATTEMPT_BEGIN",
-            f"n={len(session.spec)} end_ms={session.end}",
+            f"n={len(self.cfg.password)} end_ms={session.end}",
         )
         self.followups.push(AttemptDeadline(session.end))
 
@@ -258,8 +258,7 @@ class Controller:
         else:
             kind = _FAILED
         self.dispatcher.dispatch(build_notification(kind, t))
-        trace = "".join(map(str, outcome.trace))
-        self._log(t, "controller", kind._value_, f"trace={trace}")
+        self._log(t, "controller", kind._value_, f"trace={outcome.trace}")
 
     def _log(self, at: Instant, component: str, action: str, details: str) -> None:
         self.action_log.append(_new_tuple(Action, (at, component, action, details)))

@@ -66,7 +66,7 @@ def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
             problems.append(
                 f"distance {ev.meters} m at t={ev.at} exceeds max_range_m={cfg.max_range_m}"
             )
-    span = cfg.password_spec.attempt_ms
+    span = cfg.attempt_ms
     problems += [
         f"mode_button at t={t} comes while the attempt begun at t={s} runs until t={s + span}"
         for s, t in zip(buttons, buttons[1:])

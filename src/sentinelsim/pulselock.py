@@ -3,8 +3,10 @@
 The password is an n-long bit string. During an attempt an indicator LED
 pulses n times on a fixed period; pressing the button while pulse k is lit
 records a 1 for position k, staying quiet records a 0. The attempt is
-accepted only when the recorded bits equal the password exactly and no press
-landed between pulses.
+accepted only when the recorded bits, a 0/1 string like the password itself,
+equal the password exactly and no press landed between pulses. The password
+and its pulse timing are config values: ``SimConfig.validate`` holds their
+rules, and a session reads the validated config.
 
 Timing model, all in integer milliseconds: pulse k (0-based) is lit during
 the half-open window
@@ -18,78 +20,37 @@ started at t=0 ends at t=6500.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple
 
+from .config import MAX_BITS, SimConfig
 from .events import Instant
-
-MAX_BITS = 32
 
 
 class AttemptStateError(RuntimeError):
     """Raised when an attempt is driven outside its legal lifecycle."""
 
 
-@dataclass(frozen=True)
-class PasswordSpec:
-    """The configured password and its pulse timing."""
-
-    bits: Tuple[int, ...]
-    pulse_period_ms: int
-    press_window_ms: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.bits) <= MAX_BITS:
-            raise ValueError(
-                f"password length must be in [1, {MAX_BITS}], got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"password bits must be 0 or 1, got {self.bits}")
-        if not self.pulse_period_ms > 0:
-            raise ValueError("pulse_period_ms must be > 0")
-        if not 0 < self.press_window_ms <= self.pulse_period_ms:
-            raise ValueError(
-                "press_window_ms must satisfy 0 < window <= period, got "
-                f"window={self.press_window_ms} period={self.pulse_period_ms}"
-            )
-
-    @classmethod
-    def from_string(cls, text: str, pulse_period_ms: int, press_window_ms: int) -> "PasswordSpec":
-        """Parse the config-file form, a string of '0'/'1' characters."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"password must be a non-empty string of 0/1, got {text!r}")
-        bits = tuple(int(c) for c in text)
-        return cls(bits, pulse_period_ms, press_window_ms)
-
-    @property
-    def attempt_ms(self) -> int:
-        """Length of an attempt: its start to the end of the last pulse's window."""
-        return (len(self.bits) - 1) * self.pulse_period_ms + self.press_window_ms
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
 class AttemptOutcome(NamedTuple):
     accepted: bool
-    trace: Tuple[int, ...]
+    trace: str  # the entered bits, a 0/1 string as long as the password
 
 
 @dataclass
 class AttemptSession:
-    """One password entry against a pulse schedule, built from (spec, started_at) alone."""
+    """One password entry against a pulse schedule, built from (cfg, started_at) alone."""
 
-    spec: PasswordSpec
+    cfg: SimConfig
     started_at: Instant
-    observed: List[int] = field(init=False)
+    observed: List[str] = field(init=False)
     extraneous_press: bool = field(init=False, default=False)
     finalized: bool = field(init=False, default=False)
     # First instant at which the outcome is decidable: the end of the last
-    # pulse's window. Fixed by spec and start, so computed once.
+    # pulse's window. Fixed by config and start, so computed once.
     end: Instant = field(init=False)
 
     def __post_init__(self) -> None:
-        self.observed = [0] * len(self.spec)
-        self.end = self.started_at + self.spec.attempt_ms
+        self.observed = ["0"] * len(self.cfg.password)
+        self.end = self.started_at + self.cfg.attempt_ms
 
     def record_press(self, at: Instant) -> None:
         """Register a button press at time ``at``.
@@ -108,9 +69,9 @@ class AttemptSession:
         if rel < 0:
             self.extraneous_press = True
             return
-        k, offset = divmod(rel, self.spec.pulse_period_ms)
-        if k < len(self.spec) and offset < self.spec.press_window_ms:
-            self.observed[k] = 1
+        k, offset = divmod(rel, self.cfg.pulse_period_ms)
+        if k < len(self.observed) and offset < self.cfg.press_window_ms:
+            self.observed[k] = "1"
         else:
             self.extraneous_press = True
 
@@ -123,16 +84,16 @@ class AttemptSession:
                 f"cannot finalize at t={now}, schedule runs until t={self.end}"
             )
         self.finalized = True
-        trace = tuple(self.observed)
+        trace = "".join(self.observed)
         return AttemptOutcome(
-            accepted=not self.extraneous_press and trace == tuple(self.spec.bits),
+            accepted=not self.extraneous_press and trace == self.cfg.password,
             trace=trace,
         )
 
 
-def begin_attempt(spec: PasswordSpec, start: Instant) -> AttemptSession:
+def begin_attempt(cfg: SimConfig, start: Instant) -> AttemptSession:
     """Start the password-entering mode at ``start``."""
-    return AttemptSession(spec, start)
+    return AttemptSession(cfg, start)
 
 
 def search_space(n: int) -> int:

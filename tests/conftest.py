@@ -25,9 +25,9 @@ def pytest_terminal_summary(terminalreporter):
         f"total suite wall time: {elapsed:.1f}s (acceptance budget: 60s)"
     )
 
-from sentinelsim.config import ConfigError, coerce_value, integer
+from sentinelsim.config import ConfigError, SimConfig, coerce_value, integer
 from sentinelsim.events import EventKind, Instant, ScenarioEvent
-from sentinelsim.pulselock import AttemptOutcome, AttemptSession, PasswordSpec
+from sentinelsim.pulselock import AttemptOutcome, AttemptSession
 from sentinelsim.scenario import Scenario, ScenarioError
 
 # characters str.splitlines breaks on, beyond the plain line feed: no mail
@@ -108,25 +108,34 @@ def random_scenario(seed: int, n_events: int = 40, max_range: float = 4.0) -> Sc
     return Scenario(name=f"fuzz-{seed}", events=tuple(events))
 
 
+def password_config(
+    password: str = "1100101", period: int = 1000, window: int = 500
+) -> SimConfig:
+    """A validated config with this password and pulse timing."""
+    cfg = SimConfig(password=password, pulse_period_ms=period, press_window_ms=window)
+    cfg.validate()
+    return cfg
+
+
 def mid_window_press_times(
-    spec: PasswordSpec, pattern: int, start: Instant = 0
+    cfg: SimConfig, pattern: int, start: Instant = 0
 ) -> List[Instant]:
     """Press times for a candidate entry, pressing mid-window for each 1 bit.
 
     Bit k of ``pattern`` (value ``1 << k``) corresponds to pulse k.
     """
-    half = spec.press_window_ms // 2
+    half = cfg.press_window_ms // 2
     return [
-        start + k * spec.pulse_period_ms + half
-        for k in range(len(spec))
+        start + k * cfg.pulse_period_ms + half
+        for k in range(len(cfg.password))
         if pattern >> k & 1
     ]
 
 
-def run_pattern(spec: PasswordSpec, pattern: int, start: Instant = 0) -> AttemptOutcome:
+def run_pattern(cfg: SimConfig, pattern: int, start: Instant = 0) -> AttemptOutcome:
     """Drive a full attempt for one mid-window press pattern."""
-    session = AttemptSession(spec, start)
-    for t in mid_window_press_times(spec, pattern, start):
+    session = AttemptSession(cfg, start)
+    for t in mid_window_press_times(cfg, pattern, start):
         session.record_press(t)
     return session.finalize(session.end)
 

@@ -7,7 +7,9 @@ import random
 import time
 
 import conftest
-from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT, mid_window_press_times, run_pattern
+from conftest import (
+    BREAKIN_TEXT, DEACTIVATE_TEXT, mid_window_press_times, password_config, run_pattern,
+)
 from sentinelsim.airframe import (
     MAX_PAYLOAD,
     ChecksumMismatch,
@@ -21,7 +23,7 @@ from sentinelsim.config import SimConfig
 from sentinelsim.controller import ACTION_LINE
 from sentinelsim.engine import run
 from sentinelsim.notify import MemorySink, NotificationKind
-from sentinelsim.pulselock import AttemptSession, PasswordSpec
+from sentinelsim.pulselock import AttemptSession
 from sentinelsim.report import render_report
 from sentinelsim.rng import SplitMix64
 from sentinelsim.scenario import parse_scenario
@@ -31,7 +33,7 @@ _MODULE_T0 = time.perf_counter()
 
 
 def _pack(bits):
-    return sum(bit << k for k, bit in enumerate(bits))
+    return sum(int(bit) << k for k, bit in enumerate(bits))
 
 
 def _passed(name):
@@ -40,48 +42,48 @@ def _passed(name):
 
 
 def test_password_oracle_unique_acceptance():
-    """Every spec up to n=10 is unlocked by exactly one press pattern."""
+    """Every password up to n=10 is unlocked by exactly one press pattern."""
     t0 = time.perf_counter()
     period, window = 1000, 500
 
     # observed bits depend only on press times, so each pattern is simulated
-    # once per length through a real session and tallied against every spec
+    # once per length through a real session and tallied against every password
     for n in range(1, 11):
-        probe_spec = PasswordSpec((0,) * n, period, window)
+        probe = password_config("0" * n, period, window)
         counts = [0] * (1 << n)
         matched = [-1] * (1 << n)
         for pattern in range(1 << n):
-            session = AttemptSession(probe_spec, 0)
-            for t in mid_window_press_times(probe_spec, pattern):
+            session = AttemptSession(probe, 0)
+            for t in mid_window_press_times(probe, pattern):
                 session.record_press(t)
             assert not session.extraneous_press
             observed = _pack(session.observed)
             counts[observed] += 1
             if matched[observed] < 0:
                 matched[observed] = pattern
-        for spec_value in range(1 << n):
-            assert counts[spec_value] == 1, f"n={n} spec={spec_value:0{n}b}"
-            assert matched[spec_value] == spec_value
+        for value in range(1 << n):
+            assert counts[value] == 1, f"n={n} value={value:0{n}b}"
+            assert matched[value] == value
 
-    # cross-check the tally against full sessions for every (spec, pattern)
+    # cross-check the tally against full sessions for every (password, pattern)
     # pair up to n=5, including the finalize decision
     for n in range(1, 6):
-        for spec_value in range(1 << n):
-            bits = tuple(spec_value >> k & 1 for k in range(n))
-            spec = PasswordSpec(bits, period, window)
+        for value in range(1 << n):
+            password = "".join(str(value >> k & 1) for k in range(n))
+            cfg = password_config(password, period, window)
             accepted = [
-                p for p in range(1 << n) if run_pattern(spec, p).accepted
+                p for p in range(1 << n) if run_pattern(cfg, p).accepted
             ]
-            assert accepted == [spec_value]
+            assert accepted == [value]
 
     # the documented 7-bit example: presses on pulses 1, 2, 5 and 7
-    spec = PasswordSpec.from_string("1100101", period, window)
-    good = AttemptSession(spec, 0)
+    cfg = password_config("1100101", period, window)
+    good = AttemptSession(cfg, 0)
     for pulse in (1, 2, 5, 7):
         good.record_press((pulse - 1) * period + 250)
     assert good.finalize(good.end).accepted
 
-    bad = AttemptSession(spec, 0)
+    bad = AttemptSession(cfg, 0)
     for pulse in (1, 2, 5):
         bad.record_press((pulse - 1) * period + 250)
     assert not bad.finalize(bad.end).accepted

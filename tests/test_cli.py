@@ -325,8 +325,8 @@ def test_exit_two_leaves_no_file_the_run_wrote(breakin_file, tmp_path, monkeypat
     assert left == ["notes.txt"]
 
 
-def _out_dir_with_notes(tmp_path):
-    out_dir = tmp_path / "out"
+def _out_dir_with_notes(tmp_path, name="out"):
+    out_dir = tmp_path / name
     out_dir.mkdir()
     (out_dir / "notes.txt").write_text("mine", encoding="utf-8")
     return out_dir
@@ -378,7 +378,10 @@ def test_failed_sink_write_leaves_no_file_and_names_it(
     assert _files_under(out_dir) == ["notes.txt"]
 
 
-def test_failed_clip_write_leaves_no_file_and_names_it(breakin_file, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("brk", ["", *LINE_BREAKS])
+def test_failed_clip_write_leaves_no_file_and_names_it(
+    breakin_file, tmp_path, monkeypatch, brk, capsys
+):
     # as under a file-size limit: the clip file is made, then growing it fails
     def too_large_open(path, *args, **kwargs):
         fh = open(path, *args, **kwargs)
@@ -388,12 +391,13 @@ def test_failed_clip_write_leaves_no_file_and_names_it(breakin_file, tmp_path, m
         return fh
 
     monkeypatch.setattr(cli, "open", too_large_open, raising=False)
-    out_dir = _out_dir_with_notes(tmp_path)
+    out_dir = _out_dir_with_notes(tmp_path, f"out{brk}final_mode: ARMED")
     argv = ["run", breakin_file, "--set", "maildir=true", "--out", str(out_dir)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     clip = os.path.join(str(out_dir), "clips", "clip-0001.bin")
-    assert f"error: cannot write {clip}: File too large" in captured.err
+    shown = repr(clip) if brk else clip  # a line break in the path: one stderr line still
+    assert captured.err == f"error: cannot write {shown}: File too large\n"
     assert captured.out == ""
     assert _files_under(out_dir) == ["notes.txt"]
 
@@ -582,6 +586,48 @@ def test_a_scenario_name_with_a_line_break_is_refused_before_its_lines(tmp_path,
     captured = capsys.readouterr()
     assert captured.err == f"error: scenario name must hold no line break, got {name!r}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("brk", ["", *LINE_BREAKS])
+def test_a_scenario_error_is_one_line_whatever_the_directory_name(tmp_path, command, brk, capsys):
+    # the name rule sees only the file's base name: a line break in a directory
+    # once split the error, "error: .../dir" then "final_mode: ARMED/s.scn: line 2: ..."
+    folder = tmp_path / f"dir{brk}final_mode: ARMED"
+    folder.mkdir()
+    path = str(folder / "s.scn")
+    (folder / "s.scn").write_bytes(b"0 arm\nbogus\n")
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    shown = repr(path) if brk else path  # a path without a line break prints as it is
+    assert captured.err == f"error: {shown}: line 2: unknown directive 'bogus'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("brk", ["", *LINE_BREAKS])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"not json", ": not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        (b"[1]", ": config file must be a JSON object"),
+        (b'{"latency_ms": 5,\n "x": "\xff"}', ": line 2: not UTF-8 text (invalid start byte)"),
+    ],
+    ids=["json", "not-an-object", "not-utf8"],
+)
+def test_a_config_file_error_is_one_line_whatever_its_path(
+    breakin_file, tmp_path, brk, data, message, capsys
+):
+    folder = tmp_path / f"dir{brk}final_mode: ARMED"
+    folder.mkdir()
+    cfg = str(folder / "c.json")
+    (folder / "c.json").write_bytes(data)
+    out_dir = tmp_path / "out"
+    assert main(["run", breakin_file, "--config", cfg, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    shown = repr(cfg) if brk else cfg
+    assert captured.err == f"error: {shown}{message}\n"
+    assert captured.out == ""
+    assert _run_names_under(out_dir) == []
 
 
 RUN_NAMES = ("report.txt", "report.json", "outbox.log", "clips", "maildir")

@@ -28,7 +28,6 @@ CFG = SimConfig(
     drop_probability=0.0,
 )
 CFG.validate()
-PASSWORD = [1, 0]
 ATTEMPT_MS = CFG.pulse_period_ms + CFG.press_window_ms
 
 
@@ -45,7 +44,7 @@ class Model:
     def __init__(self):
         self.mode = SystemMode.DISARMED
         self.recording = None  # (clip_id, started_at)
-        self.attempt = None  # [started_at, bits, extraneous]
+        self.attempt = None  # [started_at, bits as "0"/"1" characters, extraneous]
         self.last_trigger = None
         self.door_open = False
         self.alerts_sent = 0
@@ -64,7 +63,7 @@ class Model:
             return
         _, bits, extraneous = self.attempt
         self.attempt = None
-        if not extraneous and bits == PASSWORD:
+        if not extraneous and "".join(bits) == CFG.password:
             self.mode = SystemMode.DISARMED
             self.counts[NotificationKind.DEACTIVATION_SUCCEEDED.value] += 1
         else:
@@ -102,12 +101,12 @@ class Model:
         elif kind is EventKind.DOOR_CLOSE:
             self.door_open = False
         elif kind is EventKind.MODE_BUTTON:
-            self.attempt = [t, [0] * len(PASSWORD), False]
+            self.attempt = [t, ["0"] * len(CFG.password), False]
             self._schedule(t + ATTEMPT_MS, "deadline")
         elif kind is EventKind.PRESS_DOWN and self.attempt is not None:
             k, offset = divmod(t - self.attempt[0], CFG.pulse_period_ms)
-            if k < len(PASSWORD) and offset < CFG.press_window_ms:
-                self.attempt[1][k] = 1
+            if k < len(CFG.password) and offset < CFG.press_window_ms:
+                self.attempt[1][k] = "1"
             else:
                 self.attempt[2] = True
 

@@ -114,7 +114,7 @@ def edge_runs(draw):
     distance samples at threshold_m and one ulp either side of it."""
     threshold = draw(st.sampled_from(THRESHOLDS))
     password = draw(st.sampled_from(["1", "10"]))
-    span = SimConfig(password=password).password_spec.attempt_ms
+    span = SimConfig(password=password).attempt_ms
     near = st.sampled_from([
         math.nextafter(threshold, 0.0), threshold, math.nextafter(threshold, math.inf),
         threshold / 2, 3.0,

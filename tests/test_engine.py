@@ -17,7 +17,7 @@ from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
-from sentinelsim.pulselock import AttemptStateError, PasswordSpec
+from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
 
@@ -320,19 +320,6 @@ class TestValidationBeforeDispatch:
         SimConfig(**{key: 0}).validate()
         with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
             SimConfig(**{key: -1}).validate()
-
-    def test_password_is_parsed_once_per_run(self, deactivate_scenario, monkeypatch):
-        calls = []
-        parse = PasswordSpec.from_string
-
-        def counting_parse(cls, *args):
-            calls.append(args)
-            return parse(*args)
-
-        monkeypatch.setattr(PasswordSpec, "from_string", classmethod(counting_parse))
-        report = run(deactivate_scenario)
-        assert report.final_mode == "DISARMED"
-        assert len(calls) == 1
 
     @settings(max_examples=200)
     @given(

@@ -32,8 +32,8 @@ RECORDS = [
      "DeliveryResult(delivered=True, delivered_at=5020, attempts=2)"),
     (DeliveryResult(False, None, 3), ("delivered", "delivered_at", "attempts"),
      "DeliveryResult(delivered=False, delivered_at=None, attempts=3)"),
-    (AttemptOutcome(True, (1, 0, 1)), ("accepted", "trace"),
-     "AttemptOutcome(accepted=True, trace=(1, 0, 1))"),
+    (AttemptOutcome(True, "101"), ("accepted", "trace"),
+     "AttemptOutcome(accepted=True, trace='101')"),
     (RecordingJob("clip-0001", 2000, 5000, "clips/clip-0001.bin"),
      ("clip_id", "started_at", "duration_ms", "stored_ref"),
      "RecordingJob(clip_id='clip-0001', started_at=2000, duration_ms=5000, "
