@@ -195,9 +195,10 @@ def apply_overrides(base: SimConfig, overrides: Mapping) -> SimConfig:
 
 def load_config_file(path) -> Dict[str, object]:
     """Read a flat JSON object of overrides for apply_overrides."""
+    text = read_text(path)
     try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep, or an int past int()'s digit limit
         raise ConfigError(f"{shown(path)}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{shown(path)}: config file must be a JSON object")

@@ -17,6 +17,9 @@ threshold_m. Controller.dispatch still accepts both and does nothing with
 them, so the report is the same: neither logs anything, Scenario already
 keeps time order, and an attempt one of them would have decided is decided
 at its own end by its AttemptDeadline, with no log line in between.
+
+simulate() runs with the cyclic collector paused (events.collector_paused),
+as parse_scenario and render_report do: a run makes no reference cycles.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from . import rng
 from .config import ConfigError, SimConfig, apply_overrides
 from .controller import Controller
-from .events import EventKind, ScenarioEvent
+from .events import EventKind, ScenarioEvent, collector_paused
 from .notify import Dispatcher
 from .report import RunReport
 from .scenario import Scenario
@@ -115,6 +118,7 @@ def _live_events(scenario: Scenario, cfg: SimConfig) -> Iterator[ScenarioEvent]:
         yield ev
 
 
+@collector_paused
 def simulate(
     scenario: Scenario, cfg: SimConfig, seed: int = 0, extra_sinks: Sequence = ()
 ) -> RunReport:

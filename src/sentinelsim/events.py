@@ -14,6 +14,8 @@ event carries a source.
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +23,24 @@ from typing import Iterable, Iterator, Optional
 
 # Milliseconds since scenario start. Plain ints so the clock never drifts.
 Instant = int
+
+
+def collector_paused(fn):
+    """Run ``fn`` with the process-wide cyclic collector off, then restore the
+    caller's state. ``fn`` makes one tracked object per event or action and no
+    cycles, so a collection inside it would only walk live objects."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class EventKind(Enum):

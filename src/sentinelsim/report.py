@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, Tuple
 
 from .controller import ACTION_LINE, Action, RecordingJob
+from .events import collector_paused
 
 FORMATS = ("text", "structured")
 
@@ -51,6 +52,7 @@ class RunReport:
         return lines
 
 
+@collector_paused
 def render_report(report: RunReport, fmt: str = "text") -> bytes:
     """Render to UTF-8 bytes in the requested format."""
     if fmt == "text":

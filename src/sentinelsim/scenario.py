@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from .config import coerce_value, ConfigError, integer, one_line
-from .events import EventKind, ScenarioEvent
+from .events import EventKind, ScenarioEvent, collector_paused
 
 
 class ScenarioError(ValueError):
@@ -107,6 +107,7 @@ def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
     raise ValueError(f"unknown event {word!r}")
 
 
+@collector_paused
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse scenario text, reporting every bad line rather than the first."""
     overrides: Dict[str, object] = {}

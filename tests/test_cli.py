@@ -188,6 +188,23 @@ def test_bad_config_file(breakin_file, tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 10**5 + "]" * 10**5, '{"latency_ms": ' + "9" * 5000 + "}"],
+    ids=["nested-past-the-recursion-limit", "int-past-the-digit-limit"],
+)
+def test_config_file_json_cannot_read_exits_one_naming_it(breakin_file, tmp_path, text, capsys):
+    # json.loads raised RecursionError (a traceback) and a ValueError that named no file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", breakin_file, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}: not valid JSON (")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_config_file_key(breakin_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"warp_factor": 9}), encoding="utf-8")

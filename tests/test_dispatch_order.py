@@ -16,7 +16,7 @@ import sys
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario
+from conftest import random_scenario, render_scenario
 from sentinelsim import rng
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
@@ -166,16 +166,27 @@ def test_scenario_event_precedes_follow_up_at_same_millisecond():
 
 def test_run_leaves_no_reference_cycle():
     # A cycle through the controller would keep each run's action log and
-    # outbox alive until a full collection, raising peak memory.
+    # outbox alive until a full collection, raising peak memory. Parse and
+    # render make none either, so the collector paused around each of them
+    # defers no garbage.
     scenario = random_scenario(5, n_events=400)
     overrides = {"drop_probability": "0.3", "latency_ms": "15"}
-    gc.collect()
-    gc.disable()
-    try:
-        run(scenario, seed=5, cli_overrides=overrides)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    text = render_scenario(scenario)
+    report = run(scenario, seed=5, cli_overrides=overrides)
+    steps = {
+        "run": lambda: run(scenario, seed=5, cli_overrides=overrides),
+        "parse": lambda: parse_scenario(text),
+        "render text": lambda: render_report(report, "text"),
+        "render structured": lambda: render_report(report, "structured"),
+    }
+    for name, step in steps.items():
+        gc.collect()
+        gc.disable()
+        try:
+            step()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 def test_reports_match_golden_digests():
