@@ -26,9 +26,8 @@ Instant = int
 
 
 def collector_paused(fn):
-    """Run ``fn`` with the process-wide cyclic collector off, then restore the
-    caller's state. ``fn`` makes one tracked object per event or action and no
-    cycles, so a collection inside it would only walk live objects."""
+    """Run ``fn`` with the process-wide cyclic collector off, then restore the caller's
+    state: ``fn`` makes no reference cycles, so a collection inside it frees nothing."""
 
     @functools.wraps(fn)
     def paused(*args, **kwargs):
