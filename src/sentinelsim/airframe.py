@@ -12,7 +12,6 @@ escaped, which is fine because frames never share a stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional
 
@@ -51,23 +50,33 @@ class UnknownFrameType(FrameDecodeError):
     pass
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One wireless message between a sensor node and the coordinator."""
-
+class _FrameFields(NamedTuple):
     frame_type: FrameType
     source_id: int
-    payload: bytes = b""
+    payload: bytes
 
-    def __post_init__(self) -> None:
-        if self.frame_type not in FrameType.__members__.values():
-            raise ValueError(f"unknown frame type {self.frame_type!r}")
-        if not 0 <= self.source_id <= 0xFF:
-            raise ValueError(f"source_id must be one byte, got {self.source_id}")
-        if len(self.payload) > MAX_PAYLOAD:
-            raise ValueError(
-                f"payload too long for the length byte: {len(self.payload)} > {MAX_PAYLOAD}"
-            )
+
+class Frame(_FrameFields):
+    """One wireless message between a sensor node and the coordinator."""
+
+    __slots__ = ()
+
+    def __new__(cls, frame_type, source_id, payload=b""):
+        if frame_type not in FrameType.__members__.values():
+            raise ValueError(f"unknown frame type {frame_type!r}")
+        # exact types, as encode_frame writes them: not isinstance, a bool is an int
+        if type(source_id) is not int or not 0 <= source_id <= 0xFF:
+            raise ValueError(f"source_id must be a one-byte integer, got {source_id!r}")
+        if type(payload) is not bytes:
+            raise ValueError(f"payload must be bytes, got {payload!r}")
+        if len(payload) > MAX_PAYLOAD:
+            raise ValueError(f"payload too long for the length byte: {len(payload)} > {MAX_PAYLOAD}")
+        return tuple.__new__(cls, (frame_type, source_id, payload))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__'s rules
+        return cls(*iterable)
 
 
 def checksum(frame_type: int, source_id: int, payload: bytes) -> int:
@@ -103,7 +112,7 @@ def decode_frame(data: bytes) -> Frame:
             f"declared length {declared} implies {declared + 3} bytes, got {len(data)}"
         )
     frame_type, source_id = data[2], data[3]
-    payload = data[4 : 2 + declared]
+    payload = bytes(data[4 : 2 + declared])  # a bytearray's slice is not bytes
     stored = data[-1]
     expected = checksum(frame_type, source_id, payload)
     if stored != expected:

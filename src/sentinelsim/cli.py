@@ -12,7 +12,6 @@ import functools
 import os
 import shutil
 import sys
-import traceback
 from typing import List, Optional
 
 from . import __version__, engine, pulselock, rng
@@ -154,8 +153,11 @@ def _cmd_run(args) -> int:
     try:
         report = engine.simulate(scenario, cfg, args.seed, [mail] if args.out else [])
     except Exception as exc:
-        tb = traceback.extract_tb(exc.__traceback__)[-1]  # the innermost frame
-        where = f"{os.path.basename(tb.filename)}:{tb.lineno} in {tb.name}"
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # to the innermost frame
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
         print(f"runtime error: {type(exc).__name__}: {exc}\n  at {where}", file=sys.stderr)
         return EXIT_RUNTIME
     rendered = render_report(report, args.format)

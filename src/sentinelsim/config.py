@@ -4,7 +4,7 @@ Precedence, lowest to highest: built-in defaults, config file, scenario
 ``set`` lines, command-line overrides, as ``engine.resolve_run_config``
 layers them. Each key is a SimConfig field, declared nowhere else. Values
 arriving as text (scenario lines, --set flags, strings in a config file) are
-cast by the field's annotation; other values keep their type, which
+cast to the type of the field's default; other values keep their type, which
 SimConfig.validate checks against the key's. The password is a config value
 too: its four rules, and the length of an attempt (``SimConfig.attempt_ms``),
 live here, and ``pulselock`` runs an attempt against a validated config.
@@ -12,11 +12,9 @@ live here, and ``pulselock`` runs an attempt against a validated config.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, NamedTuple
 
 CLIP_DURATION_MIN_MS = 5000
 CLIP_DURATION_MAX_MS = 10000
@@ -66,8 +64,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Every tunable of a run. Defaults describe the reference deployment."""
 
     # ultrasonic ranging
@@ -153,16 +150,16 @@ class SimConfig:
         return {"owner": self.owner_email, "authorities": self.authorities_email}
 
 
-# field annotation -> (caster for a value arriving as text, the exact types a
-# value of that field may have, their name in messages). SimConfig's fields
-# are the key table: each key is declared once, as a field.
-_BY_ANNOTATION = {
-    "int": (integer, (int,), "an integer"),
-    "float": (float, (float, int), "a number"),
-    "bool": (_parse_bool, (bool,), "a boolean"),
-    "str": (str, (str,), "a string"),
+# type of a field's default -> (caster for a value arriving as text, the exact
+# types a value of that field may have, their name in messages). SimConfig's
+# fields are the key table: each key is declared once, as a field with a default.
+_BY_TYPE = {
+    int: (integer, (int,), "an integer"),
+    float: (float, (float, int), "a number"),
+    bool: (_parse_bool, (bool,), "a boolean"),
+    str: (str, (str,), "a string"),
 }
-_KEYS = {f.name: _BY_ANNOTATION[f.type] for f in dataclasses.fields(SimConfig)}
+_KEYS = {key: _BY_TYPE[type(value)] for key, value in SimConfig._field_defaults.items()}
 
 
 def coerce_value(key: str, value):
@@ -190,7 +187,7 @@ def coerce_value(key: str, value):
 def apply_overrides(base: SimConfig, overrides: Mapping) -> SimConfig:
     """Layer a mapping of key -> value (text or typed) over a config."""
     coerced = {k: coerce_value(k, v) for k, v in overrides.items()}
-    return dataclasses.replace(base, **coerced)
+    return base._replace(**coerced)
 
 
 def load_config_file(path) -> Dict[str, object]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import gc
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
@@ -66,13 +65,11 @@ class EventKind(Enum):
 _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class ScenarioEvent:
-    """A timestamped external stimulus; construction checks its shape."""
+    """A timestamped external stimulus; construction checks its shape. Immutable,
+    equal and hashed by value, with slots: dispatch reads its fields per event."""
 
-    at: Instant
-    kind: EventKind
-    meters: Optional[float] = None
+    __slots__ = ("at", "kind", "meters")
 
     def __init__(self, at: Instant, kind: EventKind, meters: Optional[float] = None) -> None:
         if type(at) is not int:  # not isinstance: a bool is an int
@@ -92,11 +89,30 @@ class ScenarioEvent:
         _set_kind(self, kind)
         _set_meters(self, meters)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.at, self.kind, self.meters) == (other.at, other.kind, other.meters)
+        return NotImplemented
 
-# The generated frozen __init__ reaches these same slot setters through
-# object.__setattr__, one attribute lookup and call per field; calling the
-# bound setters directly stores each field in a single C call, and every
-# event of a parsed scenario is built here.
+    def __hash__(self) -> int:
+        return hash((self.at, self.kind, self.meters))
+
+    def __repr__(self) -> str:
+        kind, meters = self.kind, self.meters
+        return f"{type(self).__qualname__}(at={self.at!r}, kind={kind!r}, meters={meters!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild the event through __init__'s checks
+        return type(self), (self.at, self.kind, self.meters)
+
+
+# __setattr__ refuses every write, so __init__ stores each field through its slot's
+# own setter, one C call per field: every event of a parsed scenario is built here.
 _set_at = ScenarioEvent.__dict__["at"].__set__
 _set_kind = ScenarioEvent.__dict__["kind"].__set__
 _set_meters = ScenarioEvent.__dict__["meters"].__set__

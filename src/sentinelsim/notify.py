@@ -10,7 +10,6 @@ them. Clip attachments are carried as identifiers, never media bytes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -94,8 +93,7 @@ def build_notification(
     return Notification(kind, recipients, attachment, t)
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     sink: str
     ok: bool
     error: str = ""

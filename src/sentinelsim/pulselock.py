@@ -19,8 +19,7 @@ started at t=0 ends at t=6500.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 from .config import MAX_BITS, SimConfig
 from .events import Instant
@@ -35,22 +34,20 @@ class AttemptOutcome(NamedTuple):
     trace: str  # the entered bits, a 0/1 string as long as the password
 
 
-@dataclass
 class AttemptSession:
     """One password entry against a pulse schedule, built from (cfg, started_at) alone."""
 
-    cfg: SimConfig
-    started_at: Instant
-    observed: List[str] = field(init=False)
-    extraneous_press: bool = field(init=False, default=False)
-    finalized: bool = field(init=False, default=False)
-    # First instant at which the outcome is decidable: the end of the last
-    # pulse's window. Fixed by config and start, so computed once.
-    end: Instant = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.observed = ["0"] * len(self.cfg.password)
-        self.end = self.started_at + self.cfg.attempt_ms
+    def __init__(self, cfg: SimConfig, started_at: Instant) -> None:
+        self.cfg = cfg
+        self.started_at = started_at
+        self.observed = ["0"] * len(cfg.password)
+        self.extraneous_press = False
+        self.finalized = False
+        # record_press reads the timing per press: bound once, a config field read costs more
+        self.period, self.window = cfg.pulse_period_ms, cfg.press_window_ms
+        # First instant at which the outcome is decidable: the end of the last
+        # pulse's window. Fixed by config and start, so computed once.
+        self.end = started_at + cfg.attempt_ms
 
     def record_press(self, at: Instant) -> None:
         """Register a button press at time ``at``.
@@ -69,8 +66,8 @@ class AttemptSession:
         if rel < 0:
             self.extraneous_press = True
             return
-        k, offset = divmod(rel, self.cfg.pulse_period_ms)
-        if k < len(self.observed) and offset < self.cfg.press_window_ms:
+        k, offset = divmod(rel, self.period)
+        if k < len(self.observed) and offset < self.window:
             self.observed[k] = "1"
         else:
             self.extraneous_press = True

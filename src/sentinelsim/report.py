@@ -11,9 +11,8 @@ pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .controller import ACTION_LINE, Action, RecordingJob
 from .events import collector_paused
@@ -21,8 +20,7 @@ from .events import collector_paused
 FORMATS = ("text", "structured")
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     scenario: str
     seed: int
     rng_algorithm: str

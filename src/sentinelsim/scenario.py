@@ -28,10 +28,9 @@ every message.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .config import coerce_value, ConfigError, integer, one_line
 from .events import EventKind, ScenarioEvent, collector_paused
@@ -47,20 +46,28 @@ class ScenarioError(ValueError):
         )
 
 
-@dataclass(frozen=True, eq=True)
-class Scenario:
-    name: str = "scenario"
-    overrides: Mapping[str, object] = field(default_factory=dict)
-    events: Tuple[ScenarioEvent, ...] = ()
+class _ScenarioFields(NamedTuple):
+    name: str
+    overrides: Mapping[str, object]
+    events: Tuple[ScenarioEvent, ...]
 
-    def __post_init__(self) -> None:
+
+class Scenario(_ScenarioFields):
+    __slots__ = ()
+
+    def __new__(cls, name="scenario", overrides=(), events=()):
         # the report's one-line header carries the name: a line break would forge lines
-        if not one_line(str(self.name)):
-            raise ValueError(f"scenario name must hold no line break, got {self.name!r}")
-        # the one home of time order: stable, so same-time events keep their order
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=attrgetter("at"))))
-        # a read-only copy: writing to the caller's dict or to s.overrides changes nothing
-        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
+        if not one_line(str(name)):
+            raise ValueError(f"scenario name must hold no line break, got {name!r}")
+        # the one home of time order: stable, so same-time events keep their order;
+        # and a read-only copy: writing to the caller's dict or to s.overrides changes nothing
+        events = tuple(sorted(events, key=attrgetter("at")))
+        return tuple.__new__(cls, (name, MappingProxyType(dict(overrides)), events))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__'s rules
+        return cls(*iterable)
 
 
 _SIMPLE_EVENTS = {

@@ -61,6 +61,17 @@ class TestEncode:
         with pytest.raises(ValueError):
             Frame(FrameType.INTRUDER_ALERT, 256)
 
+    @pytest.mark.parametrize("source_id", [2.0, True])
+    def test_source_id_must_be_an_int(self, source_id):
+        # encode_frame cannot write these: it once raised TypeError on them
+        with pytest.raises(ValueError, match="source_id must be a one-byte integer"):
+            Frame(FrameType.INTRUDER_ALERT, source_id)
+
+    @pytest.mark.parametrize("payload", ["ab", bytearray(b"ab"), [0x61]])
+    def test_payload_must_be_bytes(self, payload):
+        with pytest.raises(ValueError, match="payload must be bytes"):
+            Frame(FrameType.INTRUDER_ALERT, 2, payload)
+
     def test_hex_dump_format(self):
         data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x02))
         assert hex_dump(data) == "7E 02 01 02 FC"
@@ -70,6 +81,10 @@ class TestDecode:
     def test_decodes_hand_example(self):
         frame = decode_frame(bytes([0x7E, 0x02, 0x01, 0x02, 0xFC]))
         assert frame == Frame(FrameType.INTRUDER_ALERT, 0x02, b"")
+
+    def test_decodes_a_bytearray_to_a_bytes_payload(self):
+        data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x02, b"ab"))
+        assert decode_frame(bytearray(data)) == Frame(FrameType.INTRUDER_ALERT, 0x02, b"ab")
 
     def test_checksum_mismatch(self):
         with pytest.raises(ChecksumMismatch):

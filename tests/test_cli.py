@@ -1,7 +1,6 @@
 """CLI subcommands, exit codes and output files."""
 
 import contextlib
-import dataclasses
 import errno
 import io
 import json
@@ -340,6 +339,20 @@ def test_exit_two_leaves_no_file_the_run_wrote(breakin_file, tmp_path, monkeypat
     assert "runtime error: KeyError: 'clip'" in capsys.readouterr().err
     left = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
     assert left == ["notes.txt"]
+
+
+def test_exit_two_names_the_innermost_frame_on_its_second_line(breakin_file, monkeypatch, capsys):
+    def broken_clip_done(self, done):
+        raise KeyError("clip")
+
+    handlers = {**controller.Controller._HANDLERS, controller.ClipDone: broken_clip_done}
+    monkeypatch.setattr(controller.Controller, "_HANDLERS", handlers)
+    assert main(["run", breakin_file]) == 2
+    line = broken_clip_done.__code__.co_firstlineno + 1
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: KeyError: 'clip'",
+        f"  at test_cli.py:{line} in broken_clip_done",
+    ]
 
 
 def _out_dir_with_notes(tmp_path, name="out"):
@@ -727,7 +740,7 @@ def test_unencodable_address_fails_the_write_phase_cleanly(breakin_file, tmp_pat
 
 # -- every input runs or is refused: a property over cli.main ----------------
 
-_KEYS = [f.name for f in dataclasses.fields(SimConfig)]
+_KEYS = list(SimConfig._fields)
 _EDGES = ["0", "-1", str(2**63), "1e308", "nan", "inf", "true", ""]
 _BROKEN = [f"a@x{brk}Bcc: e@x" for brk in LINE_BREAKS]  # string texts that hold a line break
 _KEY_TEXTS = {

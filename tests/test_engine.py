@@ -1,6 +1,5 @@
 """End-to-end runs: determinism, outbox consistency and fuzzed invariants."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -21,8 +20,8 @@ from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
 
-FLOAT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
-INT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
+FLOAT_KEYS = [k for k, v in SimConfig._field_defaults.items() if type(v) is float]
+INT_KEYS = [k for k, v in SimConfig._field_defaults.items() if type(v) is int]
 
 
 def render_fixed_fuzz() -> bytes:

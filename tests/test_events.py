@@ -1,10 +1,8 @@
 """Event vocabulary and queue ordering."""
 
 import copy
-import dataclasses
 import pickle
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -69,17 +67,15 @@ class TestScenarioEventRecord:
     @pytest.mark.parametrize("field", ["at", "kind", "meters"])
     def test_assigning_a_field_raises(self, field):
         e = ev(0)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
             setattr(e, field, 1)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
             delattr(e, field)
         assert e == ev(0)
 
     def test_no_new_attribute(self):
-        # Python 3.11's generated __setattr__ for a frozen, slotted dataclass
-        # raises TypeError here rather than FrozenInstanceError; either refuses.
         e = ev(0)
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(AttributeError):
             e.extra = 1
         assert not hasattr(e, "extra")
 
@@ -92,14 +88,6 @@ class TestScenarioEventRecord:
         assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
         assert (by_position.at, by_position.kind, by_position.meters) == (9, kind, meters)
 
-    def test_replace_checks_the_new_fields(self):
-        e = ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.5)
-        assert dataclasses.replace(e, at=6) == ScenarioEvent(6, EventKind.DISTANCE_SAMPLE, 0.5)
-        with pytest.raises(ValueError, match="negative time -1"):
-            dataclasses.replace(e, at=-1)
-        with pytest.raises(ValueError, match="arm event does not take a distance"):
-            dataclasses.replace(e, kind=EventKind.ARM)
-
     @pytest.mark.parametrize(
         "round_trip",
         [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
@@ -109,7 +97,7 @@ class TestScenarioEventRecord:
         for e in (ev(3), ScenarioEvent(4, EventKind.DISTANCE_SAMPLE, 2.5)):
             again = round_trip(e)
             assert again == e and hash(again) == hash(e) and repr(again) == repr(e)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 again.at = 0
 
 
