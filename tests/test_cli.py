@@ -517,6 +517,15 @@ def test_parser_is_built_on_first_use_not_at_import():
     assert _python("-c", code) == b"0\n"
 
 
+def test_import_loads_no_dataclasses_inspect_or_traceback():
+    # each adds to every run's start-up time; only a fresh interpreter shows what is loaded
+    code = (
+        "import sys, sentinelsim.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))"
+    )
+    assert _python("-c", code) == b"[]\n"
+
+
 def test_cached_parser_carries_nothing_between_calls(breakin_file, capsys):
     assert main(["run", breakin_file, "--set", "drop_probability=0.5", "--seed", "9"]) == 0
     first = capsys.readouterr().out
