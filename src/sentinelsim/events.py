@@ -112,7 +112,7 @@ class ScenarioEvent:
 
 
 # __setattr__ refuses every write, so __init__ stores each field through its slot's
-# own setter, one C call per field: every event of a parsed scenario is built here.
+# own setter, one C call per field; scenario's block parse calls them without __init__.
 _set_at = ScenarioEvent.__dict__["at"].__set__
 _set_kind = ScenarioEvent.__dict__["kind"].__set__
 _set_meters = ScenarioEvent.__dict__["meters"].__set__

@@ -17,23 +17,25 @@ copy of its overrides. Its name must hold no line break (a ``ValueError``
 otherwise). Parse errors are collected for the whole file and carry 1-based
 line numbers.
 
-One compiled match takes the plain event lines: a time of 1 to 18 ASCII
-digits and an event word, ``distance`` with a plain decimal (``5``, ``5.``,
-``.5``), and only spaces and tabs as blanks. Every other line (comments,
-``set`` lines, other blanks, signs, underscores, exponents, longer times and
-every error) takes the token path, which defines the grammar and words
-every message.
+Text is parsed in blocks of about 64 KiB that end at a ``"\n"``. In one
+``findall`` per block a row is a comment-only, blank or plain event line (a time
+of 1 to 18 ASCII digits, an event word, ``distance`` with a plain decimal, only
+spaces and tabs as blanks). A block of rows alone becomes events without
+``ScenarioEvent``'s checks, which the match ensures. Other blocks, and a last line
+with no ``"\n"``, take the line loop, whose token path words every message.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from collections import deque
+from itertools import compress, repeat
+from operator import add, attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .config import coerce_value, ConfigError, integer, one_line
-from .events import EventKind, ScenarioEvent, collector_paused
+from .events import EventKind, ScenarioEvent, collector_paused, _set_at, _set_kind, _set_meters
 
 
 class ScenarioError(ValueError):
@@ -69,6 +71,9 @@ class Scenario(_ScenarioFields):
         # namedtuple's _make, and _replace through it, would skip __new__'s rules
         return cls(*iterable)
 
+    def __reduce__(self):  # copy and pickle, any protocol, rebuild through __new__'s rules
+        return type(self), (self.name, dict(self.overrides), self.events)
+
 
 _SIMPLE_EVENTS = {
     "arm": EventKind.ARM,
@@ -80,12 +85,21 @@ _DOOR_EVENTS = {"open": EventKind.DOOR_OPEN, "close": EventKind.DOOR_CLOSE}
 _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE  # bound once: see events.py
 # A line this matches means exactly what the token path makes of it. At most
 # 18 digits keep int() under its digit limit: a longer time takes the token
-# path, which words its error.
-_PLAIN_EVENT = re.compile(
+# path, which words its error. A digit run matches one way only: no quadratic retry.
+_PLAIN_SOURCE = (
     r"[ \t]*(\d{1,18})[ \t]+(?:(arm|mode_button|press_down|press_up)"
-    r"|door[ \t]+(open|close)|distance[ \t]+(\d+\.?\d*|\.\d+))[ \t]*",
-    re.ASCII,
-).fullmatch
+    r"|door[ \t]+(open|close)|distance[ \t]+(\d+(?:\.\d*)?|\.\d+))[ \t]*"
+)
+_PLAIN_EVENT = re.compile(_PLAIN_SOURCE, re.ASCII).fullmatch
+# A row runs from a line start (^) through its "\n", so none follows the last "\n", and
+# holds no other splitlines separator: as many rows as "\n"s means every line is a row.
+_PLAIN_ROWS = re.compile(
+    r"^(?:" + _PLAIN_SOURCE + r"|[ \t]*)(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?\r?\n",
+    re.ASCII | re.MULTILINE,
+).findall
+_BLOCK = 1 << 16  # characters: beside the text, parsing holds one block's rows
+_KIND_OF = {**_SIMPLE_EVENTS, **_DOOR_EVENTS, "": _DISTANCE_SAMPLE}  # by event + door word
+_consume = deque(maxlen=0).extend
 
 
 def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
@@ -120,37 +134,52 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     overrides: Dict[str, object] = {}
     events: List[ScenarioEvent] = []
     errors: List[Tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        plain = _PLAIN_EVENT(raw)
-        if plain is not None:
-            at, word, door, meters = plain.groups()
-            if word is not None:
-                events.append(ScenarioEvent(int(at), _SIMPLE_EVENTS[word]))
-            elif door is not None:
-                events.append(ScenarioEvent(int(at), _DOOR_EVENTS[door]))
-            else:
-                events.append(ScenarioEvent(int(at), _DISTANCE_SAMPLE, float(meters)))
+    start, first = 0, 1  # a block's offset and its first line's number
+    body = text.rfind("\n") + 1  # a last line with no "\n" is a block of its own
+    while start < len(text):
+        end = text.find("\n", min(start + _BLOCK, body) - 1) + 1 if start < body else len(text)
+        rows = _PLAIN_ROWS(text, start, end) if end <= body else None
+        if rows is not None and len(rows) == text.count("\n", start, end):
+            start, first = end, first + len(rows)
+            # built in C, as the match ensures ScenarioEvent's checks; blank rows have no time
+            ats, words, doors, meters = tuple(zip(*filter(itemgetter(0), rows))) or ((),) * 4
+            made = list(map(object.__new__, repeat(ScenarioEvent, len(ats))))
+            _consume(map(_set_at, made, map(int, ats)))
+            _consume(map(_set_kind, made, map(_KIND_OF.__getitem__, map(add, words, doors))))
+            _consume(map(_set_meters, made, repeat(None)))
+            _consume(map(_set_meters, compress(made, meters), map(float, filter(None, meters))))
+            events += made
             continue
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if tokens[0] == "set":
-            if len(tokens) < 3:
-                errors.append((lineno, "set requires a key and a value"))
+        lines = text[start:end].splitlines()
+        for lineno, raw in enumerate(lines, start=first):
+            plain = _PLAIN_EVENT(raw)
+            if plain is not None:
+                at, word, door, meters = plain.groups("")
+                meters = float(meters) if meters else None
+                events.append(ScenarioEvent(int(at), _KIND_OF[word + door], meters))
                 continue
-            key, value = tokens[1], " ".join(tokens[2:])
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if tokens[0] == "set":
+                if len(tokens) < 3:
+                    errors.append((lineno, "set requires a key and a value"))
+                    continue
+                key, value = tokens[1], " ".join(tokens[2:])
+                try:
+                    overrides[key] = coerce_value(key, value)
+                except ConfigError as exc:
+                    errors.append((lineno, str(exc)))
+                continue
+            if len(tokens) < 2:
+                errors.append((lineno, f"unknown directive {tokens[0]!r}"))
+                continue
             try:
-                overrides[key] = coerce_value(key, value)
-            except ConfigError as exc:
+                events.append(_parse_event_line(tokens))
+            except ValueError as exc:
                 errors.append((lineno, str(exc)))
-            continue
-        if len(tokens) < 2:
-            errors.append((lineno, f"unknown directive {tokens[0]!r}"))
-            continue
-        try:
-            events.append(_parse_event_line(tokens))
-        except ValueError as exc:
-            errors.append((lineno, str(exc)))
+        start, first = end, first + len(lines)
+    rows = ats = words = doors = meters = None  # freed before the sort copies the events
     if errors:
         raise ScenarioError(errors)
     return Scenario(name=name, overrides=overrides, events=events)

@@ -1,5 +1,9 @@
 """The data-only records: their contract as values, and the action log's type and lines."""
 
+import copy
+import pickle
+from types import MappingProxyType
+
 import pytest
 
 from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
@@ -103,6 +107,15 @@ class TestRecordContract:
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+    @pytest.mark.parametrize("protocol", [0, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+    def test_pickle_and_deepcopy_round_trips(self, record, fields, text, protocol):
+        # a record can go to a process pool; a Scenario's copy gets a fresh read-only mapping
+        for twin in (pickle.loads(pickle.dumps(record, protocol)), copy.deepcopy(record)):
+            assert twin == record and type(twin) is type(record)
+            if isinstance(record, Scenario):
+                assert type(twin.overrides) is MappingProxyType
+                assert twin.overrides is not record.overrides
 
 
 def test_action_log_holds_actions_with_unchanged_lines():

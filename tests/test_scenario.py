@@ -1,6 +1,9 @@
 """Scenario grammar, error reporting and config layering."""
 
 import re
+import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -252,10 +255,72 @@ def _parsed(parse, text):
     return "scenario", scenario, repr(scenario)  # repr tells -0.0 from 0.0
 
 
+# block sizes, in characters: one line a block, a few lines a block, and the module's own
+BLOCKS = (1, 16, scenario_module._BLOCK)
+
+
+def _blocks_of(size):
+    return mock.patch.object(scenario_module, "_BLOCK", size)
+
+
 @settings(max_examples=300)
 @given(_edge_texts)
 def test_fast_path_parses_as_the_token_path_does(text):
+    expected = _parsed(reference_parse_scenario, text)
+    for size in BLOCKS:  # patched here: a function-scoped fixture does not mix with @given
+        with _blocks_of(size):
+            assert _parsed(parse_scenario, text) == expected, size
+
+
+_plain_texts = st.lists(  # every line a row of the block match: it builds their events
+    st.one_of(
+        st.builds("{}{}{}{}{}".format, *(plain for plain, _ in _LINE_PARTS)),
+        st.sampled_from(["", " \t", "# note", "  #"]),
+    ),
+    max_size=12,
+).map(lambda lines: "".join(line + "\n" for line in lines))
+
+
+@given(_plain_texts, st.sampled_from(BLOCKS))
+def test_the_block_path_builds_only_events_the_constructor_accepts(text, size):
+    assert len(scenario_module._PLAIN_ROWS(text)) == text.count("\n")
+    with _blocks_of(size):
+        events = parse_scenario(text).events
+    for event in events:
+        assert event == ScenarioEvent(event.at, event.kind, event.meters)
+        assert type(event.at) is int
+        assert event.meters is None or type(event.meters) is float
+        assert (event.meters is None) == (event.kind is not EventKind.DISTANCE_SAMPLE)
     assert _parsed(parse_scenario, text) == _parsed(reference_parse_scenario, text)
+
+
+_MANY = "0 arm\n5 distance 1.25\n" * 20  # 40 lines: several blocks of 64 characters
+_DOOR = "door takes exactly one of: open, close"
+_BLOCK_EDGES = {
+    "bad line in the last block": (_MANY + "7 door ajar\n9 press_up\n", [(41, _DOOR)]),
+    "no final line break": (_MANY + "9 door open", []),
+    "bad last line with no line break": (_MANY + "9 door", [(41, _DOOR)]),
+    "crlf line ends": (_MANY.replace("\n", "\r\n") + "9 x\r\n", [(41, "unknown event 'x'")]),
+    "a comment on every line": (_MANY.replace("\n", " # a\n") + "9 x # b\n",
+                                [(41, "unknown event 'x'")]),
+    "a bad line, then a line break alone": ("0 arm\nbogus\n\n", [(2, "unknown directive 'bogus'")]),
+    "the same in a multi-block text": (_MANY + "bogus\n\n" + _MANY,
+                                       [(41, "unknown directive 'bogus'")]),
+    "next line": (_MANY + "1 arm\x852 arm\n" + "3 x\n", [(43, "unknown event 'x'")]),
+    "line separator": (_MANY + "1 arm\u20282 arm\n" + "3 x\n", [(43, "unknown event 'x'")]),
+    "vertical tab": (_MANY + "1 arm\x0b2 arm\n" + _MANY + "3 x\n", [(83, "unknown event 'x'")]),
+    "lone carriage return": (_MANY + "1 arm\r2 arm\n" + _MANY + "3 x\n",
+                             [(83, "unknown event 'x'")]),
+}
+
+
+@pytest.mark.parametrize("text, errors", _BLOCK_EDGES.values(), ids=_BLOCK_EDGES)
+@pytest.mark.parametrize("size", (1, 5, 16, 64, scenario_module._BLOCK))
+def test_lines_across_block_boundaries_parse_as_the_token_path_does(size, text, errors):
+    with _blocks_of(size):
+        parsed = _parsed(parse_scenario, text)
+    assert parsed == _parsed(reference_parse_scenario, text)
+    assert parsed[0] == "errors" and parsed[1] == errors if errors else parsed[0] == "scenario"
 
 
 @pytest.mark.parametrize("line, event", [
@@ -277,6 +342,32 @@ def test_fast_path_takes_plain_event_lines(line, event):
 ])
 def test_other_lines_take_the_token_path(line):
     assert scenario_module._PLAIN_EVENT(line) is None
+
+
+def test_parse_holds_under_3_mib_beside_the_text_and_its_scenario():
+    # 10^5 lines: a splitlines list alone held 7 MiB; one block's rows are a few hundred KiB
+    kinds = ("arm", "door open", "distance 1.25", "press_down", "press_up", "door close")
+    text = "".join(f"{t} {kinds[t % 6]}\n" for t in range(100_000))
+    tracemalloc.start()
+    try:
+        scenario = parse_scenario(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scenario.events) == 100_000
+    assert peak - held < 3 * 2**20
+
+
+def test_a_long_digit_run_that_fails_the_match_costs_linear_time():
+    # a meters pattern that could split a digit run two ways retried it quadratically
+    # (10^5 digits took minutes); this one takes milliseconds, so 5 s is a wide margin
+    line = "1 distance " + "1" * 10**5 + "x"
+    started = time.perf_counter()
+    assert scenario_module._PLAIN_EVENT(line) is None
+    assert scenario_module._PLAIN_ROWS(line + "\n") == []
+    with pytest.raises(ScenarioError, match="malformed number"):
+        parse_scenario(line)
+    assert time.perf_counter() - started < 5
 
 
 def test_a_5000_digit_time_is_a_scenario_error_naming_the_line():
