@@ -141,7 +141,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         rows = _PLAIN_ROWS(text, start, end) if end <= body else None
         if rows is not None and len(rows) == text.count("\n", start, end):
             start, first = end, first + len(rows)
-            # built in C, as the match ensures ScenarioEvent's checks; blank rows have no time
+            # blank and comment-only rows have no time; made in C, with no checks to repeat
             ats, words, doors, meters = tuple(zip(*filter(itemgetter(0), rows))) or ((),) * 4
             made = list(map(object.__new__, repeat(ScenarioEvent, len(ats))))
             _consume(map(_set_at, made, map(int, ats)))
@@ -149,6 +149,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             _consume(map(_set_meters, made, repeat(None)))
             _consume(map(_set_meters, compress(made, meters), map(float, filter(None, meters))))
             events += made
+            # freed now, for the next findall's strings, not its events: they stay side by side
+            del rows, ats, words, doors, meters
             continue
         lines = text[start:end].splitlines()
         for lineno, raw in enumerate(lines, start=first):
@@ -179,7 +181,6 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
         start, first = end, first + len(lines)
-    rows = ats = words = doors = meters = None  # freed before the sort copies the events
     if errors:
         raise ScenarioError(errors)
     return Scenario(name=name, overrides=overrides, events=events)

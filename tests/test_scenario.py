@@ -320,7 +320,10 @@ def test_lines_across_block_boundaries_parse_as_the_token_path_does(size, text, 
     with _blocks_of(size):
         parsed = _parsed(parse_scenario, text)
     assert parsed == _parsed(reference_parse_scenario, text)
-    assert parsed[0] == "errors" and parsed[1] == errors if errors else parsed[0] == "scenario"
+    if errors:
+        assert parsed[:2] == ("errors", errors)
+    else:
+        assert parsed[0] == "scenario"
 
 
 @pytest.mark.parametrize("line, event", [
@@ -345,7 +348,7 @@ def test_other_lines_take_the_token_path(line):
 
 
 def test_parse_holds_under_3_mib_beside_the_text_and_its_scenario():
-    # 10^5 lines: a splitlines list alone held 7 MiB; one block's rows are a few hundred KiB
+    # 10^5 lines: a list of every line would hold about 7 MiB, one block's rows some 600 KiB
     kinds = ("arm", "door open", "distance 1.25", "press_down", "press_up", "door close")
     text = "".join(f"{t} {kinds[t % 6]}\n" for t in range(100_000))
     tracemalloc.start()
