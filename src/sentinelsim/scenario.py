@@ -149,7 +149,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             _consume(map(_set_meters, made, repeat(None)))
             _consume(map(_set_meters, compress(made, meters), map(float, filter(None, meters))))
             events += made
-            # freed now, for the next findall's strings, not its events: they stay side by side
+            # freed first: the next findall's strings refill this memory, so events stay packed
             del rows, ats, words, doors, meters
             continue
         lines = text[start:end].splitlines()
