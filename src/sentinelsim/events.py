@@ -17,8 +17,10 @@ from __future__ import annotations
 import functools
 import gc
 import heapq
+from collections import deque
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from itertools import compress, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Milliseconds since scenario start. Plain ints so the clock never drifts.
 Instant = int
@@ -112,10 +114,20 @@ class ScenarioEvent:
 
 
 # __setattr__ refuses every write, so __init__ stores each field through its slot's
-# own setter, one C call per field; scenario's block parse calls them without __init__.
+# own setter, one C call per field.
 _set_at = ScenarioEvent.__dict__["at"].__set__
 _set_kind = ScenarioEvent.__dict__["kind"].__set__
 _set_meters = ScenarioEvent.__dict__["meters"].__set__
+
+
+def _unchecked_events(ats: Sequence[int], kinds: Iterable[EventKind], meters: Sequence[str]):
+    """Events from columns of times, kinds and meters texts ("" for none), unchecked, in C."""
+    made = list(map(object.__new__, repeat(ScenarioEvent, len(ats))))
+    deque(map(_set_at, made, ats), maxlen=0)
+    deque(map(_set_kind, made, kinds), maxlen=0)
+    deque(map(_set_meters, made, repeat(None)), maxlen=0)
+    deque(map(_set_meters, compress(made, meters), map(float, filter(None, meters))), maxlen=0)
+    return made
 
 
 class EventQueue:

@@ -17,25 +17,23 @@ copy of its overrides. Its name must hold no line break (a ``ValueError``
 otherwise). Parse errors are collected for the whole file and carry 1-based
 line numbers.
 
-Text is parsed in blocks of about 64 KiB that end at a ``"\n"``. In one
-``findall`` per block a row is a comment-only, blank or plain event line (a time
-of 1 to 18 ASCII digits, an event word, ``distance`` with a plain decimal, only
-spaces and tabs as blanks). A block of rows alone becomes events without
-``ScenarioEvent``'s checks, which the match ensures. Other blocks, and a last line
-with no ``"\n"``, take the line loop, whose token path words every message.
+Text is parsed in blocks of about 64 KiB that end at a ``"\n"``, with one
+``findall`` of plain event lines each: a time of 1 to 18 ASCII digits, an event word,
+``distance`` with a plain decimal, spaces and tabs as blanks, and a ``"\n"``. A block
+of such lines alone becomes events without ``ScenarioEvent``'s checks, which the match
+ensures. Other blocks (a comment, ``set`` line, other blank or line end, any error),
+and a last line with no ``"\n"``, take the line loop, whose token path words errors.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from itertools import compress, repeat
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .config import coerce_value, ConfigError, integer, one_line
-from .events import EventKind, ScenarioEvent, collector_paused, _set_at, _set_kind, _set_meters
+from .events import EventKind, ScenarioEvent, collector_paused, _unchecked_events
 
 
 class ScenarioError(ValueError):
@@ -85,21 +83,16 @@ _DOOR_EVENTS = {"open": EventKind.DOOR_OPEN, "close": EventKind.DOOR_CLOSE}
 _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE  # bound once: see events.py
 # A line this matches means exactly what the token path makes of it. At most
 # 18 digits keep int() under its digit limit: a longer time takes the token
-# path, which words its error. A digit run matches one way only: no quadratic retry.
-_PLAIN_SOURCE = (
-    r"[ \t]*(\d{1,18})[ \t]+(?:(arm|mode_button|press_down|press_up)"
-    r"|door[ \t]+(open|close)|distance[ \t]+(\d+(?:\.\d*)?|\.\d+))[ \t]*"
-)
-_PLAIN_EVENT = re.compile(_PLAIN_SOURCE, re.ASCII).fullmatch
-# A row runs from a line start (^) through its "\n", so none follows the last "\n", and
-# holds no other splitlines separator: as many rows as "\n"s means every line is a row.
-_PLAIN_ROWS = re.compile(
-    r"^(?:" + _PLAIN_SOURCE + r"|[ \t]*)(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?\r?\n",
+# path, which words its error. A digit run matches one way only: no quadratic retry. A row
+# runs from a line start (^) through its "\n", with no other splitlines separator.
+_PLAIN_ROW = re.compile(
+    r"^[ \t]*(\d{1,18})[ \t]+(?:(arm|mode_button|press_down|press_up)"
+    r"|door[ \t]+(open|close)|distance[ \t]+(\d+(?:\.\d*)?|\.\d+))[ \t]*\n",
     re.ASCII | re.MULTILINE,
-).findall
+)
+_PLAIN_EVENT = _PLAIN_ROW.fullmatch  # of one line and a "\n"
 _BLOCK = 1 << 16  # characters: beside the text, parsing holds one block's rows
 _KIND_OF = {**_SIMPLE_EVENTS, **_DOOR_EVENTS, "": _DISTANCE_SAMPLE}  # by event + door word
-_consume = deque(maxlen=0).extend
 
 
 def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
@@ -138,23 +131,18 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     body = text.rfind("\n") + 1  # a last line with no "\n" is a block of its own
     while start < len(text):
         end = text.find("\n", min(start + _BLOCK, body) - 1) + 1 if start < body else len(text)
-        rows = _PLAIN_ROWS(text, start, end) if end <= body else None
-        if rows is not None and len(rows) == text.count("\n", start, end):
+        rows = _PLAIN_ROW.findall(text, start, end) if end <= body else None
+        if rows is not None and len(rows) == text.count("\n", start, end):  # each line a row
             start, first = end, first + len(rows)
-            # blank and comment-only rows have no time; made in C, with no checks to repeat
-            ats, words, doors, meters = tuple(zip(*filter(itemgetter(0), rows))) or ((),) * 4
-            made = list(map(object.__new__, repeat(ScenarioEvent, len(ats))))
-            _consume(map(_set_at, made, map(int, ats)))
-            _consume(map(_set_kind, made, map(_KIND_OF.__getitem__, map(add, words, doors))))
-            _consume(map(_set_meters, made, repeat(None)))
-            _consume(map(_set_meters, compress(made, meters), map(float, filter(None, meters))))
-            events += made
+            ats, words, doors, meters = zip(*rows)  # the match made every check __init__ would
+            kinds = map(_KIND_OF.__getitem__, map(add, words, doors))
+            events += _unchecked_events(list(map(int, ats)), kinds, meters)
             # freed first: the next findall's strings refill this memory, so events stay packed
             del rows, ats, words, doors, meters
             continue
         lines = text[start:end].splitlines()
         for lineno, raw in enumerate(lines, start=first):
-            plain = _PLAIN_EVENT(raw)
+            plain = _PLAIN_EVENT(raw + "\n")
             if plain is not None:
                 at, word, door, meters = plain.groups("")
                 meters = float(meters) if meters else None
