@@ -137,8 +137,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             ats, words, doors, meters = zip(*rows)  # the match made every check __init__ would
             kinds = map(_KIND_OF.__getitem__, map(add, words, doors))
             events += _unchecked_events(list(map(int, ats)), kinds, meters)
-            # freed first: the next findall's strings refill this memory, so events stay packed
-            del rows, ats, words, doors, meters
+            # freed first (kinds holds words, doors): the next findall reuses it; events stay packed
+            del rows, ats, words, doors, meters, kinds
             continue
         lines = text[start:end].splitlines()
         for lineno, raw in enumerate(lines, start=first):
