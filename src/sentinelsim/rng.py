@@ -20,8 +20,8 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if seed < 0 or seed > _MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if type(seed) is not int or not 0 <= seed <= _MASK64:  # not isinstance: a bool is an int
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self._state = seed
 
     def random(self) -> float:

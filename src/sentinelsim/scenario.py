@@ -22,7 +22,7 @@ Text is parsed in blocks of about 64 KiB that end at a ``"\n"``, with one
 ``distance`` with a plain decimal, spaces and tabs as blanks, and a ``"\n"``. A block
 of such lines alone becomes events without ``ScenarioEvent``'s checks, which the match
 ensures. Other blocks (a comment, ``set`` line, other blank or line end, any error),
-and a last line with no ``"\n"``, take the line loop, whose token path words errors.
+and a last line with no ``"\n"``, take the line loop, which reads every line by tokens.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ _PLAIN_ROW = re.compile(
     r"|door[ \t]+(open|close)|distance[ \t]+(\d+(?:\.\d*)?|\.\d+))[ \t]*\n",
     re.ASCII | re.MULTILINE,
 )
-_PLAIN_EVENT = _PLAIN_ROW.fullmatch  # of one line and a "\n"
 _BLOCK = 1 << 16  # characters: beside the text, parsing holds one block's rows
 _KIND_OF = {**_SIMPLE_EVENTS, **_DOOR_EVENTS, "": _DISTANCE_SAMPLE}  # by event + door word
 
@@ -142,12 +141,6 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             continue
         lines = text[start:end].splitlines()
         for lineno, raw in enumerate(lines, start=first):
-            plain = _PLAIN_EVENT(raw + "\n")
-            if plain is not None:
-                at, word, door, meters = plain.groups("")
-                meters = float(meters) if meters else None
-                events.append(ScenarioEvent(int(at), _KIND_OF[word + door], meters))
-                continue
             tokens = raw.split("#", 1)[0].split()
             if not tokens:
                 continue

@@ -164,6 +164,13 @@ class TestEmptyAndEdgeScenarios:
         cfg = resolve_run_config(breakin_scenario)
         validate_events(breakin_scenario, cfg)
 
+    @pytest.mark.parametrize("seed", [True, 7.0, 1.5])
+    def test_a_seed_other_than_an_int_is_refused_before_the_run(self, breakin_scenario, seed):
+        # True would print "seed: True" but write "seed": 1; 7.0 broke the structured render,
+        # and 1.5 raised TypeError at the first door alert's link draw
+        with pytest.raises(ValueError, match=f"got {seed!r}$"):
+            run(breakin_scenario, seed=seed)
+
 
 class TestRunReportConsistency:
     def test_counts_match_probe_tallies(self, breakin_scenario, deactivate_scenario):

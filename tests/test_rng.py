@@ -1,5 +1,7 @@
 """splitmix64 stream correctness and determinism."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,10 +66,10 @@ def test_random_is_the_top_53_bits_of_the_reference(seed):
 
 
 def test_seed_bounds():
-    with pytest.raises(ValueError):
-        SplitMix64(-1)
-    with pytest.raises(ValueError):
-        SplitMix64(1 << 64)
+    # not an integer in [0, 2^64): a bool is an int, but its report would read "seed: True"
+    for seed in (-1, 1 << 64, True, 1.5, 7.0):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}") + "$"):
+            SplitMix64(seed)
 
 
 def test_algorithm_identifier():

@@ -1,5 +1,6 @@
 """Scenario grammar, error reporting and config layering."""
 
+import pathlib
 import re
 import time
 import tracemalloc
@@ -291,10 +292,14 @@ def test_the_block_path_builds_only_events_the_constructor_accepts(text, size):
 
 
 _MANY = "0 arm\n5 distance 1.25\n" * 20  # 40 lines: several blocks of 64 characters
+_SHIPPED = {
+    name: (pathlib.Path(__file__).parents[1] / "scenarios" / name).read_text(encoding="utf-8")
+    for name in ("breakin.scn", "deactivate.scn")
+}
 _DOOR = "door takes exactly one of: open, close"
 _BLOCK_EDGES = {
     "bad line in the last block": (_MANY + "7 door ajar\n9 press_up\n", [(41, _DOOR)]),
-    "no final line break": (_MANY + "9 door open", []),
+    "no final line break": (_MANY + "9 door open", {}),
     "bad last line with no line break": (_MANY + "9 door", [(41, _DOOR)]),
     "crlf line ends": (_MANY.replace("\n", "\r\n") + "9 x\r\n", [(41, "unknown event 'x'")]),
     "a comment on every line": (_MANY.replace("\n", " # a\n") + "9 x # b\n",
@@ -307,19 +312,28 @@ _BLOCK_EDGES = {
     "vertical tab": (_MANY + "1 arm\x0b2 arm\n" + _MANY + "3 x\n", [(83, "unknown event 'x'")]),
     "lone carriage return": (_MANY + "1 arm\r2 arm\n" + _MANY + "3 x\n",
                              [(83, "unknown event 'x'")]),
+    "a set line in a multi-block text": (_MANY + "set latency_ms 7\n" + _MANY, {"latency_ms": 7}),
+    "the same, then a bad line": (_MANY + "set latency_ms 7\n" + _MANY + "3 x\n",
+                                  [(82, "unknown event 'x'")]),
+    "a blank line in a multi-block text": (_MANY + "\n" + _MANY + "3 x\n",
+                                           [(82, "unknown event 'x'")]),
+    # comments, trailing comments, blank lines and a set line, as shipped
+    "breakin.scn": (_SHIPPED["breakin.scn"], {"threshold_m": 1.0}),
+    "deactivate.scn": (_SHIPPED["deactivate.scn"], {}),
 }
 
 
-@pytest.mark.parametrize("text, errors", _BLOCK_EDGES.values(), ids=_BLOCK_EDGES)
+@pytest.mark.parametrize("text, expected", _BLOCK_EDGES.values(), ids=_BLOCK_EDGES)
 @pytest.mark.parametrize("size", (1, 5, 16, 64, scenario_module._BLOCK))
-def test_lines_across_block_boundaries_parse_as_the_token_path_does(size, text, errors):
+def test_lines_across_block_boundaries_parse_as_the_token_path_does(size, text, expected):
+    # expected: the errors a text raises, or the overrides of the scenario it gives
     with _blocks_of(size):
         parsed = _parsed(parse_scenario, text)
     assert parsed == _parsed(reference_parse_scenario, text)
-    if errors:
-        assert parsed[:2] == ("errors", errors)
+    if isinstance(expected, list):
+        assert parsed[:2] == ("errors", expected)
     else:
-        assert parsed[0] == "scenario"
+        assert parsed[0] == "scenario" and parsed[1].overrides == expected
 
 
 @pytest.mark.parametrize("line, event", [
@@ -330,7 +344,7 @@ def test_lines_across_block_boundaries_parse_as_the_token_path_does(size, text, 
     ("9" * 18 + " press_up", ScenarioEvent(int("9" * 18), EventKind.PRESS_UP)),
 ])
 def test_fast_path_takes_plain_event_lines(line, event):
-    assert scenario_module._PLAIN_EVENT(line + "\n") is not None
+    assert scenario_module._PLAIN_ROW.fullmatch(line + "\n") is not None
     assert parse_scenario(line).events == (event,)
 
 
@@ -340,7 +354,7 @@ def test_fast_path_takes_plain_event_lines(line, event):
     "1 door ajar", "1 arm 2",
 ])
 def test_other_lines_take_the_token_path(line):
-    assert scenario_module._PLAIN_EVENT(line + "\n") is None
+    assert scenario_module._PLAIN_ROW.fullmatch(line + "\n") is None
 
 
 def test_parse_holds_under_3_mib_beside_the_text_and_its_scenario():
@@ -362,7 +376,7 @@ def test_a_long_digit_run_that_fails_the_match_costs_linear_time():
     # (10^5 digits took minutes); this one takes milliseconds, so 5 s is a wide margin
     line = "1 distance " + "1" * 10**5 + "x"
     started = time.perf_counter()
-    assert scenario_module._PLAIN_EVENT(line + "\n") is None
+    assert scenario_module._PLAIN_ROW.fullmatch(line + "\n") is None
     assert scenario_module._PLAIN_ROW.findall(line + "\n") == []
     with pytest.raises(ScenarioError, match="malformed number"):
         parse_scenario(line)
