@@ -1,11 +1,11 @@
 """Coordinator state machine.
 
-``Controller.dispatch`` is the one entrance: it takes scenario stimuli and
-the controller's own follow-ups in time order and pushes new follow-ups onto
-``Controller.followups``. The controller holds the run's state: the arming
-mode, the clip being recorded on presence, the pending pulse-password
-attempt, and an action log of every externally visible action, whose
-rendered form is one tab-separated line per action:
+``Controller.run`` takes a run's scenario stimuli in time order, merged
+with the follow-ups the controller pushes onto ``Controller.followups``;
+``Controller.dispatch`` takes one item. The controller holds the run's
+state: the arming mode, the clip being recorded on presence, the pending
+pulse-password attempt, and an action log of every externally visible
+action, whose rendered form is one tab-separated line per action:
 
     <t_ms>\\t<component>\\t<action>\\t<details>
 
@@ -18,7 +18,8 @@ coordinator's checksum check, a decode of those bytes, runs once, at import.
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, NamedTuple, Optional
+from heapq import heappop
+from typing import Iterable, List, NamedTuple, Optional
 
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
@@ -57,6 +58,7 @@ class SystemMode(Enum):
 
 # bound once: see events.py
 _ARMED, _DISARMED = SystemMode.ARMED, SystemMode.DISARMED
+_DISTANCE_SAMPLE, _PRESS_UP = EventKind.DISTANCE_SAMPLE, EventKind.PRESS_UP
 _PRESENCE, _INTRUSION = NotificationKind.PRESENCE, NotificationKind.INTRUSION
 _SUCCEEDED = NotificationKind.DEACTIVATION_SUCCEEDED
 _FAILED = NotificationKind.DEACTIVATION_FAILED
@@ -85,7 +87,7 @@ class Action(NamedTuple):
 
 
 # Internal followup events the controller pushes onto its own followups
-# queue, whose merge hands them back to dispatch() among scenario events.
+# queue, which run() hands back to the handlers among scenario events.
 
 
 class ClipDone(NamedTuple):
@@ -110,7 +112,7 @@ class Controller:
     """The coordinator plus the simulated sensor nodes feeding it.
 
     ``cfg`` must have passed ``SimConfig.validate``; ``seed`` seeds the
-    link's loss draws. ``dispatch`` is the only public method.
+    link's loss draws. ``run`` and ``dispatch`` are the only public methods.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, dispatcher: Dispatcher):
@@ -121,6 +123,7 @@ class Controller:
         self.pending_attempt: Optional[pulselock.AttemptSession] = None
         self.last_presence_trigger: Optional[Instant] = None
         self.action_log: List[Action] = []
+        self._append = self.action_log.append  # bound to the list, so no cycle through self
         self.clips: List[RecordingJob] = []
         self.followups = EventQueue()
         self._rng = SplitMix64(seed)
@@ -154,20 +157,75 @@ class Controller:
             raise TypeError(f"cannot dispatch {type(item).__name__}") from None
         handler(self, item)
 
+    def run(self, events: Iterable[ScenarioEvent]) -> None:
+        """Dispatch time-ordered scenario events and every follow-up, in one loop.
+
+        Before each event come the follow-ups due strictly earlier, so at the
+        same millisecond a scenario event precedes a follow-up; those left
+        after the last event go through ``dispatch``. Per item, the order
+        check, the decision of a due attempt and the handler are dispatch's.
+
+        The events that cannot act are skipped: every press_up, and every
+        distance sample whose round-tripped range is not below threshold_m,
+        tested with the handler's own sensor functions once per distinct
+        meters value. Neither logs anything, and an attempt one of them would
+        have decided is decided at its own end by its AttemptDeadline, with
+        no log line in between, so the report is that of dispatching each.
+        """
+        cfg = self.cfg
+        threshold = cfg.threshold_m
+        below = {}  # meters -> whether its round-tripped range is below threshold_m
+        handlers = self._HANDLERS  # read per run, not per item
+        heap = self.followups._heap
+        last = self._last_time
+        for ev in events:
+            t = ev.at
+            if t < last:
+                raise SimulationOrderError(f"event at t={t} dispatched after t={last}")
+            last = t
+            kind = ev.kind
+            if kind is _PRESS_UP:
+                continue
+            if kind is _DISTANCE_SAMPLE:
+                meters = ev.meters
+                hit = below.get(meters)
+                if hit is None:
+                    distance = distance_from_echo(echo_from_distance(meters, cfg), cfg)
+                    hit = below[meters] = distance < threshold
+                if not hit:
+                    continue
+            while heap and heap[0][0] < t:
+                item = heappop(heap)[2]
+                pending = self.pending_attempt
+                if pending is not None and item.at >= pending.end:
+                    self._decide_attempt(pending)
+                handlers[type(item)](self, item)
+            pending = self.pending_attempt
+            if pending is not None and t >= pending.end:
+                self._decide_attempt(pending)
+            handlers[kind](self, ev)
+        # the follow-ups still queued may be due before a skipped last event
+        self._last_time = min(last, heap[0][0]) if heap else last
+        while heap:
+            self.dispatch(heappop(heap)[2])
+        self._last_time = max(self._last_time, last)
+
     def _on_arm(self, ev: ScenarioEvent) -> None:
         self.mode = _ARMED
-        self._log(ev.at, "controller", "ARMED", "mode=armed")
+        self._append(_new_tuple(Action, (ev.at, "controller", "ARMED", "mode=armed")))
 
     def _on_door_open(self, ev: ScenarioEvent) -> None:
         if self._door_open:
             return
         self._door_open = True
-        result = transmit(self.cfg, ev.at, self._rng)
-        self._log(ev.at, "link", "TX", _TX_DETAILS)
+        t = ev.at
+        result = transmit(self.cfg, t, self._rng)
+        self._append(_new_tuple(Action, (t, "link", "TX", _TX_DETAILS)))
         if result.delivered:
             self.followups.push(_new_tuple(FrameArrival, (result.delivered_at, result.attempts)))
         else:
-            self._log(ev.at, "link", "DROP", f"{_ATTEMPTS_PREFIX}{result.attempts}")
+            details = f"{_ATTEMPTS_PREFIX}{result.attempts}"
+            self._append(_new_tuple(Action, (t, "link", "DROP", details)))
 
     def _on_door_close(self, ev: ScenarioEvent) -> None:
         self._door_open = False
@@ -187,33 +245,29 @@ class Controller:
         if not presence_detect(distance, self.cfg, self.last_presence_trigger, t):
             return
         self.last_presence_trigger = t
-        self._log(
-            t, "sensor", "PRESENCE_TRIGGER",
-            f"source=ultrasonic distance_m={distance + 0.0:.3f}",  # -0.0 + 0.0 is 0.0
-        )
+        details = f"source=ultrasonic distance_m={distance + 0.0:.3f}"  # -0.0 + 0.0 is 0.0
+        self._append(_new_tuple(Action, (t, "sensor", "PRESENCE_TRIGGER", details)))
         if self.active_recording is not None:
             return
         clip_id = f"clip-{len(self.clips) + 1:04d}"
         job = RecordingJob(clip_id, t, self.cfg.clip_duration_ms, f"clips/{clip_id}.bin")
         self.active_recording = job
         self.clips.append(job)
-        self._log(
-            t, "controller", "START_RECORDING",
-            f"clip={clip_id} duration_ms={job.duration_ms}",
-        )
+        details = f"clip={clip_id} duration_ms={job.duration_ms}"
+        self._append(_new_tuple(Action, (t, "controller", "START_RECORDING", details)))
         self.followups.push(ClipDone(t + job.duration_ms, clip_id))
 
     def _dispatch_arrival(self, arrival: FrameArrival) -> None:
         # the frame is always DOOR_ALERT, whose checksum was checked at import
         t = arrival.at
-        self._log(t, "link", "RX", f"{_ATTEMPTS_PREFIX}{arrival.attempts}")
+        details = f"{_ATTEMPTS_PREFIX}{arrival.attempts}"
+        self._append(_new_tuple(Action, (t, "link", "RX", details)))
         if self.mode is _ARMED:
             self.dispatcher.dispatch(build_notification(_INTRUSION, t))
-            self._log(t, "controller", "INTRUSION", _INTRUSION_DETAILS)
+            self._append(_new_tuple(Action, (t, "controller", "INTRUSION", _INTRUSION_DETAILS)))
         else:
-            self._log(
-                t, "controller", "SUPPRESSED", "event=intruder_alert reason=disarmed"
-            )
+            details = "event=intruder_alert reason=disarmed"
+            self._append(_new_tuple(Action, (t, "controller", "SUPPRESSED", details)))
 
     def _ignore(self, item) -> None:
         """A press release changes nothing; a deadline only lets dispatch see an attempt's end."""
@@ -230,8 +284,8 @@ class Controller:
             presence_to_authorities=self.cfg.presence_to_authorities,
         )
         self.dispatcher.dispatch(notification)
-        recipients = ",".join(notification.recipients)
-        self._log(done.at, "controller", "PRESENCE", f"clip={job.clip_id} recipients={recipients}")
+        details = f"clip={job.clip_id} recipients={','.join(notification.recipients)}"
+        self._append(_new_tuple(Action, (done.at, "controller", "PRESENCE", details)))
 
     def _on_mode_button(self, ev: ScenarioEvent) -> None:
         t = ev.at
@@ -241,10 +295,8 @@ class Controller:
             )
         session = pulselock.begin_attempt(self.cfg, t)
         self.pending_attempt = session
-        self._log(
-            t, "controller", "ATTEMPT_BEGIN",
-            f"n={len(self.cfg.password)} end_ms={session.end}",
-        )
+        details = f"n={len(self.cfg.password)} end_ms={session.end}"
+        self._append(_new_tuple(Action, (t, "controller", "ATTEMPT_BEGIN", details)))
         self.followups.push(AttemptDeadline(session.end))
 
     def _decide_attempt(self, session: pulselock.AttemptSession) -> None:
@@ -258,10 +310,7 @@ class Controller:
         else:
             kind = _FAILED
         self.dispatcher.dispatch(build_notification(kind, t))
-        self._log(t, "controller", kind._value_, f"trace={outcome.trace}")
-
-    def _log(self, at: Instant, component: str, action: str, details: str) -> None:
-        self.action_log.append(_new_tuple(Action, (at, component, action, details)))
+        self._append(_new_tuple(Action, (t, "controller", kind._value_, f"trace={outcome.trace}")))
 
     # One handler table of plain functions, keyed by a scenario event's kind
     # or a follow-up's type and shared by every controller. Keeping it on the

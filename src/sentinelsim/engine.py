@@ -9,14 +9,8 @@ written from a MemorySink's notifications once simulate() has returned.
 Dispatch order: scenario events in time order (ties keep scenario order),
 merged with the controller's follow-ups (clip ends, attempt deadlines, frame
 arrivals). At the same millisecond a scenario event precedes a follow-up,
-and follow-ups keep the order in which they were scheduled.
-
-simulate() does not dispatch the events that cannot act: every press_up,
-and every distance sample whose round-tripped range is not below
-threshold_m. Controller.dispatch still accepts both and does nothing with
-them, so the report is the same: neither logs anything, Scenario already
-keeps time order, and an attempt one of them would have decided is decided
-at its own end by its AttemptDeadline, with no log line in between.
+and follow-ups keep the order in which they were scheduled. Controller.run
+is that merge and dispatch, less the events that cannot act.
 
 simulate() runs with the cyclic collector paused (events.collector_paused),
 as parse_scenario and render_report do: a run makes no reference cycles.
@@ -24,21 +18,18 @@ as parse_scenario and render_report do: a run makes no reference cycles.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import rng
 from .config import ConfigError, SimConfig, apply_overrides
 from .controller import Controller
-from .events import EventKind, ScenarioEvent, collector_paused
+from .events import EventKind, collector_paused
 from .notify import Dispatcher
 from .report import RunReport
 from .scenario import Scenario
-from .sensors import distance_from_echo, echo_from_distance
 
 # bound once: see events.py
-_DISTANCE_SAMPLE, _MODE_BUTTON, _PRESS_UP = (
-    EventKind.DISTANCE_SAMPLE, EventKind.MODE_BUTTON, EventKind.PRESS_UP
-)
+_DISTANCE_SAMPLE, _MODE_BUTTON = EventKind.DISTANCE_SAMPLE, EventKind.MODE_BUTTON
 
 
 def resolve_run_config(
@@ -95,29 +86,6 @@ def prepare(
     return cfg
 
 
-def _live_events(scenario: Scenario, cfg: SimConfig) -> Iterator[ScenarioEvent]:
-    """The scenario's events in order, less those that cannot act (see above).
-
-    A sample's range is tested with the controller's own sensor functions,
-    once per distinct meters value in the run, so the result is the
-    controller's bit for bit.
-    """
-    below = {}  # meters -> whether its round-tripped range is below threshold_m
-    for ev in scenario.events:
-        kind = ev.kind
-        if kind is _PRESS_UP:
-            continue
-        if kind is _DISTANCE_SAMPLE:
-            meters = ev.meters
-            hit = below.get(meters)
-            if hit is None:
-                distance = distance_from_echo(echo_from_distance(meters, cfg), cfg)
-                hit = below[meters] = distance < cfg.threshold_m
-            if not hit:
-                continue
-        yield ev
-
-
 @collector_paused
 def simulate(
     scenario: Scenario, cfg: SimConfig, seed: int = 0, extra_sinks: Sequence = ()
@@ -135,9 +103,7 @@ def simulate(
 
     # The controller's queue holds only its follow-ups; the scenario's events,
     # which Scenario keeps in time order, stream past it.
-    dispatch = controller.dispatch
-    for item in controller.followups.merge(_live_events(scenario, cfg)):
-        dispatch(item)
+    controller.run(scenario.events)
 
     return RunReport(
         scenario=scenario.name,

@@ -20,7 +20,7 @@ import heapq
 from collections import deque
 from enum import Enum
 from itertools import compress, repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # Milliseconds since scenario start. Plain ints so the clock never drifts.
 Instant = int
@@ -148,23 +148,6 @@ class EventQueue:
     def pop(self):
         """Remove and return the earliest item; the queue must not be empty."""
         return heapq.heappop(self._heap)[2]
-
-    def merge(self, stream: Iterable) -> Iterator:
-        """Yield ``stream`` interleaved with this queue's items, then the rest.
-
-        ``stream`` must already be in time order. Before each stream item the
-        queued items due strictly earlier are yielded, so a stream item
-        precedes queued items at the same time. Items pushed while the
-        merge is being consumed are merged too.
-        """
-        heap = self._heap
-        for item in stream:
-            at = item.at
-            while heap and heap[0][0] < at:
-                yield self.pop()
-            yield item
-        while heap:
-            yield self.pop()
 
     def __len__(self) -> int:
         return len(self._heap)

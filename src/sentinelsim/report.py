@@ -56,7 +56,8 @@ def render_report(report: RunReport, fmt: str = "text") -> bytes:
     if fmt == "text":
         lines = list(map(ACTION_LINE.__mod__, report.actions))
         lines.extend(report.summary_lines())
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        lines.append("")  # the final line break, without a copy of the joined text
+        return "\n".join(lines).encode("utf-8")
     if fmt == "structured":
         return _render_structured(report)
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")

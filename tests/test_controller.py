@@ -29,15 +29,10 @@ def make_controller(**kw):
     return controller, sink
 
 
-def drive(controller, events):
-    """Run a full event loop over time-ordered scenario events plus controller followups."""
-    for item in controller.followups.merge(events):
-        controller.dispatch(item)
-
-
 def scheduled(controller):
     """The follow-ups the controller has scheduled, taken off its queue in time order."""
-    return list(controller.followups.merge(()))
+    queue = controller.followups
+    return [queue.pop() for _ in range(len(queue))]
 
 
 def ev(at, kind, **kw):
@@ -133,14 +128,11 @@ class TestAttemptOutcome:
 class TestDispatchTraces:
     def test_breakin_pipeline(self):
         c, sink = make_controller()
-        drive(
-            c,
-            [
-                ev(0, EventKind.ARM),
-                ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.8),
-                ev(5000, EventKind.DOOR_OPEN),
-            ],
-        )
+        c.run([
+            ev(0, EventKind.ARM),
+            ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.8),
+            ev(5000, EventKind.DOOR_OPEN),
+        ])
         names = [a.action for a in c.action_log]
         assert names == [
             "ARMED",
@@ -158,7 +150,7 @@ class TestDispatchTraces:
 
     def test_arm_only_scenario(self):
         c, sink = make_controller()
-        drive(c, [ev(0, EventKind.ARM)])
+        c.run([ev(0, EventKind.ARM)])
         assert log_actions(c) == [(0, "ARMED")]
         assert sink.messages == []
 
@@ -168,7 +160,7 @@ class TestDispatchTraces:
         events = [ev(0, EventKind.ARM), ev(1000, EventKind.MODE_BUTTON)]
         events += [ev(t, EventKind.PRESS_DOWN) for t in presses]
         events.append(ev(9000, EventKind.DOOR_OPEN))
-        drive(c, events)
+        c.run(events)
         kinds = [n.kind for n in sink.messages]
         assert kinds == [NotificationKind.DEACTIVATION_SUCCEEDED]
         assert c.mode is SystemMode.DISARMED
@@ -181,50 +173,41 @@ class TestDispatchTraces:
             ev(1000, EventKind.MODE_BUTTON),
             ev(1250, EventKind.PRESS_DOWN),  # only pulse 1
         ]
-        drive(c, events)
+        c.run(events)
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_FAILED
         assert c.mode is SystemMode.ARMED
 
     def test_door_close_never_alerts(self):
         c, sink = make_controller()
-        drive(
-            c,
-            [
-                ev(0, EventKind.ARM),
-                ev(100, EventKind.DOOR_OPEN),
-                ev(200, EventKind.DOOR_CLOSE),
-            ],
-        )
+        c.run([
+            ev(0, EventKind.ARM),
+            ev(100, EventKind.DOOR_OPEN),
+            ev(200, EventKind.DOOR_CLOSE),
+        ])
         assert [n.kind for n in sink.messages] == [NotificationKind.INTRUSION]
 
     def test_double_door_open_alerts_once(self):
         c, sink = make_controller()
-        drive(
-            c,
-            [
-                ev(0, EventKind.ARM),
-                ev(100, EventKind.DOOR_OPEN),
-                ev(200, EventKind.DOOR_OPEN),
-            ],
-        )
+        c.run([
+            ev(0, EventKind.ARM),
+            ev(100, EventKind.DOOR_OPEN),
+            ev(200, EventKind.DOOR_OPEN),
+        ])
         assert len(sink.messages) == 1
 
     def test_reopening_after_close_alerts_again(self):
         c, sink = make_controller()
-        drive(
-            c,
-            [
-                ev(0, EventKind.ARM),
-                ev(100, EventKind.DOOR_OPEN),
-                ev(5000, EventKind.DOOR_CLOSE),
-                ev(9000, EventKind.DOOR_OPEN),
-            ],
-        )
+        c.run([
+            ev(0, EventKind.ARM),
+            ev(100, EventKind.DOOR_OPEN),
+            ev(5000, EventKind.DOOR_CLOSE),
+            ev(9000, EventKind.DOOR_OPEN),
+        ])
         assert len(sink.messages) == 2
 
     def test_dropped_alert_produces_no_notification(self):
         c, sink = make_controller(drop_probability=1.0, max_retries=2)
-        drive(c, [ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)])
+        c.run([ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)])
         assert sink.messages == []
         drop = [a for a in c.action_log if a.action == "DROP"]
         assert len(drop) == 1
@@ -232,24 +215,21 @@ class TestDispatchTraces:
 
     def test_link_latency_delays_the_alert(self):
         c, sink = make_controller(latency_ms=40)
-        drive(c, [ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)])
+        c.run([ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)])
         assert sink.messages[0].created_at == 140
 
     def test_stray_press_is_ignored(self):
         c, sink = make_controller()
-        drive(c, [ev(0, EventKind.ARM), ev(50, EventKind.PRESS_DOWN)])
+        c.run([ev(0, EventKind.ARM), ev(50, EventKind.PRESS_DOWN)])
         assert sink.messages == []
 
     def test_press_up_is_accepted_and_ignored(self):
         c, _ = make_controller()
-        drive(
-            c,
-            [
-                ev(1000, EventKind.MODE_BUTTON),
-                ev(1250, EventKind.PRESS_UP),
-                ev(1300, EventKind.PRESS_DOWN),
-            ],
-        )
+        c.run([
+            ev(1000, EventKind.MODE_BUTTON),
+            ev(1250, EventKind.PRESS_UP),
+            ev(1300, EventKind.PRESS_DOWN),
+        ])
         # only the press_down registered: pulse 1 got its bit, nothing else
         finalized = [a for a in c.action_log if a.action.startswith("DEACTIVATION")]
         assert finalized[-1].details == "trace=1000000"
@@ -257,25 +237,19 @@ class TestDispatchTraces:
     def test_mode_button_during_attempt_is_state_error(self):
         c, _ = make_controller()
         with pytest.raises(AttemptStateError):
-            drive(
-                c,
-                [
-                    ev(1000, EventKind.MODE_BUTTON),
-                    ev(1500, EventKind.MODE_BUTTON),
-                ],
-            )
+            c.run([
+                ev(1000, EventKind.MODE_BUTTON),
+                ev(1500, EventKind.MODE_BUTTON),
+            ])
 
     def test_press_at_schedule_end_finalizes_first(self):
         c, sink = make_controller(password="0")
         # schedule for "0" started at 1000 ends at 1500; the press at 1500
         # must not blow up, the attempt is decided first
-        drive(
-            c,
-            [
-                ev(1000, EventKind.MODE_BUTTON),
-                ev(1500, EventKind.PRESS_DOWN),
-            ],
-        )
+        c.run([
+            ev(1000, EventKind.MODE_BUTTON),
+            ev(1500, EventKind.PRESS_DOWN),
+        ])
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_SUCCEEDED
 
     @pytest.mark.parametrize("later, trace", [("", "1000000"), ("7500 press_down\n", "1100000")])
@@ -300,28 +274,62 @@ class TestDispatchTraces:
         with pytest.raises(SimulationOrderError):
             c.dispatch(ev(99, EventKind.ARM))
 
+    @pytest.mark.parametrize("kind", [EventKind.ARM, EventKind.PRESS_UP])
+    def test_out_of_order_run_fails_fast(self, kind):
+        # an event run skips is still checked, as dispatch would check it
+        c, _ = make_controller()
+        with pytest.raises(SimulationOrderError, match="t=99 dispatched after t=100"):
+            c.run([ev(100, EventKind.ARM), ev(99, kind)])
+
+    def test_run_continues_from_the_last_dispatched_item(self):
+        c, _ = make_controller()
+        c.dispatch(ev(100, EventKind.ARM))
+        with pytest.raises(SimulationOrderError):
+            c.run([ev(99, EventKind.ARM)])
+        c.run([ev(100, EventKind.DOOR_OPEN)])
+        with pytest.raises(SimulationOrderError):
+            c.dispatch(ev(99, EventKind.ARM))  # the alert's arrival at 100 was the last item
+
+    def test_run_puts_scenario_events_before_follow_up_ties(self):
+        c, _ = make_controller()
+        for at, attempts in ((5, 3), (0, 1), (3, 2)):
+            c.followups.push(FrameArrival(at, attempts))
+        c.run([ev(0, EventKind.ARM), ev(5, EventKind.ARM)])
+        assert [(a.at, a.action, a.details[-1]) for a in c.action_log if a.action != "INTRUSION"] == [
+            (0, "ARMED", "d"), (0, "RX", "1"), (3, "RX", "2"), (5, "ARMED", "d"), (5, "RX", "3"),
+        ]
+        assert not c.followups
+
+    def test_run_takes_follow_ups_scheduled_during_the_run(self):
+        c, _ = make_controller(latency_ms=4, drop_probability=0.0)
+        c.run([
+            ev(0, EventKind.ARM),
+            ev(0, EventKind.DOOR_OPEN),
+            ev(10, EventKind.DOOR_CLOSE),
+            ev(10, EventKind.DOOR_OPEN),
+        ])
+        assert log_actions(c) == [
+            (0, "ARMED"), (0, "TX"), (4, "RX"), (4, "INTRUSION"),
+            (10, "TX"), (14, "RX"), (14, "INTRUSION"),
+        ]
+        assert not c.followups
+
     def test_presence_cooldown_limits_triggers(self):
         c, _ = make_controller(retrigger_cooldown_ms=5000)
-        drive(
-            c,
-            [
-                ev(0, EventKind.DISTANCE_SAMPLE, meters=0.5),
-                ev(1000, EventKind.DISTANCE_SAMPLE, meters=0.5),
-                ev(6000, EventKind.DISTANCE_SAMPLE, meters=0.5),
-            ],
-        )
+        c.run([
+            ev(0, EventKind.DISTANCE_SAMPLE, meters=0.5),
+            ev(1000, EventKind.DISTANCE_SAMPLE, meters=0.5),
+            ev(6000, EventKind.DISTANCE_SAMPLE, meters=0.5),
+        ])
         triggers = [a for a in c.action_log if a.action == "PRESENCE_TRIGGER"]
         assert [a.at for a in triggers] == [0, 6000]
 
     def test_cooldown_zero_still_single_recording(self):
         c, sink = make_controller(retrigger_cooldown_ms=0)
-        drive(
-            c,
-            [
-                ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5),
-                ev(2100, EventKind.DISTANCE_SAMPLE, meters=0.5),
-            ],
-        )
+        c.run([
+            ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5),
+            ev(2100, EventKind.DISTANCE_SAMPLE, meters=0.5),
+        ])
         assert len(c.clips) == 1
         assert len([n for n in sink.messages]) == 1
 
@@ -351,9 +359,9 @@ class TestInternalItems:
 
         assert decode_frame(DOOR_ALERT) == Frame(FrameType.INTRUDER_ALERT, 0x02)
 
-    def test_dispatch_is_the_only_public_method(self):
+    def test_dispatch_and_run_are_the_only_public_methods(self):
         public = [n for n in vars(Controller) if not n.startswith("_")]
-        assert public == ["dispatch"]
+        assert public == ["dispatch", "run"]
 
     def test_unknown_item_type_rejected(self):
         from types import SimpleNamespace

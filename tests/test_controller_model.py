@@ -1,9 +1,9 @@
 """Stateful oracle: Controller.dispatch against a small reference model.
 
-A Hypothesis state machine feeds scenario events to a controller through the
-merge of its followups queue, the engine's own tie rule: follow-ups due
-strictly before a scenario event are dispatched first, and a scenario event
-precedes the follow-ups at its own millisecond. After every step the
+A Hypothesis state machine feeds scenario events to a controller one at a
+time, taking follow-ups off its queue by the engine's own tie rule: follow-ups
+due strictly before a scenario event are dispatched first, and a scenario
+event precedes the follow-ups at its own millisecond. After every step the
 controller's mode, recording, pending attempt, presence cooldown, door
 alerts and notification counts must match the model's. With latency_ms=0
 and drop_probability=0 every door alert arrives, at its own send time.
@@ -121,20 +121,12 @@ class ControllerMachine(RuleBasedStateMachine):
         self.controller = Controller(CFG, 0, self.dispatcher)
         self.model = Model()
         self.now = 0
-        self._next = None
-        self._items = self.controller.followups.merge(self._stream())
-
-    def _stream(self):
-        while True:
-            yield self._next
 
     def _feed(self, item):
         """Dispatch the follow-ups due before item, then item unless a tick."""
-        self._next = item
-        for due in self._items:
-            if due is item:
-                break
-            self.controller.dispatch(due)
+        queue = self.controller.followups
+        while queue and queue._heap[0][0] < item.at:
+            self.controller.dispatch(queue.pop())
         if not isinstance(item, Tick):
             self.controller.dispatch(item)
 

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 from conftest import random_scenario, render_scenario
 from sentinelsim import rng
 from sentinelsim.config import ConfigError, SimConfig
+from sentinelsim.controller import Controller
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import Dispatcher, MemorySink
+from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import RunReport, render_report
 from sentinelsim.scenario import Scenario, parse_scenario
 
@@ -34,10 +36,11 @@ def reference_run(scenario, seed, overrides):
     validate_events(scenario, cfg)
     dispatcher = Dispatcher([MemorySink()])
     controller = build_controller(cfg, seed, dispatcher)
+    queue = controller.followups
     for ev in scenario.events:
-        controller.followups.push(ev)
-    for item in controller.followups.merge(()):
-        controller.dispatch(item)
+        queue.push(ev)
+    while queue:
+        controller.dispatch(queue.pop())
     return RunReport(
         scenario=scenario.name,
         seed=seed,
@@ -145,6 +148,33 @@ def test_skipped_events_change_no_report_byte(case, seed):
     assert outcome(engine_run, scenario, seed, overrides) == outcome(
         reference_run, scenario, seed, overrides
     )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(event_list=st.lists(events, max_size=30), seed=st.integers(0, 3), overrides=configs)
+def test_controller_run_matches_dispatch_of_each_item(event_list, seed, overrides):
+    # Controller.run holds its own copy of dispatch's per-item rule: the order
+    # check, the decision of a due attempt and the handler lookup.
+    scenario = Scenario(name="ties", events=tuple(event_list))
+    cfg = resolve_run_config(scenario, None, overrides)
+
+    def final_state(drive):
+        dispatcher = Dispatcher(())
+        controller = Controller(cfg, seed, dispatcher)
+        try:
+            drive(controller)
+        except AttemptStateError as exc:  # overlapping password attempts
+            return str(exc), controller.action_log
+        return controller.action_log, controller.clips, controller.mode, dispatcher.counts
+
+    def dispatch_each(controller):
+        queue = controller.followups
+        for ev in scenario.events:
+            queue.push(ev)
+        while queue:
+            controller.dispatch(queue.pop())
+
+    assert final_state(lambda c: c.run(scenario.events)) == final_state(dispatch_each)
 
 
 def test_run_matches_reference_on_random_streams():

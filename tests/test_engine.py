@@ -359,8 +359,7 @@ class TestValidationBeforeDispatch:
             rejected = False
         controller = build_controller(cfg, 0, Dispatcher([]))
         try:
-            for item in controller.followups.merge(sorted(events, key=attrgetter("at"))):
-                controller.dispatch(item)
+            controller.run(sorted(events, key=attrgetter("at")))
         except AttemptStateError:
             refused = True
         else:

@@ -23,8 +23,8 @@ HOT_FUNCTIONS = {
     "scenario._parse_event_line": scenario._parse_event_line,
     "scenario.parse_scenario": scenario.parse_scenario,
     "engine.validate_events": engine.validate_events,
-    "engine._live_events": engine._live_events,
     "controller.Controller.dispatch": controller.Controller.dispatch,
+    "controller.Controller.run": controller.Controller.run,
     **{
         f"controller.Controller.{fn.__name__}": fn
         for fn in controller.Controller._HANDLERS.values()

@@ -101,6 +101,11 @@ class TestScenarioEventRecord:
                 again.at = 0
 
 
+def drain(q):
+    """The queue's items, taken off it in time order."""
+    return [q.pop() for _ in range(len(q))]
+
+
 class TestEventQueue:
     def test_singleton(self):
         q = EventQueue()
@@ -113,7 +118,7 @@ class TestEventQueue:
         q = EventQueue()
         q.push(ev(5))
         q.push(ev(3))
-        assert [e.at for e in q.merge(())] == [3, 5]
+        assert [e.at for e in drain(q)] == [3, 5]
 
     def test_stable_tie_break(self):
         q = EventQueue()
@@ -121,7 +126,7 @@ class TestEventQueue:
         b = ev(7, EventKind.DOOR_CLOSE)
         q.push(a)
         q.push(b)
-        assert list(q.merge(())) == [a, b]
+        assert list(drain(q)) == [a, b]
 
     def test_drain_matches_independent_stable_sort(self):
         rnd = random.Random(1234)
@@ -129,7 +134,7 @@ class TestEventQueue:
         q = EventQueue()
         for e in events:
             q.push(e)
-        drained = [id(e) for e in q.merge(())]
+        drained = [id(e) for e in drain(q)]
         expected = [id(e) for e in sorted(events, key=lambda e: e.at)]
         assert drained == expected
 
@@ -139,7 +144,7 @@ class TestEventQueue:
         q = EventQueue()
         for e in events:
             q.push(e)
-        assert [id(e) for e in q.merge(())] == [
+        assert [id(e) for e in drain(q)] == [
             id(e) for e in sorted(events, key=lambda e: e.at)
         ]
 
@@ -148,26 +153,6 @@ class TestEventQueue:
         events = [ev(i % 3) for i in range(50)]
         for e in events:
             q.push(e)
-        drained = list(q.merge(()))
+        drained = list(drain(q))
         assert len(drained) == 50
         assert sorted(map(id, drained)) == sorted(map(id, events))
-
-    def test_merge_puts_stream_items_before_queued_ties(self):
-        q = EventQueue()
-        x, y, z = ev(0, EventKind.PRESS_UP), ev(3, EventKind.PRESS_UP), ev(5, EventKind.PRESS_UP)
-        for e in (z, x, y):
-            q.push(e)
-        a, b = ev(0), ev(5)
-        assert list(q.merge([a, b])) == [a, x, y, b, z]
-        assert not q
-
-    def test_merge_takes_items_pushed_while_consumed(self):
-        q = EventQueue()
-        a, b = ev(0), ev(10)
-        late = ev(4, EventKind.PRESS_UP)
-        order = []
-        for item in q.merge([a, b]):
-            order.append(item)
-            if item is a:
-                q.push(late)
-        assert order == [a, late, b]

@@ -122,8 +122,7 @@ def test_action_log_holds_actions_with_unchanged_lines():
     scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
     cfg = SimConfig(threshold_m=1.0)
     controller = Controller(cfg, 0, Dispatcher(()))
-    for item in controller.followups.merge(scenario.events):
-        controller.dispatch(item)
+    controller.run(scenario.events)
     log = controller.action_log
     assert {a.action for a in log} >= {
         "ARMED", "PRESENCE_TRIGGER", "START_RECORDING", "TX", "RX", "INTRUSION",
@@ -137,7 +136,8 @@ def test_action_log_holds_actions_with_unchanged_lines():
 def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
     controller = Controller(SimConfig(), 0, Dispatcher(()))
     controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
-    [done] = controller.followups.merge(())
+    done = controller.followups.pop()
+    assert not controller.followups
     twin = FrameArrival(done.at, done.clip_id)
     assert twin == done and hash(twin) == hash(done)
     controller.dispatch(twin)
@@ -173,7 +173,8 @@ def test_link_records_are_built_as_their_own_types():
     assert result == DeliveryResult(False, None, 3)
     controller = Controller(SimConfig(latency_ms=20), 0, Dispatcher(()))
     controller.dispatch(ScenarioEvent(100, EventKind.DOOR_OPEN))
-    [arrival] = controller.followups.merge(())
+    arrival = controller.followups.pop()
+    assert not controller.followups
     assert type(arrival) is FrameArrival and arrival == FrameArrival(120, 1)
 
 
