@@ -290,6 +290,13 @@ class TestDispatchTraces:
         with pytest.raises(SimulationOrderError):
             c.dispatch(ev(99, EventKind.ARM))  # the alert's arrival at 100 was the last item
 
+    def test_follow_ups_due_before_a_skipped_last_event_run_in_order(self):
+        c, _ = make_controller(latency_ms=10)
+        c.run([ev(0, EventKind.ARM), ev(0, EventKind.DOOR_OPEN), ev(50, EventKind.PRESS_UP)])
+        assert log_actions(c) == [(0, "ARMED"), (0, "TX"), (10, "RX"), (10, "INTRUSION")]
+        with pytest.raises(SimulationOrderError, match="after t=50"):
+            c.dispatch(ev(49, EventKind.ARM))
+
     def test_run_puts_scenario_events_before_follow_up_ties(self):
         c, _ = make_controller()
         for at, attempts in ((5, 3), (0, 1), (3, 2)):

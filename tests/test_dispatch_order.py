@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scenario, render_scenario
@@ -152,6 +152,14 @@ def test_skipped_events_change_no_report_byte(case, seed):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(event_list=st.lists(events, max_size=30), seed=st.integers(0, 3), overrides=configs)
+# a frame arrival due at an attempt's end, after its deadline: the deadline decides it first
+@example(
+    event_list=[ScenarioEvent(0, EventKind.ARM), ScenarioEvent(1000, EventKind.MODE_BUTTON),
+                ScenarioEvent(1250, EventKind.DOOR_OPEN), ScenarioEvent(2000, EventKind.ARM)],
+    seed=0,
+    overrides={"latency_ms": "250", "drop_probability": "0", "password": "1",
+               "retrigger_cooldown_ms": "0"},
+)
 def test_controller_run_matches_dispatch_of_each_item(event_list, seed, overrides):
     # Controller.run holds its own copy of dispatch's per-item rule: the order
     # check, the decision of a due attempt and the handler lookup.
