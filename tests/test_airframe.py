@@ -53,6 +53,11 @@ class TestEncode:
         data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x03, b"abc"))
         assert data[1] == 2 + 3
 
+    @pytest.mark.parametrize("frame_type", [0x7F, "intruder_alert", None])
+    def test_unknown_frame_type_rejected(self, frame_type):
+        with pytest.raises(ValueError, match=f"^unknown frame type {frame_type!r}$"):
+            Frame(frame_type, 0x01)
+
     def test_oversized_payload_rejected(self):
         with pytest.raises(ValueError, match="payload"):
             Frame(FrameType.INTRUDER_ALERT, 0x01, b"\x00" * (MAX_PAYLOAD + 1))
@@ -102,6 +107,10 @@ class TestDecode:
         data = encode_frame(Frame(FrameType.INTRUDER_ALERT, 0x01, b"xy"))
         with pytest.raises(LengthMismatch):
             decode_frame(data[:-1])
+
+    def test_one_byte_buffer_has_no_length_byte(self):
+        with pytest.raises(LengthMismatch, match="^buffer too short for a length byte$"):
+            decode_frame(b"\x7e")
 
     def test_declared_length_too_short_for_the_header(self):
         # length 1 covers the type byte only; were it accepted, the checksum

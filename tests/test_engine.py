@@ -327,6 +327,25 @@ class TestValidationBeforeDispatch:
         with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
             SimConfig(**{key: -1}).validate()
 
+    def test_validate_message_names_every_problem_byte_for_byte(self):
+        # distances first, in time order, then overlapping attempts; an int meters stays an int
+        scenario = Scenario(events=(
+            ScenarioEvent(3000, EventKind.MODE_BUTTON),
+            ScenarioEvent(200, EventKind.DISTANCE_SAMPLE, 4.5),
+            ScenarioEvent(100, EventKind.DISTANCE_SAMPLE, 5),
+            ScenarioEvent(150, EventKind.DISTANCE_SAMPLE, 4.0),
+            ScenarioEvent(1000, EventKind.MODE_BUTTON),
+            ScenarioEvent(900, EventKind.DISTANCE_SAMPLE, 12.25),
+        ))
+        with pytest.raises(ConfigError) as info:
+            validate_events(scenario, SimConfig())
+        assert str(info.value) == (
+            "distance 5 m at t=100 exceeds max_range_m=4.0; "
+            "distance 4.5 m at t=200 exceeds max_range_m=4.0; "
+            "distance 12.25 m at t=900 exceeds max_range_m=4.0; "
+            "mode_button at t=3000 comes while the attempt begun at t=1000 runs until t=7500"
+        )
+
     @settings(max_examples=200)
     @given(
         gaps=st.lists(

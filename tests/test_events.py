@@ -61,6 +61,12 @@ class TestScenarioEventRecord:
         assert hash(a) == hash(ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.5))
         assert a != ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.25)
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        a = ScenarioEvent(5, EventKind.ARM)
+        assert a.__eq__((5, EventKind.ARM, None)) is NotImplemented
+        assert a != (5, EventKind.ARM, None) and a != 5
+        assert a == ScenarioEvent(5, EventKind.ARM)
+
     def test_slotted(self):
         assert not hasattr(ev(0), "__dict__")
 
