@@ -1,11 +1,12 @@
 """Coordinator state machine.
 
-``Controller.run`` takes a run's scenario stimuli in time order, merged
-with the follow-ups the controller pushes onto ``Controller.followups``;
-``Controller.dispatch`` takes one item. The controller holds the run's
-state: the arming mode, the clip being recorded on presence, the pending
-pulse-password attempt, and an action log of every externally visible
-action, whose rendered form is one tab-separated line per action:
+``Controller.run`` takes a run's scenario stimuli in time order, as the
+columns of times, kinds and meters, merged with the follow-ups the
+controller pushes onto ``Controller.followups``; ``Controller.dispatch``
+takes one item. The controller holds the run's state: the arming mode, the
+clip being recorded on presence, the pending pulse-password attempt, and an
+action log of every externally visible action, whose rendered form is one
+tab-separated line per action:
 
     <t_ms>\\t<component>\\t<action>\\t<details>
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heappop
-from typing import Iterable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
@@ -151,19 +152,30 @@ class Controller:
         if pending is not None and t >= pending.end:
             self._decide_attempt(pending)
 
+        if type(item) is ScenarioEvent:
+            key, data = item.kind, item.meters
+        else:
+            key, data = type(item), item
         try:
-            handler = self._HANDLERS[item.kind if type(item) is ScenarioEvent else type(item)]
+            handler = self._HANDLERS[key]
         except KeyError:
             raise TypeError(f"cannot dispatch {type(item).__name__}") from None
-        handler(self, item)
+        handler(self, t, data)
 
-    def run(self, events: Iterable[ScenarioEvent]) -> None:
+    def run(
+        self,
+        times: Sequence[Instant],
+        kinds: Sequence[EventKind],
+        meters: Sequence[Optional[float]],
+    ) -> None:
         """Dispatch time-ordered scenario events and every follow-up, in one loop.
 
-        Before each event come the follow-ups due strictly earlier, so at the
-        same millisecond a scenario event precedes a follow-up; those left
-        after the last event go through ``dispatch``. Per item, the order
-        check, the decision of a due attempt and the handler are dispatch's.
+        The events are three parallel columns: each event's time, kind and
+        meters (None but for a distance sample). Before each event come the
+        follow-ups due strictly earlier, so at the same millisecond a scenario
+        event precedes a follow-up; those left after the last event go through
+        ``dispatch``. Per item, the order check, the decision of a due attempt
+        and the handler are dispatch's.
 
         The events that cannot act are skipped: every press_up, and every
         distance sample whose round-tripped range is not below threshold_m,
@@ -178,47 +190,46 @@ class Controller:
         handlers = self._HANDLERS  # read per run, not per item
         heap = self.followups._heap
         last = self._last_time
-        for ev in events:
-            t = ev.at
+        for t, kind, m in zip(times, kinds, meters):
             if t < last:
                 raise SimulationOrderError(f"event at t={t} dispatched after t={last}")
             last = t
-            kind = ev.kind
             if kind is _PRESS_UP:
                 continue
             if kind is _DISTANCE_SAMPLE:
-                meters = ev.meters
-                hit = below.get(meters)
+                hit = below.get(m)
                 if hit is None:
-                    distance = distance_from_echo(echo_from_distance(meters, cfg), cfg)
-                    hit = below[meters] = distance < threshold
+                    distance = distance_from_echo(echo_from_distance(m, cfg), cfg)
+                    hit = below[m] = distance < threshold
                 if not hit:
                     continue
             while heap and heap[0][0] < t:
-                item = heappop(heap)[2]
+                at, _, item = heappop(heap)
                 pending = self.pending_attempt
-                if pending is not None and item.at >= pending.end:
+                if pending is not None and at >= pending.end:
                     self._decide_attempt(pending)
-                handlers[type(item)](self, item)
+                handlers[type(item)](self, at, item)
             pending = self.pending_attempt
             if pending is not None and t >= pending.end:
                 self._decide_attempt(pending)
-            handlers[kind](self, ev)
+            handlers[kind](self, t, m)
         # the follow-ups still queued may be due before a skipped last event
         self._last_time = min(last, heap[0][0]) if heap else last
         while heap:
             self.dispatch(heappop(heap)[2])
         self._last_time = max(self._last_time, last)
 
-    def _on_arm(self, ev: ScenarioEvent) -> None:
-        self.mode = _ARMED
-        self._append(_new_tuple(Action, (ev.at, "controller", "ARMED", "mode=armed")))
+    # Handlers take the item's time and its data: a scenario event's meters
+    # (None but for a distance sample), or the follow-up itself.
 
-    def _on_door_open(self, ev: ScenarioEvent) -> None:
+    def _on_arm(self, t: Instant, meters: None) -> None:
+        self.mode = _ARMED
+        self._append(_new_tuple(Action, (t, "controller", "ARMED", "mode=armed")))
+
+    def _on_door_open(self, t: Instant, meters: None) -> None:
         if self._door_open:
             return
         self._door_open = True
-        t = ev.at
         result = transmit(self.cfg, t, self._rng)
         self._append(_new_tuple(Action, (t, "link", "TX", _TX_DETAILS)))
         if result.delivered:
@@ -227,20 +238,19 @@ class Controller:
             details = f"{_ATTEMPTS_PREFIX}{result.attempts}"
             self._append(_new_tuple(Action, (t, "link", "DROP", details)))
 
-    def _on_door_close(self, ev: ScenarioEvent) -> None:
+    def _on_door_close(self, t: Instant, meters: None) -> None:
         self._door_open = False
 
-    def _on_press_down(self, ev: ScenarioEvent) -> None:
+    def _on_press_down(self, t: Instant, meters: None) -> None:
         if self.pending_attempt is not None:
-            self.pending_attempt.record_press(ev.at)
+            self.pending_attempt.record_press(t)
 
-    def _dispatch_distance(self, ev: ScenarioEvent) -> None:
-        t = ev.at
+    def _dispatch_distance(self, t: Instant, meters: float) -> None:
         # The echo round trip stays because it is not an identity: 68 of the
         # 401 centimetre distances from 0.00 to 4.00 m come back one ulp off.
         # With threshold_m=0.1, a 0.10 m sample ranges to 0.0999... and
         # triggers, so dropping the round trip would change reports.
-        echo = echo_from_distance(ev.meters, self.cfg)
+        echo = echo_from_distance(meters, self.cfg)
         distance = distance_from_echo(echo, self.cfg)
         if not presence_detect(distance, self.cfg, self.last_presence_trigger, t):
             return
@@ -257,9 +267,8 @@ class Controller:
         self._append(_new_tuple(Action, (t, "controller", "START_RECORDING", details)))
         self.followups.push(ClipDone(t + job.duration_ms, clip_id))
 
-    def _dispatch_arrival(self, arrival: FrameArrival) -> None:
+    def _dispatch_arrival(self, t: Instant, arrival: FrameArrival) -> None:
         # the frame is always DOOR_ALERT, whose checksum was checked at import
-        t = arrival.at
         details = f"{_ATTEMPTS_PREFIX}{arrival.attempts}"
         self._append(_new_tuple(Action, (t, "link", "RX", details)))
         if self.mode is _ARMED:
@@ -269,26 +278,25 @@ class Controller:
             details = "event=intruder_alert reason=disarmed"
             self._append(_new_tuple(Action, (t, "controller", "SUPPRESSED", details)))
 
-    def _ignore(self, item) -> None:
+    def _ignore(self, t: Instant, data) -> None:
         """A press release changes nothing; a deadline only lets dispatch see an attempt's end."""
 
-    def _dispatch_clip_done(self, done: ClipDone) -> None:
+    def _dispatch_clip_done(self, t: Instant, done: ClipDone) -> None:
         job = self.active_recording
         if job is None or job.clip_id != done.clip_id:
             return
         self.active_recording = None
         notification = build_notification(
             _PRESENCE,
-            done.at,
+            t,
             attachment=job.clip_id,
             presence_to_authorities=self.cfg.presence_to_authorities,
         )
         self.dispatcher.dispatch(notification)
         details = f"clip={job.clip_id} recipients={','.join(notification.recipients)}"
-        self._append(_new_tuple(Action, (done.at, "controller", "PRESENCE", details)))
+        self._append(_new_tuple(Action, (t, "controller", "PRESENCE", details)))
 
-    def _on_mode_button(self, ev: ScenarioEvent) -> None:
-        t = ev.at
+    def _on_mode_button(self, t: Instant, meters: None) -> None:
         if self.pending_attempt is not None:
             raise pulselock.AttemptStateError(
                 f"mode button at t={t}: a password attempt is already in progress"

@@ -18,6 +18,8 @@ as parse_scenario and render_report do: a run makes no reference cycles.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_
 from typing import Mapping, Optional, Sequence
 
 from . import rng
@@ -29,7 +31,7 @@ from .report import RunReport
 from .scenario import Scenario
 
 # bound once: see events.py
-_DISTANCE_SAMPLE, _MODE_BUTTON = EventKind.DISTANCE_SAMPLE, EventKind.MODE_BUTTON
+_MODE_BUTTON = EventKind.MODE_BUTTON
 
 
 def resolve_run_config(
@@ -50,16 +52,17 @@ def resolve_run_config(
 def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
     """Check a scenario against its config: distances within max_range_m, and
     no mode_button while the previous password attempt still runs."""
+    events = scenario.events
+    times, meters = events.times, events.meters
+    limit = cfg.max_range_m
     problems = []
-    buttons = []
-    for ev in scenario.events:
-        kind = ev.kind
-        if kind is _MODE_BUTTON:
-            buttons.append(ev.at)
-        elif kind is _DISTANCE_SAMPLE and ev.meters > cfg.max_range_m:
-            problems.append(
-                f"distance {ev.meters} m at t={ev.at} exceeds max_range_m={cfg.max_range_m}"
-            )
+    if max(filter(None, meters), default=0) > limit:  # in C; a zero cannot exceed the limit
+        problems += [
+            f"distance {m} m at t={t} exceeds max_range_m={limit}"
+            for t, m in zip(times, meters)
+            if m is not None and m > limit
+        ]
+    buttons = list(compress(times, map(is_, events.kinds, repeat(_MODE_BUTTON))))
     span = cfg.attempt_ms
     problems += [
         f"mode_button at t={t} comes while the attempt begun at t={s} runs until t={s + span}"
@@ -101,9 +104,10 @@ def simulate(
     dispatcher = Dispatcher(extra_sinks)
     controller = build_controller(cfg, seed, dispatcher)
 
-    # The controller's queue holds only its follow-ups; the scenario's events,
-    # which Scenario keeps in time order, stream past it.
-    controller.run(scenario.events)
+    # The controller's queue holds only its follow-ups; the scenario's event
+    # columns, which Scenario keeps in time order, stream past it.
+    events = scenario.events
+    controller.run(events.times, events.kinds, events.meters)
 
     return RunReport(
         scenario=scenario.name,

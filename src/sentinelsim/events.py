@@ -17,10 +17,8 @@ from __future__ import annotations
 import functools
 import gc
 import heapq
-from collections import deque
 from enum import Enum
-from itertools import compress, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 # Milliseconds since scenario start. Plain ints so the clock never drifts.
 Instant = int
@@ -67,26 +65,32 @@ class EventKind(Enum):
 _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE
 
 
+def check_event(at: Instant, kind: EventKind, meters: Optional[float]) -> None:
+    """The one home of an event's shape rules: raise ValueError unless (at, kind,
+    meters) is an event. ``ScenarioEvent`` and the parser's line loop call it."""
+    if type(at) is not int:  # not isinstance: a bool is an int
+        raise ValueError(f"time must be an integer, got {at!r}")
+    if at < 0:
+        raise ValueError(f"negative time {at}")
+    if kind is _DISTANCE_SAMPLE:
+        if meters is None:
+            raise ValueError("distance sample requires a meters value")
+        if type(meters) not in (float, int):  # not isinstance: a bool is an int
+            raise ValueError(f"meters must be a number, got {meters!r}")
+        if not meters >= 0:  # NaN fails too
+            raise ValueError(f"distance must be >= 0, got {meters}")
+    elif meters is not None:
+        raise ValueError(f"{kind._value_} event does not take a distance")
+
+
 class ScenarioEvent:
-    """A timestamped external stimulus; construction checks its shape. Immutable,
-    equal and hashed by value, with slots: dispatch reads its fields per event."""
+    """A timestamped external stimulus; construction checks its shape with
+    ``check_event``. Immutable, equal and hashed by value, with slots."""
 
     __slots__ = ("at", "kind", "meters")
 
     def __init__(self, at: Instant, kind: EventKind, meters: Optional[float] = None) -> None:
-        if type(at) is not int:  # not isinstance: a bool is an int
-            raise ValueError(f"time must be an integer, got {at!r}")
-        if at < 0:
-            raise ValueError(f"negative time {at}")
-        if kind is _DISTANCE_SAMPLE:
-            if meters is None:
-                raise ValueError("distance sample requires a meters value")
-            if type(meters) not in (float, int):  # not isinstance: a bool is an int
-                raise ValueError(f"meters must be a number, got {meters!r}")
-            if not meters >= 0:  # NaN fails too
-                raise ValueError(f"distance must be >= 0, got {meters}")
-        elif meters is not None:
-            raise ValueError(f"{kind._value_} event does not take a distance")
+        check_event(at, kind, meters)
         _set_at(self, at)
         _set_kind(self, kind)
         _set_meters(self, meters)
@@ -118,16 +122,6 @@ class ScenarioEvent:
 _set_at = ScenarioEvent.__dict__["at"].__set__
 _set_kind = ScenarioEvent.__dict__["kind"].__set__
 _set_meters = ScenarioEvent.__dict__["meters"].__set__
-
-
-def _unchecked_events(ats: Sequence[int], kinds: Iterable[EventKind], meters: Sequence[str]):
-    """Events from columns of times, kinds and meters texts ("" for none), unchecked, in C."""
-    made = list(map(object.__new__, repeat(ScenarioEvent, len(ats))))
-    deque(map(_set_at, made, ats), maxlen=0)
-    deque(map(_set_kind, made, kinds), maxlen=0)
-    deque(map(_set_meters, made, repeat(None)), maxlen=0)
-    deque(map(_set_meters, compress(made, meters), map(float, filter(None, meters))), maxlen=0)
-    return made
 
 
 class EventQueue:

@@ -10,30 +10,36 @@ Grammar, one directive per line with ``#`` comments:
     <t_ms> press_down
     <t_ms> press_up
 
-A ``Scenario`` is immutable and compares by value. It stably sorts its
-events by time when it is constructed, whether parsed or built by hand, so
-same-time events keep their given (file) order, and it keeps a read-only
-copy of its overrides. Its name must hold no line break (a ``ValueError``
-otherwise). Parse errors are collected for the whole file and carry 1-based
-line numbers.
+A ``Scenario`` is immutable and compares by value. It keeps its events as
+three parallel columns, an ``EventColumns``: ``times`` (ints), ``kinds``
+(``EventKind`` members) and ``meters`` (a distance sample's meters, ``None``
+for other events). The columns are in time order: a stable sort runs when
+the scenario is constructed, parsed or built by hand, and only if the times
+go back, so same-time events keep their given (file) order. Read as a
+sequence, ``Scenario.events`` builds ``ScenarioEvent``s on demand; its
+length costs nothing. A scenario keeps a read-only copy of its overrides.
+Its name must hold no line break (a ``ValueError`` otherwise). Parse errors
+are collected for the whole file and carry 1-based line numbers.
 
 Text is parsed in blocks of about 64 KiB that end at a ``"\n"``, with one
 ``findall`` of plain event lines each: a time of 1 to 18 ASCII digits, an event word,
 ``distance`` with a plain decimal, spaces and tabs as blanks, and a ``"\n"``. A block
-of such lines alone becomes events without ``ScenarioEvent``'s checks, which the match
-ensures. Other blocks (a comment, ``set`` line, other blank or line end, any error),
-and a last line with no ``"\n"``, take the line loop, which reads every line by tokens.
+of such lines alone extends the columns straight from the match's groups, in C; the
+match admits only what ``events.check_event`` accepts. Other blocks (a comment, ``set``
+line, other blank or line end, any error), and a last line with no ``"\n"``, take the
+line loop, which reads every line by tokens and appends checked values.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from operator import add, attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .config import coerce_value, ConfigError, integer, one_line
-from .events import EventKind, ScenarioEvent, collector_paused, _unchecked_events
+from .events import EventKind, ScenarioEvent, check_event, collector_paused
 
 
 class ScenarioError(ValueError):
@@ -46,10 +52,52 @@ class ScenarioError(ValueError):
         )
 
 
+class EventColumns(Sequence):
+    """A scenario's events as parallel columns in time order, read as a sequence of
+    ``ScenarioEvent``s built on demand. Equal to another with the same columns, or
+    to a tuple of the same events. The columns are plain lists: leave them as they are."""
+
+    __slots__ = ("times", "kinds", "meters")
+
+    def __init__(self, times: List[int], kinds: List[EventKind], meters: List[Optional[float]]):
+        # the one home of time order: stable, so same-time events keep their order,
+        # and run only when the times go back (a sorted copy is the cheapest test, in C)
+        if times != sorted(times):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times, kinds, meters = (list(map(col.__getitem__, order)) for col in (times, kinds, meters))
+        self.times, self.kinds, self.meters = times, kinds, meters
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(ScenarioEvent, self.times[index], self.kinds[index], self.meters[index]))
+        return ScenarioEvent(self.times[index], self.kinds[index], self.meters[index])
+
+    def __iter__(self):
+        return map(ScenarioEvent, self.times, self.kinds, self.meters)
+
+    def __eq__(self, other):
+        if type(other) is EventColumns:
+            return (self.times, self.kinds, self.meters) == (other.times, other.kinds, other.meters)
+        if type(other) is tuple:
+            return tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):  # copy and pickle give the events, rebuilt through their checks
+        return tuple, (tuple(self),)
+
+
 class _ScenarioFields(NamedTuple):
     name: str
     overrides: Mapping[str, object]
-    events: Tuple[ScenarioEvent, ...]
+    events: EventColumns
 
 
 class Scenario(_ScenarioFields):
@@ -59,9 +107,10 @@ class Scenario(_ScenarioFields):
         # the report's one-line header carries the name: a line break would forge lines
         if not one_line(str(name)):
             raise ValueError(f"scenario name must hold no line break, got {name!r}")
-        # the one home of time order: stable, so same-time events keep their order;
-        # and a read-only copy: writing to the caller's dict or to s.overrides changes nothing
-        events = tuple(sorted(events, key=attrgetter("at")))
+        if type(events) is not EventColumns:  # events built by hand, each checked once
+            rows = list(map(attrgetter("at", "kind", "meters"), events))
+            events = EventColumns(*map(list, zip(*rows))) if rows else EventColumns([], [], [])
+        # a read-only copy: writing to the caller's dict or to s.overrides changes nothing
         return tuple.__new__(cls, (name, MappingProxyType(dict(overrides)), events))
 
     @classmethod
@@ -70,7 +119,7 @@ class Scenario(_ScenarioFields):
         return cls(*iterable)
 
     def __reduce__(self):  # copy and pickle, any protocol, rebuild through __new__'s rules
-        return type(self), (self.name, dict(self.overrides), self.events)
+        return type(self), (self.name, dict(self.overrides), tuple(self.events))
 
 
 _SIMPLE_EVENTS = {
@@ -94,7 +143,7 @@ _BLOCK = 1 << 16  # characters: beside the text, parsing holds one block's rows
 _KIND_OF = {**_SIMPLE_EVENTS, **_DOOR_EVENTS, "": _DISTANCE_SAMPLE}  # by event + door word
 
 
-def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
+def _parse_event_line(tokens: List[str]) -> Tuple[int, EventKind, Optional[float]]:
     try:
         at = integer(tokens[0])
     except ValueError:
@@ -103,28 +152,33 @@ def _parse_event_line(tokens: List[str]) -> ScenarioEvent:
     if word in _SIMPLE_EVENTS:
         if len(tokens) > 2:
             raise ValueError(f"{word} takes no arguments")
-        return ScenarioEvent(at, _SIMPLE_EVENTS[word])
-    args = tokens[2:]  # sliced only for the events that take arguments
-    if word == "distance":
-        if len(args) != 1:
+        kind, meters = _SIMPLE_EVENTS[word], None
+    elif word == "distance":
+        if len(tokens) != 3:
             raise ValueError("distance takes exactly one value in meters")
         try:
-            meters = float(args[0])
+            meters = float(tokens[2])
         except ValueError:
-            raise ValueError(f"malformed number {args[0]!r}") from None
-        return ScenarioEvent(at, _DISTANCE_SAMPLE, meters)
-    if word == "door":
-        if len(args) == 1 and args[0] in _DOOR_EVENTS:
-            return ScenarioEvent(at, _DOOR_EVENTS[args[0]])
-        raise ValueError("door takes exactly one of: open, close")
-    raise ValueError(f"unknown event {word!r}")
+            raise ValueError(f"malformed number {tokens[2]!r}") from None
+        kind = _DISTANCE_SAMPLE
+    elif word == "door":
+        if len(tokens) != 3 or tokens[2] not in _DOOR_EVENTS:
+            raise ValueError("door takes exactly one of: open, close")
+        kind, meters = _DOOR_EVENTS[tokens[2]], None
+    else:
+        raise ValueError(f"unknown event {word!r}")
+    check_event(at, kind, meters)
+    return at, kind, meters
 
 
 @collector_paused
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse scenario text, reporting every bad line rather than the first."""
     overrides: Dict[str, object] = {}
-    events: List[ScenarioEvent] = []
+    times: List[int] = []
+    kinds: List[EventKind] = []
+    meters: List[Optional[float]] = []
+    floats: Dict[str, Optional[float]] = {"": None}  # meters text -> value, one object each
     errors: List[Tuple[int, str]] = []
     start, first = 0, 1  # a block's offset and its first line's number
     body = text.rfind("\n") + 1  # a last line with no "\n" is a block of its own
@@ -133,11 +187,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         rows = _PLAIN_ROW.findall(text, start, end) if end <= body else None
         if rows is not None and len(rows) == text.count("\n", start, end):  # each line a row
             start, first = end, first + len(rows)
-            ats, words, doors, meters = zip(*rows)  # the match made every check __init__ would
-            kinds = map(_KIND_OF.__getitem__, map(add, words, doors))
-            events += _unchecked_events(list(map(int, ats)), kinds, meters)
-            # freed first (kinds holds words, doors): the next findall reuses it; events stay packed
-            del rows, ats, words, doors, meters, kinds
+            ats, words, doors, texts = zip(*rows)  # the match made every check check_event would
+            times += map(int, ats)
+            kinds += map(_KIND_OF.__getitem__, map(add, words, doors))
+            new = set(texts).difference(floats)
+            floats.update(zip(new, map(float, new)))
+            meters += map(floats.__getitem__, texts)
+            del rows, ats, words, doors, texts, new  # freed first: the next findall reuses it
             continue
         lines = text[start:end].splitlines()
         for lineno, raw in enumerate(lines, start=first):
@@ -158,10 +214,14 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 errors.append((lineno, f"unknown directive {tokens[0]!r}"))
                 continue
             try:
-                events.append(_parse_event_line(tokens))
+                at, kind, value = _parse_event_line(tokens)
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
+                continue
+            times.append(at)
+            kinds.append(kind)
+            meters.append(value)
         start, first = end, first + len(lines)
     if errors:
         raise ScenarioError(errors)
-    return Scenario(name=name, overrides=overrides, events=events)
+    return Scenario(name, overrides, EventColumns(times, kinds, meters))

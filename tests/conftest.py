@@ -108,6 +108,13 @@ def random_scenario(seed: int, n_events: int = 40, max_range: float = 4.0) -> Sc
     return Scenario(name=f"fuzz-{seed}", events=tuple(events))
 
 
+def columns(events):
+    """The (times, kinds, meters) columns of events, in their given order, for
+    ``Controller.run``."""
+    events = list(events)
+    return [e.at for e in events], [e.kind for e in events], [e.meters for e in events]
+
+
 def password_config(
     password: str = "1100101", period: int = 1000, window: int = 500
 ) -> SimConfig:

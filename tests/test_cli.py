@@ -326,7 +326,7 @@ def test_any_exception_inside_the_simulation_exits_two(breakin_file, error, monk
 
 def test_exit_two_leaves_no_file_the_run_wrote(breakin_file, tmp_path, monkeypatch, capsys):
     # by the clip's end the intrusion mail and its outbox line are written
-    def broken_clip_done(self, done):
+    def broken_clip_done(self, t, done):
         raise KeyError("clip")
 
     handlers = {**controller.Controller._HANDLERS, controller.ClipDone: broken_clip_done}
@@ -342,7 +342,7 @@ def test_exit_two_leaves_no_file_the_run_wrote(breakin_file, tmp_path, monkeypat
 
 
 def test_exit_two_names_the_innermost_frame_on_its_second_line(breakin_file, monkeypatch, capsys):
-    def broken_clip_done(self, done):
+    def broken_clip_done(self, t, done):
         raise KeyError("clip")
 
     handlers = {**controller.Controller._HANDLERS, controller.ClipDone: broken_clip_done}

@@ -29,7 +29,7 @@ def _simulate(raises, monkeypatch):
     parsed = scenario.parse_scenario(BREAKIN_TEXT)
     cfg = engine.prepare(parsed)
     if raises:  # an internal fault inside the dispatch loop
-        def broken_arm(self, ev):
+        def broken_arm(self, t, meters):
             raise KeyError("arm")
 
         handlers = {**controller.Controller._HANDLERS, EventKind.ARM: broken_arm}

@@ -16,7 +16,7 @@ import sys
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario, render_scenario
+from conftest import columns, random_scenario, render_scenario
 from sentinelsim import rng
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import Controller
@@ -182,7 +182,7 @@ def test_controller_run_matches_dispatch_of_each_item(event_list, seed, override
         while queue:
             controller.dispatch(queue.pop())
 
-    assert final_state(lambda c: c.run(scenario.events)) == final_state(dispatch_each)
+    assert final_state(lambda c: c.run(*columns(scenario.events))) == final_state(dispatch_each)
 
 
 def test_run_matches_reference_on_random_streams():

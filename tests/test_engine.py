@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario
+from conftest import columns, random_scenario
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, ScenarioEvent
@@ -378,7 +378,7 @@ class TestValidationBeforeDispatch:
             rejected = False
         controller = build_controller(cfg, 0, Dispatcher([]))
         try:
-            controller.run(sorted(events, key=attrgetter("at")))
+            controller.run(*columns(sorted(events, key=attrgetter("at"))))
         except AttemptStateError:
             refused = True
         else:

@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
-from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT
+from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT, columns
 from sentinelsim.airframe import DeliveryResult, Frame, FrameType, transmit
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import (
@@ -26,7 +26,7 @@ from sentinelsim.notify import (
 from sentinelsim.pulselock import AttemptOutcome
 from sentinelsim.report import RunReport, render_report
 from sentinelsim.rng import SplitMix64
-from sentinelsim.scenario import Scenario, parse_scenario
+from sentinelsim.scenario import EventColumns, Scenario, parse_scenario
 
 # (record, its fields in order, its repr as the frozen dataclasses printed it)
 RECORDS = [
@@ -122,7 +122,7 @@ def test_action_log_holds_actions_with_unchanged_lines():
     scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
     cfg = SimConfig(threshold_m=1.0)
     controller = Controller(cfg, 0, Dispatcher(()))
-    controller.run(scenario.events)
+    controller.run(*columns(scenario.events))
     log = controller.action_log
     assert {a.action for a in log} >= {
         "ARMED", "PRESENCE_TRIGGER", "START_RECORDING", "TX", "RX", "INTRUSION",
@@ -183,7 +183,7 @@ def test_replace_checks_the_new_fields():
     scenario = Scenario("s", {}, [ScenarioEvent(5, EventKind.ARM)])
     later = scenario._replace(events=[ScenarioEvent(9, EventKind.ARM), *scenario.events])
     assert type(later) is Scenario and [e.at for e in later.events] == [5, 9]
-    assert type(later.events) is tuple
+    assert type(later.events) is EventColumns
     with pytest.raises(ValueError, match="no line break"):
         scenario._replace(name="a\nb")
     frame = Frame(FrameType.INTRUDER_ALERT, 2)

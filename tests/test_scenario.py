@@ -20,7 +20,7 @@ from sentinelsim.config import (
 )
 from sentinelsim.engine import resolve_run_config
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.scenario import Scenario, ScenarioError, parse_scenario
+from sentinelsim.scenario import EventColumns, Scenario, ScenarioError, parse_scenario
 
 
 class TestParse:
@@ -389,6 +389,80 @@ def test_a_5000_digit_time_is_a_scenario_error_naming_the_line():
         parse_scenario("0 arm\n" + "1" * 5000 + " arm\n")
     [(line, message)] = caught.value.errors
     assert line == 2 and message.startswith("malformed time '1111")
+
+
+class TestEventColumns:
+    TEXT = "0 arm\n5 distance 1.25\n5 door open\n9 press_up\n"
+    EVENTS = (
+        ScenarioEvent(0, EventKind.ARM),
+        ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 1.25),
+        ScenarioEvent(5, EventKind.DOOR_OPEN),
+        ScenarioEvent(9, EventKind.PRESS_UP),
+    )
+
+    def test_a_parsed_scenario_keeps_three_columns(self):
+        events = parse_scenario(self.TEXT).events
+        assert type(events) is EventColumns
+        assert events.times == [0, 5, 5, 9]
+        assert events.kinds == [EventKind.ARM, EventKind.DISTANCE_SAMPLE,
+                                EventKind.DOOR_OPEN, EventKind.PRESS_UP]
+        assert events.meters == [None, 1.25, None, None]
+        assert events == Scenario(events=self.EVENTS).events
+
+    def test_the_view_reads_as_a_sequence_of_events(self):
+        events = parse_scenario(self.TEXT).events
+        assert tuple(events) == self.EVENTS and events == self.EVENTS
+        assert events[1] == self.EVENTS[1] and events[-1] == self.EVENTS[-1]
+        assert events[1:3] == self.EVENTS[1:3] and events[::-1] == self.EVENTS[::-1]
+        assert list(reversed(events)) == list(reversed(self.EVENTS))
+        assert self.EVENTS[2] in events and events.index(self.EVENTS[3]) == 3
+        assert repr(events) == repr(self.EVENTS)
+        assert events != self.EVENTS[:3] and events != list(self.EVENTS)
+        with pytest.raises(IndexError):
+            events[4]
+        with pytest.raises(TypeError):
+            hash(events)
+
+    def test_length_builds_no_event(self, monkeypatch):
+        events = parse_scenario(self.TEXT * 1000).events
+
+        def refuse(*args):
+            raise AssertionError("an event was built")
+
+        monkeypatch.setattr(scenario_module, "ScenarioEvent", refuse)
+        assert len(events) == 4000
+
+    def test_sorted_columns_are_kept_not_copied(self):
+        times, kinds, meters = [0, 5, 5], [EventKind.ARM] * 3, [None] * 3
+        columns = EventColumns(times, kinds, meters)
+        assert columns.times is times and columns.kinds is kinds and columns.meters is meters
+
+    def test_out_of_order_columns_sort_stably(self):
+        columns = EventColumns(
+            [9, 5, 0, 5], [EventKind.PRESS_UP, EventKind.DOOR_OPEN, EventKind.ARM,
+                           EventKind.DISTANCE_SAMPLE], [None, None, None, 2],
+        )
+        assert columns.times == [0, 5, 5, 9]
+        assert columns.kinds == [EventKind.ARM, EventKind.DOOR_OPEN,
+                                 EventKind.DISTANCE_SAMPLE, EventKind.PRESS_UP]
+        assert columns.meters == [None, None, 2, None]
+        assert type(columns.meters[2]) is int  # a hand-built int stays an int
+
+    def test_reversed_text_parses_to_the_sorted_scenario(self):
+        lines = self.TEXT.splitlines()
+        reversed_text = "\n".join(reversed(lines)) + "\n"
+        parsed = parse_scenario(reversed_text)
+        # same-time lines keep their file order, now door before distance
+        assert [(e.at, e.kind) for e in parsed.events] == [
+            (0, EventKind.ARM), (5, EventKind.DOOR_OPEN), (5, EventKind.DISTANCE_SAMPLE),
+            (9, EventKind.PRESS_UP),
+        ]
+
+    def test_the_line_loop_checks_every_event(self):
+        # a negative time and a NaN distance pass the tokens but not check_event
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario("0 arm # ok\n-5 arm\n3 distance nan\n")
+        assert caught.value.errors == [(2, "negative time -5"), (3, "distance must be >= 0, got nan")]
 
 
 def resolve(file_overrides=(), scenario_overrides=(), cli_overrides=()):
