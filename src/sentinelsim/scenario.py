@@ -187,7 +187,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         rows = _PLAIN_ROW.findall(text, start, end) if end <= body else None
         if rows is not None and len(rows) == text.count("\n", start, end):  # each line a row
             start, first = end, first + len(rows)
-            ats, words, doors, texts = zip(*rows)  # the match made every check check_event would
+            ats, words, doors, texts = zip(*rows)  # the match admits only what check_event accepts
             times += map(int, ats)
             kinds += map(_KIND_OF.__getitem__, map(add, words, doors))
             new = set(texts).difference(floats)

@@ -448,16 +448,6 @@ class TestEventColumns:
         assert columns.meters == [None, None, 2, None]
         assert type(columns.meters[2]) is int  # a hand-built int stays an int
 
-    def test_reversed_text_parses_to_the_sorted_scenario(self):
-        lines = self.TEXT.splitlines()
-        reversed_text = "\n".join(reversed(lines)) + "\n"
-        parsed = parse_scenario(reversed_text)
-        # same-time lines keep their file order, now door before distance
-        assert [(e.at, e.kind) for e in parsed.events] == [
-            (0, EventKind.ARM), (5, EventKind.DOOR_OPEN), (5, EventKind.DISTANCE_SAMPLE),
-            (9, EventKind.PRESS_UP),
-        ]
-
     def test_the_line_loop_checks_every_event(self):
         # a negative time and a NaN distance pass the tokens but not check_event
         with pytest.raises(ScenarioError) as caught:
