@@ -141,11 +141,12 @@ def transmit(cfg: SimConfig, at: Instant, rng: SplitMix64) -> DeliveryResult:
     One uniform draw per attempt, consumed in attempt order: attempt k
     succeeds when its draw is >= drop_probability and then arrives at
     ``at + k * latency_ms``. All max_retries + 1 attempts exhausted means
-    the frame is dropped.
+    the frame is dropped. ``rng.first_at_least`` decides the attempts, a
+    block of draws at a time, with the same draws as one ``random()`` per
+    attempt.
     """
     attempts = cfg.max_retries + 1
-    draw, drop_probability = rng.random, cfg.drop_probability
-    for k in range(1, attempts + 1):
-        if draw() >= drop_probability:
-            return tuple.__new__(DeliveryResult, (True, at + k * cfg.latency_ms, k))
-    return tuple.__new__(DeliveryResult, (False, None, attempts))  # C, not namedtuple's __new__
+    k = rng.first_at_least(cfg.drop_probability, attempts)
+    if k:  # tuple.__new__ builds the record in C, not through namedtuple's __new__
+        return tuple.__new__(DeliveryResult, (True, at + k * cfg.latency_ms, k))
+    return tuple.__new__(DeliveryResult, (False, None, attempts))

@@ -260,12 +260,13 @@ class Controller:
         if self.active_recording is not None:
             return
         clip_id = f"clip-{len(self.clips) + 1:04d}"
-        job = RecordingJob(clip_id, t, self.cfg.clip_duration_ms, f"clips/{clip_id}.bin")
+        ref = f"clips/{clip_id}.bin"
+        job = _new_tuple(RecordingJob, (clip_id, t, self.cfg.clip_duration_ms, ref))
         self.active_recording = job
         self.clips.append(job)
         details = f"clip={clip_id} duration_ms={job.duration_ms}"
         self._append(_new_tuple(Action, (t, "controller", "START_RECORDING", details)))
-        self.followups.push(ClipDone(t + job.duration_ms, clip_id))
+        self.followups.push(_new_tuple(ClipDone, (t + job.duration_ms, clip_id)))
 
     def _dispatch_arrival(self, t: Instant, arrival: FrameArrival) -> None:
         # the frame is always DOOR_ALERT, whose checksum was checked at import
@@ -305,7 +306,7 @@ class Controller:
         self.pending_attempt = session
         details = f"n={len(self.cfg.password)} end_ms={session.end}"
         self._append(_new_tuple(Action, (t, "controller", "ATTEMPT_BEGIN", details)))
-        self.followups.push(AttemptDeadline(session.end))
+        self.followups.push(_new_tuple(AttemptDeadline, (session.end,)))
 
     def _decide_attempt(self, session: pulselock.AttemptSession) -> None:
         """Decide an ended attempt at its end and notify the owner either way."""

@@ -82,10 +82,8 @@ class AttemptSession:
             )
         self.finalized = True
         trace = "".join(self.observed)
-        return AttemptOutcome(
-            accepted=not self.extraneous_press and trace == self.cfg.password,
-            trace=trace,
-        )
+        accepted = not self.extraneous_press and trace == self.cfg.password
+        return tuple.__new__(AttemptOutcome, (accepted, trace))  # C, not namedtuple's __new__
 
 
 def begin_attempt(cfg: SimConfig, start: Instant) -> AttemptSession:

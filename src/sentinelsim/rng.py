@@ -4,29 +4,117 @@ The simulator uses splitmix64 throughout: it is tiny, fast, has a documented
 reference algorithm, and produces bit-identical streams for a given seed on
 any platform. Run reports carry the algorithm identifier so a replay can
 verify it is drawing from the same generator.
+
+splitmix64 is counter-based: the k-th draw after state ``s`` is a fixed mix
+of ``s + k * gamma`` (mod 2**64). So ``first_at_least``, which answers the
+link's "which attempt gets through", decides a whole block of draws with a
+few big-int operations, one 128-bit lane per draw (room for a 64-bit value
+times a 64-bit constant), and then consumes them exactly as that many
+``random()`` calls would: both advance one counter, so any interleaving of
+the two reads the one stream.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 ALGORITHM = "splitmix64"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+# first_at_least draws one at a time for a stream's first _YOUNG draws, so a
+# short run never pays for a block; after that it decides _LANES draws (or
+# limit, if more) at once.
+_YOUNG = 32
+_LANES = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _lanes(n: int):
+    """For n 128-bit lanes: 1 in each lane, 2**64 - 1 in each, and k * gamma in lane k = 1..n."""
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * n, "little")
+    ramp = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(1, n + 1)), "little")
+    return ones, ones * _MASK64, ramp * _GOLDEN
+
+
+def _threshold(p) -> int:
+    """The least top-53-bit value m of a draw with ``m * 2**-53 >= p``, capped at 2**53.
+
+    So a draw's ``random() >= p`` exactly when its m is ``>= _threshold(p)``:
+    0 for p <= 0 (every draw), 2**53 for p > 1, +inf or NaN (no draw).
+    """
+    if p <= 0:
+        return 0
+    if p <= 1:
+        return math.ceil(p * 2**53)  # exact: a power-of-two scale of a float in (0, 1]
+    return 1 << 53
+
+
+def _decide_block(state: int, t: int, n: int) -> bytes:
+    """A byte per draw for the n draws after ``state``: 1 if its top 53 bits are >= t, else 0."""
+    ones, mask, gammas = _lanes(n)
+    z = (state * ones + gammas) & mask
+    z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+    # + 2**64 - t * 2**11 carries into a lane's bit 64 exactly when its draw >> 11 is >= t
+    z = (z ^ ((z >> 31) & mask)) + ((1 << 64) - (t << 11)) * ones
+    return z.to_bytes(16 * n, "little")[8::16]
 
 
 class SplitMix64:
     """splitmix64 stream seeded with a 64-bit unsigned integer."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_drawn", "_p", "_flags", "_pos", "_end")
 
     def __init__(self, seed: int):
         if type(seed) is not int or not 0 <= seed <= _MASK64:  # not isinstance: a bool is an int
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self._state = seed
+        # _drawn: draws first_at_least made one at a time. Its block:
+        # _flags[_pos:_end] decide, against _p, the draws after _state.
+        self._drawn = self._pos = self._end = 0
+        self._p = self._flags = None
 
     def random(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits of one splitmix64 draw."""
+        self._end = 0  # the block no longer starts at the counter
         z = self._state = (self._state + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+    def first_at_least(self, p, limit: int) -> int:
+        """The 1-based index of the first of the next ``limit`` draws whose
+        ``random()`` is >= p, or 0 if none is.
+
+        Consumes that many draws, or ``limit`` if none qualifies, exactly as
+        calling ``random()`` until one qualifies would.
+        """
+        pos = self._pos
+        end = pos + limit
+        if end > self._end or p != self._p:
+            if self._drawn < _YOUNG:  # random()'s draws, inlined
+                s = self._state
+                for k in range(1, limit + 1):
+                    z = s = (s + _GOLDEN) & _MASK64
+                    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+                    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                    if ((z ^ (z >> 31)) >> 11) * 2.0**-53 >= p:
+                        break
+                else:
+                    k = 0
+                self._state = s
+                self._drawn += k or limit
+                return k
+            n = max(_LANES, limit)
+            self._flags = _decide_block(self._state, _threshold(p), n)
+            self._p, self._end = p, n
+            pos, end = 0, limit
+        i = self._flags.find(1, pos, end)
+        k = i + 1 - pos if i >= 0 else limit
+        self._pos = pos + k
+        self._state = (self._state + k * _GOLDEN) & _MASK64
+        return k if i >= 0 else 0

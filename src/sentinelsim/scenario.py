@@ -90,8 +90,21 @@ class EventColumns(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def __reduce__(self):  # copy and pickle give the events, rebuilt through their checks
-        return tuple, (tuple(self),)
+    def __reduce__(self):  # copy and pickle give the columns, rebuilt through check_event
+        return _checked_columns, (self.times, self.kinds, self.meters)
+
+    def __deepcopy__(self, memo):  # each value is immutable: copies of the lists, checked
+        return _checked_columns(self.times, self.kinds, self.meters)
+
+
+def _checked_columns(times, kinds, meters) -> EventColumns:
+    """Columns from a pickle or a copy, each event checked as construction checks it."""
+    times, kinds, meters = list(times), list(kinds), list(meters)
+    if not len(times) == len(kinds) == len(meters):
+        raise ValueError("event columns must have one length")
+    for event in zip(times, kinds, meters):
+        check_event(*event)
+    return EventColumns(times, kinds, meters)
 
 
 class _ScenarioFields(NamedTuple):
@@ -119,7 +132,7 @@ class Scenario(_ScenarioFields):
         return cls(*iterable)
 
     def __reduce__(self):  # copy and pickle, any protocol, rebuild through __new__'s rules
-        return type(self), (self.name, dict(self.overrides), tuple(self.events))
+        return type(self), (self.name, dict(self.overrides), self.events)
 
 
 _SIMPLE_EVENTS = {

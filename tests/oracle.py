@@ -20,6 +20,7 @@ the controller, the event queue, the link or the renderer. It shares only
 from __future__ import annotations
 
 import json
+from bisect import insort
 
 from sentinelsim.rng import SplitMix64
 
@@ -61,9 +62,8 @@ def simulate(scenario, seed, cfg):
 
     def schedule(at, what, data):
         nonlocal scheduled
-        items.append((at, 1, scheduled, what, data))
+        insort(items, (at, 1, scheduled, what, data), key=lambda item: item[:3])
         scheduled += 1
-        items.sort(key=lambda item: item[:3])
 
     def decide(attempt):
         start, end, bits, stray = attempt

@@ -38,6 +38,8 @@ HOT_FUNCTIONS = {
     "notify.MaildirSink.deliver": notify.MaildirSink.deliver,
     "notify.Dispatcher.dispatch": notify.Dispatcher.dispatch,
     "rng.SplitMix64.random": rng.SplitMix64.random,
+    "rng.SplitMix64.first_at_least": rng.SplitMix64.first_at_least,
+    "rng._decide_block": rng._decide_block,
 }
 
 

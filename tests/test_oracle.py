@@ -7,6 +7,7 @@ against rules written down apart from it.
 
 import json
 import os
+import random
 import sys
 
 from hypothesis import HealthCheck, example, given, settings
@@ -103,6 +104,27 @@ def oracle_bytes(scenario, seed, cfg, fmt):
 def test_engine_matches_the_oracle(event_list, seed, cfg):
     scenario = Scenario(name="oracle", events=event_list)
     assert engine_bytes(scenario, seed, cfg, "text") == oracle_bytes(scenario, seed, cfg, "text")
+
+
+def test_a_long_lossy_run_matches_the_oracle():
+    """About 2,000 door openings at drop_probability 0.9 with 255 retries: the
+    link decides its draws a block at a time, over many blocks, where the
+    oracle draws them one by one."""
+    rnd = random.Random(2014)
+    event_list, t = [ScenarioEvent(0, EventKind.ARM)], 0
+    for _ in range(2000):
+        t += rnd.randint(1, 400)
+        event_list.append(ScenarioEvent(t, EventKind.DOOR_OPEN))
+        if rnd.random() < 0.2:
+            event_list.append(ScenarioEvent(t, EventKind.DISTANCE_SAMPLE, rnd.uniform(0, 2)))
+        t += rnd.randint(0, 400)
+        event_list.append(ScenarioEvent(t, EventKind.DOOR_CLOSE))
+    scenario = Scenario(name="lossy", events=event_list)
+    cfg = SimConfig(drop_probability=0.9, max_retries=255, latency_ms=15)
+    cfg.validate()
+    text = engine_bytes(scenario, 28, cfg, "text")
+    assert text.count(b"\tlink\tTX\t") == 2000
+    assert text == oracle_bytes(scenario, 28, cfg, "text")
 
 
 def test_oracle_matches_the_golden_cells():

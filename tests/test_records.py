@@ -178,6 +178,24 @@ def test_link_records_are_built_as_their_own_types():
     assert type(arrival) is FrameArrival and arrival == FrameArrival(120, 1)
 
 
+def test_per_event_records_are_built_as_their_own_types():
+    # the handlers and finalize build these with tuple.__new__ too: same types, same values
+    controller = Controller(SimConfig(password="1"), 0, Dispatcher(()))
+    controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
+    [job] = controller.clips
+    assert type(job) is RecordingJob
+    assert job == RecordingJob("clip-0001", 2000, 5000, "clips/clip-0001.bin")
+    done = controller.followups.pop()
+    assert type(done) is ClipDone and done == ClipDone(7000, "clip-0001")
+    controller.dispatch(ScenarioEvent(3000, EventKind.MODE_BUTTON))
+    session = controller.pending_attempt
+    deadline = controller.followups.pop()
+    assert type(deadline) is AttemptDeadline and deadline == AttemptDeadline(session.end)
+    outcome = session.finalize(session.end)
+    assert type(outcome) is AttemptOutcome and outcome == AttemptOutcome(False, "0")
+    assert (outcome.accepted, outcome.trace) == (False, "0")
+
+
 def test_replace_checks_the_new_fields():
     # _replace builds through the checking __new__: events are sorted again, a frame checked
     scenario = Scenario("s", {}, [ScenarioEvent(5, EventKind.ARM)])

@@ -1,6 +1,8 @@
 """Scenario grammar, error reporting and config layering."""
 
+import copy
 import pathlib
+import pickle
 import re
 import time
 import tracemalloc
@@ -454,6 +456,55 @@ class TestEventColumns:
             parse_scenario("0 arm # ok\n-5 arm\n3 distance nan\n")
         assert caught.value.errors == [(2, "negative time -5"), (3, "distance must be >= 0, got nan")]
 
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips_through_the_columns(self, protocol):
+        scenario = Scenario("s", {"latency_ms": 5}, [*self.EVENTS, ScenarioEvent(
+            3, EventKind.DISTANCE_SAMPLE, 2)])
+        twin = pickle.loads(pickle.dumps(scenario, protocol))
+        assert twin == scenario and type(twin.events) is EventColumns
+        assert twin.events.meters == [None, 2, 1.25, None, None]
+        assert type(twin.events.meters[1]) is int  # a hand-built int stays an int
+
+    def test_deepcopy_copies_the_columns(self):
+        scenario = parse_scenario(self.TEXT)
+        twin = copy.deepcopy(scenario)
+        assert twin == scenario
+        assert twin.events.times is not scenario.events.times
+        assert copy.copy(scenario).events is scenario.events
+
+    def test_copy_and_pickle_build_no_event(self, monkeypatch):
+        scenario = parse_scenario(self.TEXT * 1000)
+
+        def refuse(*args):
+            raise AssertionError("an event was built")
+
+        monkeypatch.setattr(scenario_module, "ScenarioEvent", refuse)
+        for twin in (copy.deepcopy(scenario), pickle.loads(pickle.dumps(scenario))):
+            assert twin.events.times == scenario.events.times
+            assert twin.events.kinds == scenario.events.kinds
+            assert twin.events.meters == scenario.events.meters
+
+    @pytest.mark.parametrize("at, kind, meters", [
+        (-5, EventKind.ARM, None),
+        (5, EventKind.DISTANCE_SAMPLE, None),
+        (5, EventKind.ARM, 1.0),
+        (5.0, EventKind.ARM, None),
+    ])
+    def test_a_tampered_payload_is_refused_as_construction_refuses_it(self, at, kind, meters):
+        # columns built unchecked, as only a tampered pickle could hold them
+        scenario = Scenario("s", {}, EventColumns([0, at], [EventKind.ARM, kind], [None, meters]))
+        with pytest.raises(ValueError) as built:
+            ScenarioEvent(at, kind, meters)
+        for round_trip in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy):
+            with pytest.raises(ValueError) as copied:
+                round_trip(scenario)
+            assert str(copied.value) == str(built.value)
+
+    def test_columns_of_unequal_length_are_refused(self):
+        columns = EventColumns([0, 1], [EventKind.ARM], [None])
+        with pytest.raises(ValueError, match="one length"):
+            pickle.loads(pickle.dumps(columns))
 
 def resolve(file_overrides=(), scenario_overrides=(), cli_overrides=()):
     """The CLI's layering: a config file's values under scenario and --set ones."""
