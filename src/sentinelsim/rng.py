@@ -5,13 +5,11 @@ reference algorithm, and produces bit-identical streams for a given seed on
 any platform. Run reports carry the algorithm identifier so a replay can
 verify it is drawing from the same generator.
 
-splitmix64 is counter-based: the k-th draw after state ``s`` is a fixed mix
-of ``s + k * gamma`` (mod 2**64). So ``first_at_least``, which answers the
-link's "which attempt gets through", decides a whole block of draws with a
-few big-int operations, one 128-bit lane per draw (room for a 64-bit value
-times a 64-bit constant), and then consumes them exactly as that many
-``random()`` calls would: both advance one counter, so any interleaving of
-the two reads the one stream.
+splitmix64 is counter-based: draw k after state ``s`` is a fixed mix of
+``s + k * gamma`` (mod 2**64). So ``first_at_least`` decides a block of draws
+in a few big-int operations, one 128-bit lane per draw (room for a 64-bit
+value times a 64-bit constant). It and ``random()`` advance one counter, so
+any interleaving of the two reads the one stream.
 """
 
 from __future__ import annotations
@@ -41,16 +39,11 @@ def _lanes(n: int):
 
 
 def _threshold(p) -> int:
-    """The least top-53-bit value m of a draw with ``m * 2**-53 >= p``, capped at 2**53.
-
-    So a draw's ``random() >= p`` exactly when its m is ``>= _threshold(p)``:
-    0 for p <= 0 (every draw), 2**53 for p > 1, +inf or NaN (no draw).
-    """
+    """The least m with ``m * 2**-53 >= p``: a draw's random() is >= p exactly when its
+    top 53 bits are >= this. 0 for p <= 0; 2**53, above every draw, for p > 1, inf or NaN."""
     if p <= 0:
         return 0
-    if p <= 1:
-        return math.ceil(p * 2**53)  # exact: a power-of-two scale of a float in (0, 1]
-    return 1 << 53
+    return math.ceil(p * 2**53) if p <= 1 else 1 << 53  # exact: a power-of-two scale
 
 
 def _decide_block(state: int, t: int, n: int) -> bytes:
@@ -93,22 +86,22 @@ class SplitMix64:
         Consumes that many draws, or ``limit`` if none qualifies, exactly as
         calling ``random()`` until one qualifies would.
         """
+        if self._drawn < _YOUNG:  # random()'s draws, inlined
+            s = self._state
+            for k in range(1, limit + 1):
+                z = s = (s + _GOLDEN) & _MASK64
+                z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                if ((z ^ (z >> 31)) >> 11) * 2.0**-53 >= p:
+                    break
+            else:
+                k = 0
+            self._state = s
+            self._drawn += k or limit
+            return k
         pos = self._pos
         end = pos + limit
         if end > self._end or p != self._p:
-            if self._drawn < _YOUNG:  # random()'s draws, inlined
-                s = self._state
-                for k in range(1, limit + 1):
-                    z = s = (s + _GOLDEN) & _MASK64
-                    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-                    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                    if ((z ^ (z >> 31)) >> 11) * 2.0**-53 >= p:
-                        break
-                else:
-                    k = 0
-                self._state = s
-                self._drawn += k or limit
-                return k
             n = max(_LANES, limit)
             self._flags = _decide_block(self._state, _threshold(p), n)
             self._p, self._end = p, n
