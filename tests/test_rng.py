@@ -97,7 +97,7 @@ def replay(seed, calls):
     """Each call's result from one SplitMix64 and from the reference transcription."""
     r = SplitMix64(seed)
     total = sum(1 if call == "random" else call[1] for call in calls)
-    draws = reference_random(seed, total)
+    draws = reference_random(seed, total + 1)
     got, expected, used = [], [], 0
     for call in calls:
         if call == "random":
@@ -110,7 +110,7 @@ def replay(seed, calls):
             expected.append(k)
             used += n
     got.append(r.random())  # the counter ends where the reference's does
-    expected.append(reference_random(seed, used + 1)[-1])
+    expected.append(draws[used])
     return got, expected
 
 
@@ -162,13 +162,12 @@ def test_a_block_decides_each_draw_as_random_does(n):
 
 
 def test_a_young_stream_draws_one_at_a_time_then_by_blocks(monkeypatch):
-    blocks = []
+    blocks, decide = [], rng._decide_block
 
     def counted(state, t, n):
         blocks.append(n)
         return decide(state, t, n)
 
-    decide = rng._decide_block
     monkeypatch.setattr(rng, "_decide_block", counted)
     r = SplitMix64(1)
     for _ in range(rng._YOUNG):
