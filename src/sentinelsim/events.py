@@ -18,7 +18,7 @@ import functools
 import gc
 import heapq
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Milliseconds since scenario start. Plain ints so the clock never drifts.
 Instant = int
@@ -67,11 +67,13 @@ _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE
 
 def check_event(at: Instant, kind: EventKind, meters: Optional[float]) -> None:
     """The one home of an event's shape rules: raise ValueError unless (at, kind,
-    meters) is an event. ``ScenarioEvent`` and the parser's line loop call it."""
+    meters) is an event. ``ScenarioEvent``, ``EventColumns`` and the line loop call it."""
     if type(at) is not int:  # not isinstance: a bool is an int
         raise ValueError(f"time must be an integer, got {at!r}")
     if at < 0:
         raise ValueError(f"negative time {at}")
+    if type(kind) is not EventKind:
+        raise ValueError(f"kind must be an EventKind, got {kind!r}")
     if kind is _DISTANCE_SAMPLE:
         if meters is None:
             raise ValueError("distance sample requires a meters value")
@@ -83,45 +85,29 @@ def check_event(at: Instant, kind: EventKind, meters: Optional[float]) -> None:
         raise ValueError(f"{kind._value_} event does not take a distance")
 
 
-class ScenarioEvent:
+class _ScenarioEventFields(NamedTuple):
+    at: Instant
+    kind: EventKind
+    meters: Optional[float] = None
+
+
+class ScenarioEvent(_ScenarioEventFields):
     """A timestamped external stimulus; construction checks its shape with
-    ``check_event``. Immutable, equal and hashed by value, with slots."""
+    ``check_event``. An immutable named tuple, equal and hashed by value."""
 
-    __slots__ = ("at", "kind", "meters")
+    __slots__ = ()
 
-    def __init__(self, at: Instant, kind: EventKind, meters: Optional[float] = None) -> None:
+    def __new__(cls, at, kind, meters=None):
         check_event(at, kind, meters)
-        _set_at(self, at)
-        _set_kind(self, kind)
-        _set_meters(self, meters)
+        return tuple.__new__(cls, (at, kind, meters))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.at, self.kind, self.meters) == (other.at, other.kind, other.meters)
-        return NotImplemented
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__'s rules
+        return cls(*iterable)
 
-    def __hash__(self) -> int:
-        return hash((self.at, self.kind, self.meters))
-
-    def __repr__(self) -> str:
-        kind, meters = self.kind, self.meters
-        return f"{type(self).__qualname__}(at={self.at!r}, kind={kind!r}, meters={meters!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild the event through __init__'s checks
-        return type(self), (self.at, self.kind, self.meters)
-
-
-# __setattr__ refuses every write, so __init__ stores each field through its slot's
-# own setter, one C call per field.
-_set_at = ScenarioEvent.__dict__["at"].__set__
-_set_kind = ScenarioEvent.__dict__["kind"].__set__
-_set_meters = ScenarioEvent.__dict__["meters"].__set__
+    def __reduce__(self):  # pickle protocols 0 and 1 too rebuild the event through __new__
+        return type(self), tuple(self)
 
 
 class EventQueue:

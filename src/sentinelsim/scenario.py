@@ -11,15 +11,15 @@ Grammar, one directive per line with ``#`` comments:
     <t_ms> press_up
 
 A ``Scenario`` is immutable and compares by value. It keeps its events as
-three parallel columns, an ``EventColumns``: ``times`` (ints), ``kinds``
+three parallel tuples, an ``EventColumns``: ``times`` (ints), ``kinds``
 (``EventKind`` members) and ``meters`` (a distance sample's meters, ``None``
-for other events). The columns are in time order: a stable sort runs when
-the scenario is constructed, parsed or built by hand, and only if the times
-go back, so same-time events keep their given (file) order. Read as a
-sequence, ``Scenario.events`` builds ``ScenarioEvent``s on demand; its
-length costs nothing. A scenario keeps a read-only copy of its overrides.
-Its name must hold no line break (a ``ValueError`` otherwise). Parse errors
-are collected for the whole file and carry 1-based line numbers.
+for other events), each event checked once, when the columns are built. They
+are in time order: a stable sort runs when the columns are built, parsed or by
+hand, and only if the times go back, so same-time events keep their given
+(file) order. Read as a sequence, ``Scenario.events`` builds ``ScenarioEvent``s
+on demand; its length costs nothing. A scenario keeps a read-only copy of its
+overrides. Its name must be a ``str`` with no line break (a ``ValueError``
+otherwise). Parse errors are collected for the whole file and carry 1-based line numbers.
 
 Text is parsed in blocks of about 64 KiB that end at a ``"\n"``, with one
 ``findall`` of plain event lines each: a time of 1 to 18 ASCII digits, an event word,
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from operator import add, attrgetter
+from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -53,19 +53,19 @@ class ScenarioError(ValueError):
 
 
 class EventColumns(Sequence):
-    """A scenario's events as parallel columns in time order, read as a sequence of
-    ``ScenarioEvent``s built on demand. Equal to another with the same columns, or
-    to a tuple of the same events. The columns are plain lists: leave them as they are."""
+    """A scenario's events as parallel tuples in time order, each checked by ``check_event``
+    when built; read as a sequence of ``ScenarioEvent``s built on demand. Equal to another
+    with the same columns, or to a tuple of the same events."""
 
     __slots__ = ("times", "kinds", "meters")
 
-    def __init__(self, times: List[int], kinds: List[EventKind], meters: List[Optional[float]]):
-        # the one home of time order: stable, so same-time events keep their order,
-        # and run only when the times go back (a sorted copy is the cheapest test, in C)
-        if times != sorted(times):
-            order = sorted(range(len(times)), key=times.__getitem__)
-            times, kinds, meters = (list(map(col.__getitem__, order)) for col in (times, kinds, meters))
-        self.times, self.kinds, self.meters = times, kinds, meters
+    def __new__(cls, times, kinds, meters):
+        times, kinds, meters = list(times), list(kinds), list(meters)
+        if not len(times) == len(kinds) == len(meters):
+            raise ValueError("event columns must have one length")
+        for event in zip(times, kinds, meters):
+            check_event(*event)
+        return _sorted_columns(times, kinds, meters)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -87,24 +87,34 @@ class EventColumns(Sequence):
 
     __hash__ = None
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete column {name!r}")
+
+    __delattr__ = __setattr__
+
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def __reduce__(self):  # copy and pickle give the columns, rebuilt through check_event
-        return _checked_columns, (self.times, self.kinds, self.meters)
+    def __reduce__(self):  # pickle rebuilds the columns through __new__'s checks
+        return EventColumns, (self.times, self.kinds, self.meters)
 
-    def __deepcopy__(self, memo):  # each value is immutable: copies of the lists, checked
-        return _checked_columns(self.times, self.kinds, self.meters)
+    def __deepcopy__(self, memo=None):  # immutable all through: a copy is the object itself
+        return self
+
+    __copy__ = __deepcopy__
 
 
-def _checked_columns(times, kinds, meters) -> EventColumns:
-    """Columns from a pickle or a copy, each event checked as construction checks it."""
-    times, kinds, meters = list(times), list(kinds), list(meters)
-    if not len(times) == len(kinds) == len(meters):
-        raise ValueError("event columns must have one length")
-    for event in zip(times, kinds, meters):
-        check_event(*event)
-    return EventColumns(times, kinds, meters)
+def _sorted_columns(times: list, kinds: list, meters: list) -> EventColumns:
+    """Columns of checked events, stored as tuples; the parser's come straight here."""
+    # the one home of time order: stable, so same-time events keep their order,
+    # and run only when the times go back (a sorted copy is the cheapest test, in C)
+    if times != sorted(times):
+        order = sorted(range(len(times)), key=times.__getitem__)
+        times, kinds, meters = (list(map(col.__getitem__, order)) for col in (times, kinds, meters))
+    columns = object.__new__(EventColumns)
+    for name, column in zip(EventColumns.__slots__, (times, kinds, meters)):
+        object.__setattr__(columns, name, tuple(column))  # __setattr__ refuses every write
+    return columns
 
 
 class _ScenarioFields(NamedTuple):
@@ -118,11 +128,13 @@ class Scenario(_ScenarioFields):
 
     def __new__(cls, name="scenario", overrides=(), events=()):
         # the report's one-line header carries the name: a line break would forge lines
-        if not one_line(str(name)):
+        if type(name) is not str:
+            raise ValueError(f"scenario name must be a str, got {name!r}")
+        if not one_line(name):
             raise ValueError(f"scenario name must hold no line break, got {name!r}")
-        if type(events) is not EventColumns:  # events built by hand, each checked once
-            rows = list(map(attrgetter("at", "kind", "meters"), events))
-            events = EventColumns(*map(list, zip(*rows))) if rows else EventColumns([], [], [])
+        if type(events) is not EventColumns:  # (at, kind, meters) rows built by hand
+            rows = tuple(events)
+            events = EventColumns(*zip(*rows, strict=True)) if rows else EventColumns((), (), ())
         # a read-only copy: writing to the caller's dict or to s.overrides changes nothing
         return tuple.__new__(cls, (name, MappingProxyType(dict(overrides)), events))
 
@@ -237,4 +249,4 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         start, first = end, first + len(lines)
     if errors:
         raise ScenarioError(errors)
-    return Scenario(name, overrides, EventColumns(times, kinds, meters))
+    return Scenario(name, overrides, _sorted_columns(times, kinds, meters))

@@ -1,5 +1,9 @@
 """Coordinator state machine transitions and full dispatch traces."""
 
+import re
+import sys
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -367,6 +371,23 @@ class TestInternalItems:
         from sentinelsim.airframe import Frame, FrameType, decode_frame
 
         assert decode_frame(DOOR_ALERT) == Frame(FrameType.INTRUDER_ALERT, 0x02)
+
+    def test_a_door_alert_that_does_not_decode_stops_the_import(self, monkeypatch):
+        # the module's source runs into a throwaway module, with a decode that gives
+        # another frame: sentinelsim.controller itself is never reloaded
+        from sentinelsim import airframe, controller
+
+        other = airframe.Frame(airframe.FrameType.INTRUDER_ALERT, 0x03)
+        monkeypatch.setattr(airframe, "decode_frame", lambda data: other)
+        probe = types.ModuleType("sentinelsim._import_guard_probe")
+        probe.__package__ = "sentinelsim"
+        with open(controller.__file__, encoding="utf-8") as fh:
+            code = compile(fh.read(), controller.__file__, "exec")
+        door = re.escape(repr(controller.DOOR_FRAME))
+        with pytest.raises(RuntimeError, match=rf"^door alert 7E 02 01 02 FC does not decode to {door}$"):
+            exec(code, vars(probe))
+        assert sys.modules["sentinelsim.controller"] is controller
+        assert controller.decode_frame is not airframe.decode_frame  # the real one, bound at import
 
     def test_dispatch_and_run_are_the_only_public_methods(self):
         public = [n for n in vars(Controller) if not n.startswith("_")]

@@ -76,7 +76,7 @@ events = st.one_of(
     st.builds(ScenarioEvent, at=times, kind=st.sampled_from([
         EventKind.ARM, EventKind.DOOR_OPEN, EventKind.DOOR_CLOSE,
         EventKind.MODE_BUTTON, EventKind.PRESS_DOWN, EventKind.PRESS_UP,
-    ])),
+    ]), meters=st.none()),
     st.builds(
         ScenarioEvent, at=times, kind=st.just(EventKind.DISTANCE_SAMPLE),
         meters=st.sampled_from([0.5, 0.99, 3.0]),

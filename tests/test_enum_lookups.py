@@ -19,7 +19,7 @@ from sentinelsim import controller, engine, events, notify, rng, scenario
 ENUM_CLASSES = {"EventKind", "SystemMode", "NotificationKind", "FrameType"}
 
 HOT_FUNCTIONS = {
-    "events.ScenarioEvent.__init__": events.ScenarioEvent.__init__,
+    "events.ScenarioEvent.__new__": events.ScenarioEvent.__new__,
     "scenario._parse_event_line": scenario._parse_event_line,
     "scenario.parse_scenario": scenario.parse_scenario,
     "engine.validate_events": engine.validate_events,

@@ -46,6 +46,12 @@ class TestScenarioEvent:
     def test_int_and_float_meters_accepted(self, meters):
         assert ScenarioEvent(at=0, kind=EventKind.DISTANCE_SAMPLE, meters=meters).meters == meters
 
+    @pytest.mark.parametrize("kind", ["arm", None, 0])
+    def test_a_kind_that_is_not_an_event_kind_is_rejected(self, kind):
+        # Controller.run would find no handler for it, after the run had begun
+        with pytest.raises(ValueError, match=f"^kind must be an EventKind, got {kind!r}$"):
+            ScenarioEvent(at=0, kind=kind)
+
     def test_large_times_supported(self):
         assert ev(2**32 - 1).at == 2**32 - 1
 
@@ -62,9 +68,11 @@ class TestScenarioEventRecord:
         assert a != ScenarioEvent(5, EventKind.DISTANCE_SAMPLE, 0.25)
 
     def test_equality_with_another_type_is_left_to_it(self):
+        # a named tuple, as every record is: equal to a plain tuple of the same values
         a = ScenarioEvent(5, EventKind.ARM)
-        assert a.__eq__((5, EventKind.ARM, None)) is NotImplemented
-        assert a != (5, EventKind.ARM, None) and a != 5
+        assert a.__eq__(5) is NotImplemented
+        assert a.__eq__([5, EventKind.ARM, None]) is NotImplemented
+        assert a == (5, EventKind.ARM, None) and a != 5
         assert a == ScenarioEvent(5, EventKind.ARM)
 
     def test_slotted(self):
@@ -73,9 +81,9 @@ class TestScenarioEventRecord:
     @pytest.mark.parametrize("field", ["at", "kind", "meters"])
     def test_assigning_a_field_raises(self, field):
         e = ev(0)
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        with pytest.raises(AttributeError):
             setattr(e, field, 1)
-        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        with pytest.raises(AttributeError):
             delattr(e, field)
         assert e == ev(0)
 
@@ -105,6 +113,14 @@ class TestScenarioEventRecord:
             assert again == e and hash(again) == hash(e) and repr(again) == repr(e)
             with pytest.raises(AttributeError):
                 again.at = 0
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_tampered_pickle_is_refused_as_construction_refuses_it(self, protocol):
+        # built past __new__, as only a tampered pickle could hold it; protocols 0 and 1
+        # would otherwise rebuild a tuple subclass without calling __new__
+        tampered = tuple.__new__(ScenarioEvent, (-5, EventKind.ARM, None))
+        with pytest.raises(ValueError, match="^negative time -5$"):
+            pickle.loads(pickle.dumps(tampered, protocol))
 
 
 def drain(q):

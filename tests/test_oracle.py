@@ -30,7 +30,7 @@ plain_kinds = st.sampled_from([
     EventKind.PRESS_DOWN, EventKind.PRESS_UP,
 ])
 events = st.one_of(
-    st.builds(ScenarioEvent, at=times, kind=plain_kinds),
+    st.builds(ScenarioEvent, at=times, kind=plain_kinds, meters=st.none()),
     st.builds(
         ScenarioEvent, at=times, kind=st.just(EventKind.DISTANCE_SAMPLE),
         meters=st.one_of(

@@ -55,6 +55,8 @@ RECORDS = [
      "actions=(Action(at=0, component='controller', action='ARMED', details=''),), "
      "outbox_counts={'INTRUSION': 1}, clips=(RecordingJob(clip_id='clip-0001', "
      "started_at=2000, duration_ms=5000, stored_ref='clips/clip-0001.bin'),), clip_bytes=1024)"),
+    (ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5), ("at", "kind", "meters"),
+     "ScenarioEvent(at=2000, kind=<EventKind.DISTANCE_SAMPLE: 'distance'>, meters=0.5)"),
     (Frame(FrameType.INTRUDER_ALERT, 2, b"ab"), ("frame_type", "source_id", "payload"),
      "Frame(frame_type=<FrameType.INTRUDER_ALERT: 1>, source_id=2, payload=b'ab')"),
     (Receipt("linefile", False, "disk full"), ("sink", "ok", "error"),
@@ -81,7 +83,7 @@ RECORDS = [
 
 
 # a last field unequal to the row's, of a type its record accepts; the rest take "other"
-OTHER_LAST = {Scenario: (), Frame: b"other"}
+OTHER_LAST = {Scenario: (), ScenarioEvent: 0.75, Frame: b"other"}
 UNHASHABLE = (Scenario, RunReport)  # they hold a mapping
 
 
@@ -197,13 +199,21 @@ def test_per_event_records_are_built_as_their_own_types():
 
 
 def test_replace_checks_the_new_fields():
-    # _replace builds through the checking __new__: events are sorted again, a frame checked
+    # _replace builds through the checking __new__: events are sorted again, an event or
+    # a frame checked
     scenario = Scenario("s", {}, [ScenarioEvent(5, EventKind.ARM)])
     later = scenario._replace(events=[ScenarioEvent(9, EventKind.ARM), *scenario.events])
     assert type(later) is Scenario and [e.at for e in later.events] == [5, 9]
     assert type(later.events) is EventColumns
     with pytest.raises(ValueError, match="no line break"):
         scenario._replace(name="a\nb")
+    event = ScenarioEvent(4, EventKind.DISTANCE_SAMPLE, 2.5)
+    assert event._replace(at=6) == ScenarioEvent(6, EventKind.DISTANCE_SAMPLE, 2.5)
+    assert ScenarioEvent._make(event) == event
+    with pytest.raises(ValueError, match="requires a meters value"):
+        event._replace(meters=None)
+    with pytest.raises(ValueError, match="time must be an integer"):
+        event._replace(at=0.5)
     frame = Frame(FrameType.INTRUDER_ALERT, 2)
     assert frame._replace(source_id=3) == Frame(FrameType.INTRUDER_ALERT, 3)
     for bad in (256, -1, 2.0, True):

@@ -140,6 +140,15 @@ class TestRender:
             parse_scenario("0 arm", name=name)
         assert Scenario(name="x final_mode: ARMED").name == "x final_mode: ARMED"
 
+    @pytest.mark.parametrize("name", [5, None, b"breakin", pathlib.PurePath("breakin")])
+    def test_a_name_that_is_not_a_str_is_refused(self, name):
+        # the structured render writes the name as a JSON string
+        message = rf"^scenario name must be a str, got {re.escape(repr(name))}$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(name=name)
+        with pytest.raises(ValueError, match=message):
+            parse_scenario("0 arm", name=name)
+
     def test_float_values_survive_exactly(self):
         sc = parse_scenario("0 distance 0.30000000000000004")
         again = parse_scenario(render_scenario(sc))
@@ -405,10 +414,10 @@ class TestEventColumns:
     def test_a_parsed_scenario_keeps_three_columns(self):
         events = parse_scenario(self.TEXT).events
         assert type(events) is EventColumns
-        assert events.times == [0, 5, 5, 9]
-        assert events.kinds == [EventKind.ARM, EventKind.DISTANCE_SAMPLE,
-                                EventKind.DOOR_OPEN, EventKind.PRESS_UP]
-        assert events.meters == [None, 1.25, None, None]
+        assert events.times == (0, 5, 5, 9)
+        assert events.kinds == (EventKind.ARM, EventKind.DISTANCE_SAMPLE,
+                                EventKind.DOOR_OPEN, EventKind.PRESS_UP)
+        assert events.meters == (None, 1.25, None, None)
         assert events == Scenario(events=self.EVENTS).events
 
     def test_the_view_reads_as_a_sequence_of_events(self):
@@ -434,20 +443,28 @@ class TestEventColumns:
         monkeypatch.setattr(scenario_module, "ScenarioEvent", refuse)
         assert len(events) == 4000
 
-    def test_sorted_columns_are_kept_not_copied(self):
+    def test_columns_are_stored_as_tuples(self):
         times, kinds, meters = [0, 5, 5], [EventKind.ARM] * 3, [None] * 3
         columns = EventColumns(times, kinds, meters)
-        assert columns.times is times and columns.kinds is kinds and columns.meters is meters
+        times.append(9)
+        assert (columns.times, columns.kinds, columns.meters) == ((0, 5, 5), (EventKind.ARM,) * 3,
+                                                                  (None,) * 3)
+        for name in ("times", "kinds", "meters"):
+            with pytest.raises(AttributeError, match=f"cannot assign to or delete column '{name}'"):
+                setattr(columns, name, ())
+            with pytest.raises(AttributeError, match=f"cannot assign to or delete column '{name}'"):
+                delattr(columns, name)
+        assert len(columns) == 3
 
     def test_out_of_order_columns_sort_stably(self):
         columns = EventColumns(
             [9, 5, 0, 5], [EventKind.PRESS_UP, EventKind.DOOR_OPEN, EventKind.ARM,
                            EventKind.DISTANCE_SAMPLE], [None, None, None, 2],
         )
-        assert columns.times == [0, 5, 5, 9]
-        assert columns.kinds == [EventKind.ARM, EventKind.DOOR_OPEN,
-                                 EventKind.DISTANCE_SAMPLE, EventKind.PRESS_UP]
-        assert columns.meters == [None, None, 2, None]
+        assert columns.times == (0, 5, 5, 9)
+        assert columns.kinds == (EventKind.ARM, EventKind.DOOR_OPEN,
+                                 EventKind.DISTANCE_SAMPLE, EventKind.PRESS_UP)
+        assert columns.meters == (None, None, 2, None)
         assert type(columns.meters[2]) is int  # a hand-built int stays an int
 
     def test_the_line_loop_checks_every_event(self):
@@ -463,15 +480,16 @@ class TestEventColumns:
             3, EventKind.DISTANCE_SAMPLE, 2)])
         twin = pickle.loads(pickle.dumps(scenario, protocol))
         assert twin == scenario and type(twin.events) is EventColumns
-        assert twin.events.meters == [None, 2, 1.25, None, None]
+        assert twin.events.meters == (None, 2, 1.25, None, None)
         assert type(twin.events.meters[1]) is int  # a hand-built int stays an int
 
-    def test_deepcopy_copies_the_columns(self):
+    def test_copy_and_deepcopy_return_the_columns_themselves(self):
+        # immutable all through, so a copy need not check or hold anything anew
         scenario = parse_scenario(self.TEXT)
         twin = copy.deepcopy(scenario)
-        assert twin == scenario
-        assert twin.events.times is not scenario.events.times
+        assert twin == scenario and twin.events is scenario.events
         assert copy.copy(scenario).events is scenario.events
+        assert copy.copy(scenario.events) is copy.deepcopy(scenario.events) is scenario.events
 
     def test_copy_and_pickle_build_no_event(self, monkeypatch):
         scenario = parse_scenario(self.TEXT * 1000)
@@ -490,21 +508,36 @@ class TestEventColumns:
         (5, EventKind.DISTANCE_SAMPLE, None),
         (5, EventKind.ARM, 1.0),
         (5.0, EventKind.ARM, None),
+        (0.5, EventKind.ARM, None),
+        (5, EventKind.DISTANCE_SAMPLE, float("nan")),
+        (5, "arm", None),
     ])
     def test_a_tampered_payload_is_refused_as_construction_refuses_it(self, at, kind, meters):
-        # columns built unchecked, as only a tampered pickle could hold them
-        scenario = Scenario("s", {}, EventColumns([0, at], [EventKind.ARM, kind], [None, meters]))
         with pytest.raises(ValueError) as built:
             ScenarioEvent(at, kind, meters)
-        for round_trip in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy):
-            with pytest.raises(ValueError) as copied:
-                round_trip(scenario)
-            assert str(copied.value) == str(built.value)
+        columns = [0, at], [EventKind.ARM, kind], [None, meters]
+        with pytest.raises(ValueError) as by_columns:
+            EventColumns(*columns)
+        with pytest.raises(ValueError) as by_rows:
+            Scenario("s", {}, [(0, EventKind.ARM, None), (at, kind, meters)])
+        # columns past the checks, as only a tampered pickle could hold them
+        scenario = Scenario("s", {}, scenario_module._sorted_columns(*columns))
+        with pytest.raises(ValueError) as loaded:
+            pickle.loads(pickle.dumps(scenario))
+        assert str(by_columns.value) == str(by_rows.value) == str(loaded.value) == str(built.value)
 
     def test_columns_of_unequal_length_are_refused(self):
-        columns = EventColumns([0, 1], [EventKind.ARM], [None])
-        with pytest.raises(ValueError, match="one length"):
-            pickle.loads(pickle.dumps(columns))
+        with pytest.raises(ValueError, match="^event columns must have one length$"):
+            EventColumns([0, 1], [EventKind.ARM], [None])
+        tampered = scenario_module._sorted_columns([0, 1], [EventKind.ARM], [None])
+        with pytest.raises(ValueError, match="^event columns must have one length$"):
+            pickle.loads(pickle.dumps(tampered))
+
+    def test_rows_of_another_length_are_refused(self):
+        for rows in ([(0, EventKind.ARM, None), (1, EventKind.ARM, None, 2)], [(0, EventKind.ARM)]):
+            with pytest.raises((TypeError, ValueError)):
+                Scenario("s", {}, rows)
+
 
 def resolve(file_overrides=(), scenario_overrides=(), cli_overrides=()):
     """The CLI's layering: a config file's values under scenario and --set ones."""
