@@ -12,9 +12,12 @@ the controller, the event queue, the link or the renderer. It shares only
 - An attempt is decided at its end, by the first item at or after it.
 - Each door opening draws from the link until an attempt gets through.
 - Lines are formatted here, and ``report`` returns the report's bytes.
+- Each notification is taken from the rule that sends it, as (at, kind,
+  recipients, attachment), in the order the rules fire.
 
     report(scenario, seed, cfg)                  # text report bytes
     report(scenario, seed, cfg, "structured")    # structured report bytes
+    outbox(scenario, seed, cfg)                  # the outbox.log bytes of --out
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from bisect import insort
 from sentinelsim.rng import SplitMix64
 
 FRAME_HEX = "7E 02 01 02 FC"  # the door node's intruder alert, source id 2
+OWNER, BOTH = ("owner",), ("owner", "authorities")
 KINDS = ("DEACTIVATION_FAILED", "DEACTIVATION_SUCCEEDED", "INTRUSION", "PRESENCE")
 
 
@@ -46,7 +50,7 @@ def check(events, cfg):
 
 
 def simulate(scenario, seed, cfg):
-    """(actions, final mode, notification counts, clips) of one run."""
+    """(actions, final mode, notification counts, clips, notifications) of one run."""
     events = [(ev.at, ev.kind.value, ev.meters) for ev in scenario.events]
     check(events, cfg)
     rng = SplitMix64(seed)
@@ -57,6 +61,7 @@ def simulate(scenario, seed, cfg):
     log = []
     counts = dict.fromkeys(KINDS, 0)
     clips = []
+    notes = []  # (at, kind, recipients, attachment)
     state = {"armed": False, "door_open": False, "recording": None, "last_trigger": None}
     attempt = None  # [start, end, bits, stray]
 
@@ -74,6 +79,7 @@ def simulate(scenario, seed, cfg):
         else:
             kind = "DEACTIVATION_FAILED"
         counts[kind] += 1
+        notes.append((end, kind, OWNER, None))
         log.append((end, "controller", kind, f"trace={trace}"))
 
     while items:
@@ -136,6 +142,7 @@ def simulate(scenario, seed, cfg):
             log.append((at, "link", "RX", f"frame={FRAME_HEX} attempts={data}"))
             if state["armed"]:
                 counts["INTRUSION"] += 1
+                notes.append((at, "INTRUSION", BOTH, None))
                 log.append((at, "controller", "INTRUSION", "recipients=owner,authorities"))
             else:
                 log.append((at, "controller", "SUPPRESSED", "event=intruder_alert reason=disarmed"))
@@ -143,16 +150,29 @@ def simulate(scenario, seed, cfg):
             if state["recording"] == data:
                 state["recording"] = None
                 counts["PRESENCE"] += 1
-                to = "owner,authorities" if cfg.presence_to_authorities else "owner"
-                log.append((at, "controller", "PRESENCE", f"clip={data} recipients={to}"))
+                to = BOTH if cfg.presence_to_authorities else OWNER
+                notes.append((at, "PRESENCE", to, data))
+                log.append((at, "controller", "PRESENCE", f"clip={data} recipients={','.join(to)}"))
         # press_up and a deadline change nothing
     mode = "ARMED" if state["armed"] else "DISARMED"
-    return log, mode, counts, clips
+    return log, mode, counts, clips, notes
+
+
+def outbox_line(note):
+    """The README's outbox.log record of one notification: t|kind|recipients|attachment|subject."""
+    at, kind, recipients, attachment = note
+    return f"{at}|{kind}|{','.join(sorted(recipients))}|{attachment or '-'}|[SENTINEL] {kind} at t={at}"
+
+
+def outbox(scenario, seed, cfg):
+    """The outbox.log bytes of the run: one line per notification, in the order sent."""
+    notes = simulate(scenario, seed, cfg)[4]
+    return "".join(outbox_line(note) + "\n" for note in notes).encode("utf-8")
 
 
 def report(scenario, seed, cfg, fmt="text"):
     """The report bytes the README specifies for one run."""
-    log, mode, counts, clips = simulate(scenario, seed, cfg)
+    log, mode, counts, clips, _notes = simulate(scenario, seed, cfg)
     if fmt == "structured":
         doc = {
             "actions": [

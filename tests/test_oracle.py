@@ -1,8 +1,9 @@
-"""Report bytes against the independent model in tests/oracle.py.
+"""Report bytes and notifications against the independent model in tests/oracle.py.
 
-The model shares no code with the controller's handlers, its run loop or
-the renderer, so a change to how events reach the handlers is checked
-against rules written down apart from it.
+The model shares no code with the controller's handlers, its run loop, the
+notifications or the renderer, so a change to how events reach the handlers,
+or to how notifications are made, is checked against rules written down
+apart from it.
 """
 
 import json
@@ -17,6 +18,7 @@ import oracle
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import resolve_run_config, run
 from sentinelsim.events import EventKind, ScenarioEvent
+from sentinelsim.notify import MemorySink, format_outbox_line
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
 
@@ -80,6 +82,24 @@ def oracle_bytes(scenario, seed, cfg, fmt):
         return "refused"
 
 
+def engine_outbox(scenario, seed, cfg):
+    """The outbox lines of what a sink passed to engine.run receives, in order."""
+    sink = MemorySink()
+    try:
+        run(scenario, seed=seed, base_config=cfg, extra_sinks=[sink])
+    except ConfigError:
+        return "refused"
+    return [format_outbox_line(n) for n in sink.messages]
+
+
+def oracle_outbox(scenario, seed, cfg):
+    try:
+        notes = oracle.simulate(scenario, seed, cfg)[4]
+    except oracle.Refused:
+        return "refused"
+    return [oracle.outbox_line(note) for note in notes]
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     event_list=st.lists(events, min_size=8, max_size=40),  # about 16 events on average
@@ -104,6 +124,7 @@ def oracle_bytes(scenario, seed, cfg, fmt):
 def test_engine_matches_the_oracle(event_list, seed, cfg):
     scenario = Scenario(name="oracle", events=event_list)
     assert engine_bytes(scenario, seed, cfg, "text") == oracle_bytes(scenario, seed, cfg, "text")
+    assert engine_outbox(scenario, seed, cfg) == oracle_outbox(scenario, seed, cfg)
 
 
 def test_a_long_lossy_run_matches_the_oracle():
@@ -125,6 +146,7 @@ def test_a_long_lossy_run_matches_the_oracle():
     text = engine_bytes(scenario, 28, cfg, "text")
     assert text.count(b"\tlink\tTX\t") == 2000
     assert text == oracle_bytes(scenario, 28, cfg, "text")
+    assert engine_outbox(scenario, 28, cfg) == oracle_outbox(scenario, 28, cfg)
 
 
 def test_oracle_matches_the_golden_cells():
