@@ -78,6 +78,9 @@ class Frame(_FrameFields):
         # namedtuple's _make, and _replace through it, would skip __new__'s rules
         return cls(*iterable)
 
+    def __reduce__(self):  # pickle protocols 0 and 1 too rebuild the frame through __new__
+        return type(self), tuple(self)
+
 
 def checksum(frame_type: int, source_id: int, payload: bytes) -> int:
     """Additive complement over the checksum-covered bytes."""

@@ -57,6 +57,9 @@ class Notification(_NotificationFields):
         # namedtuple's _make, and _replace through it, would skip __new__'s rule
         return cls(*iterable)
 
+    def __reduce__(self):  # pickle protocols 0 and 1 too rebuild it through __new__
+        return type(self), tuple(self)
+
     @property
     def subject(self) -> str:
         return f"{SUBJECT_TAG} {self.kind._value_} at t={self.created_at}"

@@ -134,7 +134,10 @@ class Scenario(_ScenarioFields):
             raise ValueError(f"scenario name must hold no line break, got {name!r}")
         if type(events) is not EventColumns:  # (at, kind, meters) rows built by hand
             rows = tuple(events)
-            events = EventColumns(*zip(*rows, strict=True)) if rows else EventColumns((), (), ())
+            for i, row in enumerate(rows):
+                if len(row) != 3:
+                    raise ValueError(f"event {i} must be an (at, kind, meters) row, got {row!r}")
+            events = EventColumns(*zip(*rows)) if rows else EventColumns((), (), ())
         # a read-only copy: writing to the caller's dict or to s.overrides changes nothing
         return tuple.__new__(cls, (name, MappingProxyType(dict(overrides)), events))
 

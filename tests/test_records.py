@@ -120,6 +120,18 @@ class TestRecordContract:
                 assert twin.overrides is not record.overrides
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_forged_frame_or_notification_is_refused_by_every_pickle_protocol(protocol):
+    # built past __new__, as only a tampered pickle could hold them; protocols 0 and 1
+    # would otherwise rebuild a tuple subclass without calling __new__
+    frame = tuple.__new__(Frame, (FrameType.INTRUDER_ALERT, 300, b""))
+    with pytest.raises(ValueError, match="^source_id must be a one-byte integer, got 300$"):
+        pickle.loads(pickle.dumps(frame, protocol))
+    presence = tuple.__new__(Notification, (NotificationKind.PRESENCE, (OWNER,), None, 5))
+    with pytest.raises(ValueError, match="^presence notifications carry a clip attachment$"):
+        pickle.loads(pickle.dumps(presence, protocol))
+
+
 def test_action_log_holds_actions_with_unchanged_lines():
     scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
     cfg = SimConfig(threshold_m=1.0)

@@ -119,6 +119,23 @@ class TestRender:
         assert sc.events == tuple(events[i] for i in (3, 1, 2, 4, 0))
         assert parse_scenario(render_scenario(sc), name="t") == sc
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, EventKind.ARM)], "event 0 must be an (at, kind, meters) row, got (0, <EventKind.ARM: 'arm'>)"),
+            (
+                [(0, EventKind.ARM, None), (5, EventKind.DOOR_OPEN, None, 1.0)],
+                "event 1 must be an (at, kind, meters) row, "
+                "got (5, <EventKind.DOOR_OPEN: 'door_open'>, None, 1.0)",
+            ),
+        ],
+        ids=["too-short", "mixed-lengths"],
+    )
+    def test_a_hand_built_row_of_the_wrong_length_is_named(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            Scenario(name="t", events=rows)
+        assert str(info.value) == message
+
     def test_overrides_cannot_change_a_frozen_scenario(self):
         given = {"latency_ms": 5}
         sc = Scenario(name="t", overrides=given)
