@@ -16,7 +16,7 @@ from enum import IntEnum
 from typing import NamedTuple, Optional
 
 from .config import SimConfig
-from .events import Instant
+from .events import CheckedRecord, Instant
 from .rng import SplitMix64
 
 DELIMITER = 0x7E
@@ -56,7 +56,7 @@ class _FrameFields(NamedTuple):
     payload: bytes
 
 
-class Frame(_FrameFields):
+class Frame(CheckedRecord, _FrameFields):
     """One wireless message between a sensor node and the coordinator."""
 
     __slots__ = ()
@@ -72,14 +72,6 @@ class Frame(_FrameFields):
         if len(payload) > MAX_PAYLOAD:
             raise ValueError(f"payload too long for the length byte: {len(payload)} > {MAX_PAYLOAD}")
         return tuple.__new__(cls, (frame_type, source_id, payload))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, and _replace through it, would skip __new__'s rules
-        return cls(*iterable)
-
-    def __reduce__(self):  # pickle protocols 0 and 1 too rebuild the frame through __new__
-        return type(self), tuple(self)
 
 
 def checksum(frame_type: int, source_id: int, payload: bytes) -> int:

@@ -10,9 +10,11 @@ tab-separated line per action:
 
     <t_ms>\\t<component>\\t<action>\\t<details>
 
-An open door sends DOOR_ALERT over the lossy link. A delivered alert comes
-back as a ``FrameArrival(at, attempts)`` follow-up, logged as RX and then as
-an intrusion or, while disarmed, a suppression. Its bytes never vary, so the
+A run builds no notification but counts them per kind; ``notifications``
+builds them from the action log and the clips after the run. An open door
+sends DOOR_ALERT over the lossy link. A delivered alert comes back as a
+``FrameArrival(at, attempts)`` follow-up, logged as RX and then as an
+intrusion or, while disarmed, a suppression. Its bytes never vary, so the
 coordinator's checksum check, a decode of those bytes, runs once, at import.
 """
 
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heappop
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
 from .config import SimConfig
 from .events import EventKind, EventQueue, Instant, ScenarioEvent
-from .notify import OWNER_AND_AUTHORITIES, Dispatcher, NotificationKind, build_notification
+from .notify import NotificationKind, build_notification, recipients_for
 from .rng import SplitMix64
 from .sensors import distance_from_echo, echo_from_distance, presence_detect
 
@@ -45,7 +47,7 @@ if decode_frame(DOOR_ALERT) != DOOR_FRAME:
 # Log details that never vary, built once; RX and DROP lines add the attempt count.
 _TX_DETAILS = f"src=door frame={DOOR_ALERT_HEX}"
 _ATTEMPTS_PREFIX = f"frame={DOOR_ALERT_HEX} attempts="
-_INTRUSION_DETAILS = "recipients=" + ",".join(OWNER_AND_AUTHORITIES)
+_INTRUSION_DETAILS = "recipients=" + ",".join(recipients_for(NotificationKind.INTRUSION))
 
 
 class SimulationOrderError(RuntimeError):
@@ -60,9 +62,8 @@ class SystemMode(Enum):
 # bound once: see events.py
 _ARMED, _DISARMED = SystemMode.ARMED, SystemMode.DISARMED
 _DISTANCE_SAMPLE, _PRESS_UP = EventKind.DISTANCE_SAMPLE, EventKind.PRESS_UP
-_PRESENCE, _INTRUSION = NotificationKind.PRESENCE, NotificationKind.INTRUSION
-_SUCCEEDED = NotificationKind.DEACTIVATION_SUCCEEDED
-_FAILED = NotificationKind.DEACTIVATION_FAILED
+_PRESENCE = NotificationKind.PRESENCE
+_KIND_OF = {kind._value_: kind for kind in NotificationKind}  # counts and actions use the value
 
 
 class RecordingJob(NamedTuple):
@@ -114,11 +115,14 @@ class Controller:
 
     ``cfg`` must have passed ``SimConfig.validate``; ``seed`` seeds the
     link's loss draws. ``run`` and ``dispatch`` are the only public methods.
+    ``counts`` holds the notifications sent per kind's value, zeros included.
     """
 
-    def __init__(self, cfg: SimConfig, seed: int, dispatcher: Dispatcher):
+    def __init__(self, cfg: SimConfig, seed: int):
         self.cfg = cfg
-        self.dispatcher = dispatcher
+        self.counts: Dict[str, int] = dict.fromkeys(_KIND_OF, 0)
+        to = recipients_for(_PRESENCE, cfg.presence_to_authorities)
+        self._presence_details = " recipients=" + ",".join(to)
         self.mode = _DISARMED
         self.active_recording: Optional[RecordingJob] = None
         self.pending_attempt: Optional[pulselock.AttemptSession] = None
@@ -273,7 +277,7 @@ class Controller:
         details = f"{_ATTEMPTS_PREFIX}{arrival.attempts}"
         self._append(_new_tuple(Action, (t, "link", "RX", details)))
         if self.mode is _ARMED:
-            self.dispatcher.dispatch(build_notification(_INTRUSION, t))
+            self.counts["INTRUSION"] += 1
             self._append(_new_tuple(Action, (t, "controller", "INTRUSION", _INTRUSION_DETAILS)))
         else:
             details = "event=intruder_alert reason=disarmed"
@@ -287,14 +291,8 @@ class Controller:
         if job is None or job.clip_id != done.clip_id:
             return
         self.active_recording = None
-        notification = build_notification(
-            _PRESENCE,
-            t,
-            attachment=job.clip_id,
-            presence_to_authorities=self.cfg.presence_to_authorities,
-        )
-        self.dispatcher.dispatch(notification)
-        details = f"clip={job.clip_id} recipients={','.join(notification.recipients)}"
+        self.counts["PRESENCE"] += 1
+        details = f"clip={job.clip_id}{self._presence_details}"
         self._append(_new_tuple(Action, (t, "controller", "PRESENCE", details)))
 
     def _on_mode_button(self, t: Instant, meters: None) -> None:
@@ -315,11 +313,11 @@ class Controller:
         self.pending_attempt = None
         if outcome.accepted:
             self.mode = _DISARMED
-            kind = _SUCCEEDED
+            kind = "DEACTIVATION_SUCCEEDED"
         else:
-            kind = _FAILED
-        self.dispatcher.dispatch(build_notification(kind, t))
-        self._append(_new_tuple(Action, (t, "controller", kind._value_, f"trace={outcome.trace}")))
+            kind = "DEACTIVATION_FAILED"
+        self.counts[kind] += 1
+        self._append(_new_tuple(Action, (t, "controller", kind, f"trace={outcome.trace}")))
 
     # One handler table of plain functions, keyed by a scenario event's kind
     # or a follow-up's type and shared by every controller. Keeping it on the
@@ -337,3 +335,15 @@ class Controller:
         ClipDone: _dispatch_clip_done,
         AttemptDeadline: _ignore,
     }
+
+
+def notifications(actions: Sequence[Action], clips: Sequence[RecordingJob], cfg: SimConfig) -> list:
+    """The notifications a run sent, in order: one per INTRUSION, PRESENCE and
+    DEACTIVATION_* action, the k-th PRESENCE carrying the k-th clip."""
+    clip_ids = iter([job.clip_id for job in clips])
+    to_authorities = cfg.presence_to_authorities
+    return [
+        build_notification(kind, a.at, next(clip_ids) if kind is _PRESENCE else None,
+                           presence_to_authorities=to_authorities)
+        for a in actions if (kind := _KIND_OF.get(a.action)) is not None
+    ]

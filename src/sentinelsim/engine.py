@@ -3,8 +3,9 @@
 prepare() layers the config and makes every check that must pass before the
 first event, so an exception raised in simulate() is an internal fault.
 simulate() touches no wall clock and no filesystem: identical (scenario,
-seed, config) give byte-identical reports. File outputs are the CLI's job,
-written from a MemorySink's notifications once simulate() has returned.
+seed, config) give byte-identical reports. The run only counts its
+notifications; simulate() builds them afterwards, and only for extra_sinks.
+File outputs are the CLI's job, written from a MemorySink's notifications.
 
 Dispatch order: scenario events in time order (ties keep scenario order),
 merged with the controller's follow-ups (clip ends, attempt deadlines, frame
@@ -24,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import rng
 from .config import ConfigError, SimConfig, apply_overrides
-from .controller import Controller
+from .controller import Controller, notifications
 from .events import EventKind, collector_paused
 from .notify import Dispatcher
 from .report import RunReport
@@ -73,9 +74,9 @@ def validate_events(scenario: Scenario, cfg: SimConfig) -> None:
         raise ConfigError("; ".join(problems))
 
 
-def build_controller(cfg: SimConfig, seed: int, dispatcher: Dispatcher) -> Controller:
+def build_controller(cfg: SimConfig, seed: int) -> Controller:
     """The run's controller, built in a named step that per-layer timing sees."""
-    return Controller(cfg, seed, dispatcher)
+    return Controller(cfg, seed)
 
 
 def prepare(
@@ -97,17 +98,19 @@ def simulate(
 
     The returned report owns everything observable about the run: the final
     mode, the action log, notification counts per kind and the clip
-    manifest. extra_sinks receive every notification; the dispatcher counts
-    each one whether or not any sink is given, and a sink that fails
-    changes nothing but its own receipt.
+    manifest. extra_sinks receive every notification after the run, in the
+    order it sent them; a sink that fails changes nothing but its receipt.
     """
-    dispatcher = Dispatcher(extra_sinks)
-    controller = build_controller(cfg, seed, dispatcher)
+    controller = build_controller(cfg, seed)
 
     # The controller's queue holds only its follow-ups; the scenario's event
     # columns, which Scenario keeps in time order, stream past it.
     events = scenario.events
     controller.run(events.times, events.kinds, events.meters)
+    if extra_sinks:
+        dispatcher = Dispatcher(extra_sinks)
+        for notification in notifications(controller.action_log, controller.clips, cfg):
+            dispatcher.dispatch(notification)
 
     return RunReport(
         scenario=scenario.name,
@@ -115,7 +118,7 @@ def simulate(
         rng_algorithm=rng.ALGORITHM,
         final_mode=controller.mode.value,
         actions=tuple(controller.action_log),
-        outbox_counts=dispatcher.counts,
+        outbox_counts=controller.counts,
         clips=tuple(controller.clips),
         clip_bytes=cfg.clip_bytes,
     )

@@ -85,13 +85,27 @@ def check_event(at: Instant, kind: EventKind, meters: Optional[float]) -> None:
         raise ValueError(f"{kind._value_} event does not take a distance")
 
 
+class CheckedRecord(tuple):
+    """The base of a named tuple whose ``__new__`` checks its fields: ``_make``,
+    ``_replace``, copies and pickles of every protocol all build it through them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own, and _replace through it, skip __new__
+        return cls(*iterable)
+
+    def __reduce__(self):  # else protocols 0 and 1 rebuild a tuple subclass without __new__
+        return type(self), tuple(self)
+
+
 class _ScenarioEventFields(NamedTuple):
     at: Instant
     kind: EventKind
     meters: Optional[float] = None
 
 
-class ScenarioEvent(_ScenarioEventFields):
+class ScenarioEvent(CheckedRecord, _ScenarioEventFields):
     """A timestamped external stimulus; construction checks its shape with
     ``check_event``. An immutable named tuple, equal and hashed by value."""
 
@@ -100,14 +114,6 @@ class ScenarioEvent(_ScenarioEventFields):
     def __new__(cls, at, kind, meters=None):
         check_event(at, kind, meters)
         return tuple.__new__(cls, (at, kind, meters))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, and _replace through it, would skip __new__'s rules
-        return cls(*iterable)
-
-    def __reduce__(self):  # pickle protocols 0 and 1 too rebuild the event through __new__
-        return type(self), tuple(self)
 
 
 class EventQueue:

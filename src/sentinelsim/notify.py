@@ -1,8 +1,8 @@
 """Email-like notifications, pluggable delivery sinks and the dispatcher.
 
 Transport is mocked. The dispatcher hands every notification to each sink
-in order, counts notifications per kind for the report and returns one
-receipt per sink, a failed delivery's with its error. A notification stores
+in order and returns one receipt per sink, a failed delivery's with its
+error. A notification stores
 facts only; its subject and body are derived from them when a sink reads
 them. Clip attachments are carried as identifiers, never media bytes.
 """
@@ -13,7 +13,7 @@ import os
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .events import Instant
+from .events import CheckedRecord, Instant
 
 OWNER = "owner"
 AUTHORITIES = "authorities"
@@ -39,7 +39,7 @@ class _NotificationFields(NamedTuple):
     created_at: Instant
 
 
-class Notification(_NotificationFields):
+class Notification(CheckedRecord, _NotificationFields):
     """One immutable message, equal by value; ``build_notification`` sets its recipients."""
 
     __slots__ = ()
@@ -51,14 +51,6 @@ class Notification(_NotificationFields):
         elif attachment is not None:
             raise ValueError(f"{kind._value_} notifications carry no attachment")
         return tuple.__new__(cls, (kind, recipients, attachment, created_at))  # in C
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, and _replace through it, would skip __new__'s rule
-        return cls(*iterable)
-
-    def __reduce__(self):  # pickle protocols 0 and 1 too rebuild it through __new__
-        return type(self), tuple(self)
 
     @property
     def subject(self) -> str:
@@ -76,24 +68,20 @@ _OWNER_ONLY = (OWNER,)
 OWNER_AND_AUTHORITIES = (OWNER, AUTHORITIES)  # an intrusion's recipients
 
 
+def recipients_for(kind: NotificationKind, presence_to_authorities: bool = False) -> Tuple[str, ...]:
+    """The recipient policy: intrusions go to the owner and the authorities, the rest to
+    the owner only, unless presence mail is configured to copy the authorities."""
+    if kind is _INTRUSION or (kind is _PRESENCE and presence_to_authorities):
+        return OWNER_AND_AUTHORITIES
+    return _OWNER_ONLY
+
+
 def build_notification(
-    kind: NotificationKind,
-    t: Instant,
-    attachment: Optional[str] = None,
-    *,
+    kind: NotificationKind, t: Instant, attachment: Optional[str] = None, *,
     presence_to_authorities: bool = False,
 ) -> Notification:
-    """Assemble a notification with the recipient policy for its kind.
-
-    Intrusions fan out to the owner and the authorities; everything else is
-    owner-only unless presence mail is explicitly configured to copy the
-    authorities as well.
-    """
-    if kind is _INTRUSION or (kind is _PRESENCE and presence_to_authorities):
-        recipients = OWNER_AND_AUTHORITIES
-    else:
-        recipients = _OWNER_ONLY
-    return Notification(kind, recipients, attachment, t)
+    """Assemble a notification with the recipient policy for its kind."""
+    return Notification(kind, recipients_for(kind, presence_to_authorities), attachment, t)
 
 
 class Receipt(NamedTuple):
@@ -170,16 +158,11 @@ class MaildirSink:
 
 
 class Dispatcher:
-    """Fans notifications out to every sink and counts them per kind.
-
-    A sink failure is isolated to its own receipt; remaining sinks still
-    receive the notification. ``counts`` holds every kind, zeros included,
-    so summaries have stable keys.
-    """
+    """Fans notifications out to every sink. A sink failure is isolated to its
+    own receipt; remaining sinks still receive the notification."""
 
     def __init__(self, sinks: Sequence):
         self.sinks = list(sinks)
-        self.counts: Dict[str, int] = {kind.value: 0 for kind in NotificationKind}
 
     def dispatch(self, notification: Notification) -> Tuple[Receipt, ...]:
         receipts = []
@@ -190,5 +173,4 @@ class Dispatcher:
                 receipts.append(Receipt(sink=sink.name, ok=False, error=str(exc)))
             else:
                 receipts.append(Receipt(sink=sink.name, ok=True))
-        self.counts[notification.kind._value_] += 1
         return tuple(receipts)

@@ -39,7 +39,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .config import coerce_value, ConfigError, integer, one_line
-from .events import EventKind, ScenarioEvent, check_event, collector_paused
+from .events import CheckedRecord, EventKind, ScenarioEvent, check_event, collector_paused
 
 
 class ScenarioError(ValueError):
@@ -123,7 +123,7 @@ class _ScenarioFields(NamedTuple):
     events: EventColumns
 
 
-class Scenario(_ScenarioFields):
+class Scenario(CheckedRecord, _ScenarioFields):
     __slots__ = ()
 
     def __new__(cls, name="scenario", overrides=(), events=()):
@@ -141,12 +141,7 @@ class Scenario(_ScenarioFields):
         # a read-only copy: writing to the caller's dict or to s.overrides changes nothing
         return tuple.__new__(cls, (name, MappingProxyType(dict(overrides)), events))
 
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, and _replace through it, would skip __new__'s rules
-        return cls(*iterable)
-
-    def __reduce__(self):  # copy and pickle, any protocol, rebuild through __new__'s rules
+    def __reduce__(self):  # the overrides as a dict: a mapping proxy does not pickle
         return type(self), (self.name, dict(self.overrides), self.events)
 
 

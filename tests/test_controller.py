@@ -20,18 +20,30 @@ from sentinelsim.controller import (
     FrameArrival,
     SimulationOrderError,
     SystemMode,
+    notifications,
 )
 from sentinelsim.engine import run
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
+from sentinelsim.notify import NotificationKind
 from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.scenario import parse_scenario
 
 
+class Sent:
+    """The notifications a controller has sent so far, as a sink given them after the run reads them."""
+
+    def __init__(self, controller):
+        self.controller = controller
+
+    @property
+    def messages(self):
+        c = self.controller
+        return notifications(c.action_log, c.clips, c.cfg)
+
+
 def make_controller(**kw):
-    sink = MemorySink()
-    controller = Controller(SimConfig(**kw), 0, Dispatcher([sink]))
-    return controller, sink
+    controller = Controller(SimConfig(**kw), 0)
+    return controller, Sent(controller)
 
 
 def scheduled(controller):
@@ -190,6 +202,17 @@ class TestDispatchTraces:
             ev(200, EventKind.DOOR_CLOSE),
         ]))
         assert [n.kind for n in sink.messages] == [NotificationKind.INTRUSION]
+
+    def test_counts_include_zeros(self):
+        c, sink = make_controller()
+        c.run(*columns([ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)]))
+        assert [n.kind for n in sink.messages] == [NotificationKind.INTRUSION]
+        assert list(c.counts.items()) == [
+            ("PRESENCE", 0),
+            ("INTRUSION", 1),
+            ("DEACTIVATION_FAILED", 0),
+            ("DEACTIVATION_SUCCEEDED", 0),
+        ]
 
     def test_double_door_open_alerts_once(self):
         c, sink = make_controller()

@@ -18,7 +18,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import Controller, SystemMode
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.notify import Dispatcher, NotificationKind
+from sentinelsim.notify import NotificationKind
 
 CFG = SimConfig(
     password="10",
@@ -117,8 +117,7 @@ class Model:
 class ControllerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.dispatcher = Dispatcher([])
-        self.controller = Controller(CFG, 0, self.dispatcher)
+        self.controller = Controller(CFG, 0)
         self.model = Model()
         self.now = 0
 
@@ -184,7 +183,7 @@ class ControllerMachine(RuleBasedStateMachine):
         assert c.last_presence_trigger == m.last_trigger
         assert [a.action for a in c.action_log].count("TX") == m.alerts_sent
         assert len(c.clips) == m.clips
-        assert self.dispatcher.counts == m.counts
+        assert c.counts == m.counts
 
 
 ControllerMachine.TestCase.settings = settings(

@@ -22,7 +22,6 @@ from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import Controller
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.notify import Dispatcher, MemorySink
 from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import RunReport, render_report
 from sentinelsim.scenario import Scenario, parse_scenario
@@ -34,8 +33,7 @@ def reference_run(scenario, seed, overrides):
     """engine.run as it was with every scenario event in the heap."""
     cfg = resolve_run_config(scenario, None, overrides)
     validate_events(scenario, cfg)
-    dispatcher = Dispatcher([MemorySink()])
-    controller = build_controller(cfg, seed, dispatcher)
+    controller = build_controller(cfg, seed)
     queue = controller.followups
     for ev in scenario.events:
         queue.push(ev)
@@ -47,7 +45,7 @@ def reference_run(scenario, seed, overrides):
         rng_algorithm=rng.ALGORITHM,
         final_mode=controller.mode.value,
         actions=tuple(controller.action_log),
-        outbox_counts=dispatcher.counts,
+        outbox_counts=controller.counts,
         clips=tuple(controller.clips),
         clip_bytes=cfg.clip_bytes,
     )
@@ -167,13 +165,12 @@ def test_controller_run_matches_dispatch_of_each_item(event_list, seed, override
     cfg = resolve_run_config(scenario, None, overrides)
 
     def final_state(drive):
-        dispatcher = Dispatcher(())
-        controller = Controller(cfg, seed, dispatcher)
+        controller = Controller(cfg, seed)
         try:
             drive(controller)
         except AttemptStateError as exc:  # overlapping password attempts
             return str(exc), controller.action_log
-        return controller.action_log, controller.clips, controller.mode, dispatcher.counts
+        return controller.action_log, controller.clips, controller.mode, controller.counts
 
     def dispatch_each(controller):
         queue = controller.followups

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import columns, random_scenario
+from sentinelsim import controller as controller_module
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.notify import Dispatcher, MemorySink, NotificationKind
+from sentinelsim.notify import MemorySink, NotificationKind, build_notification
 from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
@@ -82,6 +83,21 @@ class TestBreakinScenario:
         failing = run(breakin_scenario, seed=3, extra_sinks=[FullDisk()])
         for fmt in ("text", "structured"):
             assert render_report(failing, fmt) == render_report(plain, fmt)
+
+    def test_notifications_are_built_only_for_sinks_after_the_run(self, breakin_scenario, monkeypatch):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(args[0])
+            return build_notification(*args, **kwargs)
+
+        monkeypatch.setattr(controller_module, "build_notification", build)
+        plain = run(breakin_scenario)
+        assert built == [] and plain.outbox_counts["INTRUSION"] == plain.outbox_counts["PRESENCE"] == 1
+        report, probe = run_with_probe(breakin_scenario)
+        assert built == [NotificationKind.INTRUSION, NotificationKind.PRESENCE]
+        assert probe.messages == controller_module.notifications(report.actions, report.clips, SimConfig())
+        assert report == plain
 
     def test_rendering_is_pure(self, breakin_scenario):
         report, _ = run_with_probe(breakin_scenario)
@@ -376,7 +392,7 @@ class TestValidationBeforeDispatch:
             rejected = True
         else:
             rejected = False
-        controller = build_controller(cfg, 0, Dispatcher([]))
+        controller = build_controller(cfg, 0)
         try:
             controller.run(*columns(sorted(events, key=attrgetter("at"))))
         except AttemptStateError:

@@ -30,9 +30,11 @@ HOT_FUNCTIONS = {
         for fn in controller.Controller._HANDLERS.values()
     },
     "controller.Controller._decide_attempt": controller.Controller._decide_attempt,
+    "controller.notifications": controller.notifications,
     "notify.Notification.__new__": notify.Notification.__new__,
     "notify.Notification.subject": notify.Notification.subject.fget,
     "notify.Notification.body": notify.Notification.body.fget,
+    "notify.recipients_for": notify.recipients_for,
     "notify.build_notification": notify.build_notification,
     "notify.format_outbox_line": notify.format_outbox_line,
     "notify.MaildirSink.deliver": notify.MaildirSink.deliver,

@@ -117,7 +117,6 @@ class TestDispatcher:
         assert [r.sink for r in receipts] == ["a", "b"]
         assert all(r.ok for r in receipts)
         assert a.messages == [n] and b.messages == [n]
-        assert sum(d.counts.values()) == 1
 
     def test_failing_sink_is_isolated(self):
         ok = MemorySink("ok")
@@ -131,7 +130,6 @@ class TestDispatcher:
         again = d.dispatch(build_notification(NotificationKind.DEACTIVATION_FAILED, 2))
         failed = [r for r in receipts + again if not r.ok]
         assert failed == [Receipt(sink="broken", ok=False, error="disk on fire")] * 2
-        assert d.counts["INTRUSION"] == d.counts["DEACTIVATION_FAILED"] == 1
 
     def test_sinks_receive_in_dispatch_order(self):
         sink = MemorySink()
@@ -145,16 +143,6 @@ class TestDispatcher:
             d.dispatch(build_notification(kind, i))
         assert [n.kind for n in sink.messages] == kinds
         assert [n.created_at for n in sink.messages] == [0, 1, 2]
-
-    def test_counts_include_zeros(self):
-        d = Dispatcher([MemorySink()])
-        d.dispatch(build_notification(NotificationKind.INTRUSION, 1))
-        assert d.counts == {
-            "PRESENCE": 0,
-            "INTRUSION": 1,
-            "DEACTIVATION_FAILED": 0,
-            "DEACTIVATION_SUCCEEDED": 0,
-        }
 
 
 class TestLineFileSink:

@@ -21,7 +21,7 @@ from sentinelsim.controller import (
 from sentinelsim.engine import run
 from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import (
-    AUTHORITIES, OWNER, Dispatcher, Notification, NotificationKind, Receipt,
+    AUTHORITIES, OWNER, Notification, NotificationKind, Receipt,
 )
 from sentinelsim.pulselock import AttemptOutcome
 from sentinelsim.report import RunReport, render_report
@@ -135,7 +135,7 @@ def test_a_forged_frame_or_notification_is_refused_by_every_pickle_protocol(prot
 def test_action_log_holds_actions_with_unchanged_lines():
     scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
     cfg = SimConfig(threshold_m=1.0)
-    controller = Controller(cfg, 0, Dispatcher(()))
+    controller = Controller(cfg, 0)
     controller.run(*columns(scenario.events))
     log = controller.action_log
     assert {a.action for a in log} >= {
@@ -148,7 +148,7 @@ def test_action_log_holds_actions_with_unchanged_lines():
 
 
 def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
-    controller = Controller(SimConfig(), 0, Dispatcher(()))
+    controller = Controller(SimConfig(), 0)
     controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
     done = controller.followups.pop()
     assert not controller.followups
@@ -174,7 +174,7 @@ class TestNegativeZeroDistance:
             assert b"-0.000" not in render_report(report, fmt)
 
     def test_hand_built(self):
-        controller = Controller(SimConfig(), 0, Dispatcher(()))
+        controller = Controller(SimConfig(), 0)
         controller.dispatch(ScenarioEvent(100, EventKind.DISTANCE_SAMPLE, meters=-0.0))
         assert controller.action_log[0] == self.TRIGGER
 
@@ -185,7 +185,7 @@ def test_link_records_are_built_as_their_own_types():
         result = transmit(SimConfig(drop_probability=p), 100, SplitMix64(0))
         assert type(result) is DeliveryResult
     assert result == DeliveryResult(False, None, 3)
-    controller = Controller(SimConfig(latency_ms=20), 0, Dispatcher(()))
+    controller = Controller(SimConfig(latency_ms=20), 0)
     controller.dispatch(ScenarioEvent(100, EventKind.DOOR_OPEN))
     arrival = controller.followups.pop()
     assert not controller.followups
@@ -194,7 +194,7 @@ def test_link_records_are_built_as_their_own_types():
 
 def test_per_event_records_are_built_as_their_own_types():
     # the handlers and finalize build these with tuple.__new__ too: same types, same values
-    controller = Controller(SimConfig(password="1"), 0, Dispatcher(()))
+    controller = Controller(SimConfig(password="1"), 0)
     controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
     [job] = controller.clips
     assert type(job) is RecordingJob
