@@ -77,7 +77,10 @@ def recipients_for(kind: NotificationKind, presence_to_authorities: bool = False
 
 
 def build_notification(
-    kind: NotificationKind, t: Instant, attachment: Optional[str] = None, *,
+    kind: NotificationKind,
+    t: Instant,
+    attachment: Optional[str] = None,
+    *,
     presence_to_authorities: bool = False,
 ) -> Notification:
     """Assemble a notification with the recipient policy for its kind."""
