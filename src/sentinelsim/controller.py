@@ -115,7 +115,7 @@ class Controller:
 
     ``cfg`` must have passed ``SimConfig.validate``; ``seed`` seeds the
     link's loss draws. ``run`` and ``dispatch`` are the only public methods.
-    ``counts`` holds the notifications sent per kind's value, zeros included.
+    ``counts`` maps each notification kind's value to how many were sent.
     """
 
     def __init__(self, cfg: SimConfig, seed: int):

@@ -2,9 +2,9 @@
 
 Transport is mocked. The dispatcher hands every notification to each sink
 in order and returns one receipt per sink, a failed delivery's with its
-error. A notification stores
-facts only; its subject and body are derived from them when a sink reads
-them. Clip attachments are carried as identifiers, never media bytes.
+error. A notification stores facts only; its subject and body are derived
+from them when a sink reads them. Clip attachments are carried as
+identifiers, never media bytes.
 """
 
 from __future__ import annotations
