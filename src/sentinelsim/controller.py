@@ -5,8 +5,8 @@ columns of times, kinds and meters, merged with the follow-ups the
 controller pushes onto ``Controller.followups``; ``Controller.dispatch``
 takes one item. The controller holds the run's state: the arming mode, the
 clip being recorded on presence, the pending pulse-password attempt, and an
-action log of every externally visible action, whose rendered form is one
-tab-separated line per action:
+action log of every externally visible action, each logged as its rendered
+line, which only ``action_fields`` reads back:
 
     <t_ms>\\t<component>\\t<action>\\t<details>
 
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heappop
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
@@ -73,19 +74,14 @@ class RecordingJob(NamedTuple):
     stored_ref: str
 
 
-# The one layout of a rendered action line: ACTION_LINE % action.
-ACTION_LINE = "%s\t%s\t%s\t%s"
 # namedtuple's generated __new__ is a Python function; tuple.__new__ builds the same object in C.
 _new_tuple = tuple.__new__
 
 
-class Action(NamedTuple):
-    """One externally visible action: an immutable record, equal by value."""
-
-    at: Instant
-    component: str
-    action: str
-    details: str
+def action_fields(lines: Iterable[str]) -> Iterator[List[str]]:
+    """Each action line's fields ``[t, component, action, details]``, all strings,
+    ``t`` in the decimal digits the handler wrote (``str(int)`` is ``int.__repr__``)."""
+    return map(str.split, lines, repeat("\t"), repeat(3))
 
 
 # Internal followup events the controller pushes onto its own followups
@@ -127,7 +123,7 @@ class Controller:
         self.active_recording: Optional[RecordingJob] = None
         self.pending_attempt: Optional[pulselock.AttemptSession] = None
         self.last_presence_trigger: Optional[Instant] = None
-        self.action_log: List[Action] = []
+        self.action_log: List[str] = []
         self._append = self.action_log.append  # bound to the list, so no cycle through self
         self.clips: List[RecordingJob] = []
         self.followups = EventQueue()
@@ -228,19 +224,18 @@ class Controller:
 
     def _on_arm(self, t: Instant, meters: None) -> None:
         self.mode = _ARMED
-        self._append(_new_tuple(Action, (t, "controller", "ARMED", "mode=armed")))
+        self._append(f"{t}\tcontroller\tARMED\tmode=armed")
 
     def _on_door_open(self, t: Instant, meters: None) -> None:
         if self._door_open:
             return
         self._door_open = True
         result = transmit(self.cfg, t, self._rng)
-        self._append(_new_tuple(Action, (t, "link", "TX", _TX_DETAILS)))
+        self._append(f"{t}\tlink\tTX\t{_TX_DETAILS}")
         if result.delivered:
             self.followups.push(_new_tuple(FrameArrival, (result.delivered_at, result.attempts)))
         else:
-            details = f"{_ATTEMPTS_PREFIX}{result.attempts}"
-            self._append(_new_tuple(Action, (t, "link", "DROP", details)))
+            self._append(f"{t}\tlink\tDROP\t{_ATTEMPTS_PREFIX}{result.attempts}")
 
     def _on_door_close(self, t: Instant, meters: None) -> None:
         self._door_open = False
@@ -259,8 +254,8 @@ class Controller:
         if not presence_detect(distance, self.cfg, self.last_presence_trigger, t):
             return
         self.last_presence_trigger = t
-        details = f"source=ultrasonic distance_m={distance + 0.0:.3f}"  # -0.0 + 0.0 is 0.0
-        self._append(_new_tuple(Action, (t, "sensor", "PRESENCE_TRIGGER", details)))
+        self._append(f"{t}\tsensor\tPRESENCE_TRIGGER\t"
+                     f"source=ultrasonic distance_m={distance + 0.0:.3f}")  # -0.0 + 0.0 is 0.0
         if self.active_recording is not None:
             return
         clip_id = f"clip-{len(self.clips) + 1:04d}"
@@ -268,20 +263,18 @@ class Controller:
         job = _new_tuple(RecordingJob, (clip_id, t, self.cfg.clip_duration_ms, ref))
         self.active_recording = job
         self.clips.append(job)
-        details = f"clip={clip_id} duration_ms={job.duration_ms}"
-        self._append(_new_tuple(Action, (t, "controller", "START_RECORDING", details)))
+        self._append(f"{t}\tcontroller\tSTART_RECORDING\t"
+                     f"clip={clip_id} duration_ms={job.duration_ms}")
         self.followups.push(_new_tuple(ClipDone, (t + job.duration_ms, clip_id)))
 
     def _dispatch_arrival(self, t: Instant, arrival: FrameArrival) -> None:
         # the frame is always DOOR_ALERT, whose checksum was checked at import
-        details = f"{_ATTEMPTS_PREFIX}{arrival.attempts}"
-        self._append(_new_tuple(Action, (t, "link", "RX", details)))
+        self._append(f"{t}\tlink\tRX\t{_ATTEMPTS_PREFIX}{arrival.attempts}")
         if self.mode is _ARMED:
             self.counts["INTRUSION"] += 1
-            self._append(_new_tuple(Action, (t, "controller", "INTRUSION", _INTRUSION_DETAILS)))
+            self._append(f"{t}\tcontroller\tINTRUSION\t{_INTRUSION_DETAILS}")
         else:
-            details = "event=intruder_alert reason=disarmed"
-            self._append(_new_tuple(Action, (t, "controller", "SUPPRESSED", details)))
+            self._append(f"{t}\tcontroller\tSUPPRESSED\tevent=intruder_alert reason=disarmed")
 
     def _ignore(self, t: Instant, data) -> None:
         """A press release changes nothing; a deadline only lets dispatch see an attempt's end."""
@@ -292,8 +285,7 @@ class Controller:
             return
         self.active_recording = None
         self.counts["PRESENCE"] += 1
-        details = f"clip={job.clip_id}{self._presence_details}"
-        self._append(_new_tuple(Action, (t, "controller", "PRESENCE", details)))
+        self._append(f"{t}\tcontroller\tPRESENCE\tclip={job.clip_id}{self._presence_details}")
 
     def _on_mode_button(self, t: Instant, meters: None) -> None:
         if self.pending_attempt is not None:
@@ -302,8 +294,8 @@ class Controller:
             )
         session = pulselock.begin_attempt(self.cfg, t)
         self.pending_attempt = session
-        details = f"n={len(self.cfg.password)} end_ms={session.end}"
-        self._append(_new_tuple(Action, (t, "controller", "ATTEMPT_BEGIN", details)))
+        self._append(f"{t}\tcontroller\tATTEMPT_BEGIN\t"
+                     f"n={len(self.cfg.password)} end_ms={session.end}")
         self.followups.push(_new_tuple(AttemptDeadline, (session.end,)))
 
     def _decide_attempt(self, session: pulselock.AttemptSession) -> None:
@@ -317,7 +309,7 @@ class Controller:
         else:
             kind = "DEACTIVATION_FAILED"
         self.counts[kind] += 1
-        self._append(_new_tuple(Action, (t, "controller", kind, f"trace={outcome.trace}")))
+        self._append(f"{t}\tcontroller\t{kind}\ttrace={outcome.trace}")
 
     # One handler table of plain functions, keyed by a scenario event's kind
     # or a follow-up's type and shared by every controller. Keeping it on the
@@ -337,13 +329,13 @@ class Controller:
     }
 
 
-def notifications(actions: Sequence[Action], clips: Sequence[RecordingJob], cfg: SimConfig) -> list:
+def notifications(actions: Iterable[str], clips: Sequence[RecordingJob], cfg: SimConfig) -> list:
     """The notifications a run sent, in order: one per INTRUSION, PRESENCE and
-    DEACTIVATION_* action, the k-th PRESENCE carrying the k-th clip."""
+    DEACTIVATION_* action line, the k-th PRESENCE carrying the k-th clip."""
     clip_ids = iter([job.clip_id for job in clips])
     to_authorities = cfg.presence_to_authorities
     return [
-        build_notification(kind, a.at, next(clip_ids) if kind is _PRESENCE else None,
+        build_notification(kind, int(t), next(clip_ids) if kind is _PRESENCE else None,
                            presence_to_authorities=to_authorities)
-        for a in actions if (kind := _KIND_OF.get(a.action)) is not None
+        for t, _, action, _ in action_fields(actions) if (kind := _KIND_OF.get(action)) is not None
     ]

@@ -1,12 +1,13 @@
 """Run reports and their text / structured renderings.
 
 Rendering is deterministic: the same report always produces the same bytes,
-so replays can be compared with a plain byte diff. The structured form is
-JSON with sorted keys, a two-space indent, ASCII only (``\\uXXXX`` escapes)
-and a trailing newline, byte-identical to
+so replays can be compared with a plain byte diff. The text form is the
+action lines as the controller logged them, then the summary. The structured
+form is JSON with sorted keys, a two-space indent, ASCII only (``\\uXXXX``
+escapes) and a trailing newline, byte-identical to
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``; it is written out
 directly rather than through ``json.dumps``, whose indenting encoder is
-pure Python.
+pure Python, and reads the action lines through ``controller.action_fields``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,21 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 from typing import Dict, NamedTuple, Tuple
 
-from .controller import ACTION_LINE, Action, RecordingJob
+from .controller import RecordingJob, action_fields
 from .events import collector_paused
 
 FORMATS = ("text", "structured")
 
 
 class RunReport(NamedTuple):
+    """``actions`` holds the action lines as the controller writes them,
+    ``<int>\\t<component>\\t<action>\\t<details>`` with no tab in the first three fields."""
+
     scenario: str
     seed: int
     rng_algorithm: str
     final_mode: str
-    actions: Tuple[Action, ...]
+    actions: Tuple[str, ...]
     outbox_counts: Dict[str, int]
     clips: Tuple[RecordingJob, ...]
     clip_bytes: int
@@ -54,10 +58,8 @@ class RunReport(NamedTuple):
 def render_report(report: RunReport, fmt: str = "text") -> bytes:
     """Render to UTF-8 bytes in the requested format."""
     if fmt == "text":
-        lines = list(map(ACTION_LINE.__mod__, report.actions))
-        lines.extend(report.summary_lines())
-        lines.append("")  # the final line break, without a copy of the joined text
-        return "\n".join(lines).encode("utf-8")
+        # "" is the final line break, without a copy of the joined text
+        return "\n".join([*report.actions, *report.summary_lines(), ""]).encode("utf-8")
     if fmt == "structured":
         return _render_structured(report)
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
@@ -73,13 +75,13 @@ def _render_structured(report: RunReport) -> bytes:
     """Byte-identical to ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
     which tests/test_report.py keeps as the reference: keys in sorted order,
     strings through json's own C escaper, integers through ``int.__repr__``
-    as json writes them."""
+    as json writes them (an action's ``t`` is its line's ``str(int)`` digits)."""
     enc = encode_basestring_ascii
     num = int.__repr__
     actions = [
-        f'    {{\n      "action": {enc(a.action)},\n      "component": {enc(a.component)},'
-        f'\n      "details": {enc(a.details)},\n      "t": {num(a.at)}\n    }}'
-        for a in report.actions
+        f'    {{\n      "action": {enc(action)},\n      "component": {enc(component)},'
+        f'\n      "details": {enc(details)},\n      "t": {t}\n    }}'
+        for t, component, action, details in action_fields(report.actions)
     ]
     size = num(report.clip_bytes)
     clips = [

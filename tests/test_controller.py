@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from conftest import columns
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import (
-    ACTION_LINE,
     DOOR_ALERT,
-    Action,
     AttemptDeadline,
     ClipDone,
     Controller,
     FrameArrival,
     SimulationOrderError,
     SystemMode,
+    action_fields,
     notifications,
 )
 from sentinelsim.engine import run
@@ -57,7 +56,11 @@ def ev(at, kind, **kw):
 
 
 def log_actions(controller):
-    return [(a.at, a.action) for a in controller.action_log]
+    return [(int(t), action) for t, _, action, _ in action_fields(controller.action_log)]
+
+
+def names(controller):
+    return [action for _, _, action, _ in action_fields(controller.action_log)]
 
 
 def attempt(c, presses, start=1000):
@@ -107,8 +110,7 @@ class TestBeamBreak:
         assert n.kind is NotificationKind.INTRUSION
         assert n.recipients == ("owner", "authorities")
         assert n.created_at == 5000
-        line = ACTION_LINE % c.action_log[-1]
-        assert line == "5000\tcontroller\tINTRUSION\trecipients=owner,authorities"
+        assert c.action_log[-1] == "5000\tcontroller\tINTRUSION\trecipients=owner,authorities"
 
     def test_disarmed_break_is_suppressed(self):
         c, sink = make_controller()
@@ -150,8 +152,7 @@ class TestDispatchTraces:
             ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.8),
             ev(5000, EventKind.DOOR_OPEN),
         ]))
-        names = [a.action for a in c.action_log]
-        assert names == [
+        assert names(c) == [
             "ARMED",
             "PRESENCE_TRIGGER",
             "START_RECORDING",
@@ -181,7 +182,7 @@ class TestDispatchTraces:
         kinds = [n.kind for n in sink.messages]
         assert kinds == [NotificationKind.DEACTIVATION_SUCCEEDED]
         assert c.mode is SystemMode.DISARMED
-        assert [a.action for a in c.action_log].count("SUPPRESSED") == 1
+        assert names(c).count("SUPPRESSED") == 1
 
     def test_wrong_password_keeps_system_armed(self):
         c, sink = make_controller()
@@ -237,9 +238,9 @@ class TestDispatchTraces:
         c, sink = make_controller(drop_probability=1.0, max_retries=2)
         c.run(*columns([ev(0, EventKind.ARM), ev(100, EventKind.DOOR_OPEN)]))
         assert sink.messages == []
-        drop = [a for a in c.action_log if a.action == "DROP"]
+        drop = [details for _, _, action, details in action_fields(c.action_log) if action == "DROP"]
         assert len(drop) == 1
-        assert "attempts=3" in drop[0].details
+        assert "attempts=3" in drop[0]
 
     def test_link_latency_delays_the_alert(self):
         c, sink = make_controller(latency_ms=40)
@@ -259,8 +260,11 @@ class TestDispatchTraces:
             ev(1300, EventKind.PRESS_DOWN),
         ]))
         # only the press_down registered: pulse 1 got its bit, nothing else
-        finalized = [a for a in c.action_log if a.action.startswith("DEACTIVATION")]
-        assert finalized[-1].details == "trace=1000000"
+        finalized = [
+            details for _, _, action, details in action_fields(c.action_log)
+            if action.startswith("DEACTIVATION")
+        ]
+        assert finalized[-1] == "trace=1000000"
 
     def test_mode_button_during_attempt_is_state_error(self):
         c, _ = make_controller()
@@ -288,7 +292,7 @@ class TestDispatchTraces:
         report = run(parse_scenario(
             "0 arm\n0 mode_button\n250 press_down\n6500 mode_button\n6500 press_down\n" + later
         ))
-        lines = [(a.at, a.action, a.details) for a in report.actions]
+        lines = [(int(t), action, details) for t, _, action, details in action_fields(report.actions)]
         assert lines[1:] == [
             (0, "ATTEMPT_BEGIN", "n=7 end_ms=6500"),
             (6500, "DEACTIVATION_FAILED", "trace=1000000"),
@@ -330,10 +334,11 @@ class TestDispatchTraces:
         for at, attempts in ((5, 3), (0, 1), (3, 2)):
             c.followups.push(FrameArrival(at, attempts))
         c.run(*columns([ev(0, EventKind.ARM), ev(5, EventKind.ARM)]))
-        assert [(a.at, a.action) for a in c.action_log if a.action != "INTRUSION"] == [
+        assert [(t, action) for t, action in log_actions(c) if action != "INTRUSION"] == [
             (0, "ARMED"), (0, "RX"), (3, "RX"), (5, "ARMED"), (5, "RX"),
         ]
-        assert [a.details[-1] for a in c.action_log if a.action == "RX"] == ["1", "2", "3"]
+        rx = [details[-1] for _, _, action, details in action_fields(c.action_log) if action == "RX"]
+        assert rx == ["1", "2", "3"]
         assert not c.followups
 
     def test_run_takes_follow_ups_scheduled_during_the_run(self):
@@ -357,8 +362,7 @@ class TestDispatchTraces:
             ev(1000, EventKind.DISTANCE_SAMPLE, meters=0.5),
             ev(6000, EventKind.DISTANCE_SAMPLE, meters=0.5),
         ]))
-        triggers = [a for a in c.action_log if a.action == "PRESENCE_TRIGGER"]
-        assert [a.at for a in triggers] == [0, 6000]
+        assert [t for t, action in log_actions(c) if action == "PRESENCE_TRIGGER"] == [0, 6000]
 
     def test_cooldown_zero_still_single_recording(self):
         c, sink = make_controller(retrigger_cooldown_ms=0)
@@ -380,7 +384,7 @@ class TestInternalItems:
         [done] = scheduled(c)
         c.dispatch(ClipDone(at=3000, clip_id="clip-9999"))
         assert c.active_recording.clip_id == done.clip_id
-        assert [a.action for a in c.action_log] == ["PRESENCE_TRIGGER", "START_RECORDING"]
+        assert names(c) == ["PRESENCE_TRIGGER", "START_RECORDING"]
         assert sink.messages == []
 
     def test_stale_attempt_deadline_is_ignored(self):
@@ -457,22 +461,6 @@ def test_dispatch_returns_none_and_schedules_at_most_one_item(steps):
         before = len(c.followups)
         assert c.dispatch(_item(t, kind, n)) is None
         assert len(c.followups) - before in (0, 1)
-
-
-class TestAction:
-    def test_is_an_immutable_slotted_value(self):
-        a = Action(5, "link", "TX", "x")
-        assert a == Action(5, "link", "TX", "x")
-        assert hash(a) == hash(Action(5, "link", "TX", "x"))
-        assert a != Action(5, "link", "TX", "y")
-        assert ACTION_LINE % a == "5\tlink\tTX\tx"
-        assert not hasattr(a, "line")  # the text render's ACTION_LINE is the one layout
-        assert repr(a) == "Action(at=5, component='link', action='TX', details='x')"
-        with pytest.raises(AttributeError):
-            a.at = 6
-        with pytest.raises(AttributeError):
-            a.note = "extra"
-        assert not hasattr(a, "__dict__")
 
 
 class TestRecordingJob:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import columns, random_scenario, render_scenario
 from sentinelsim import rng
 from sentinelsim.config import ConfigError, SimConfig
-from sentinelsim.controller import Controller
+from sentinelsim.controller import Controller, action_fields
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.pulselock import AttemptStateError
@@ -195,7 +195,7 @@ def test_scenario_event_precedes_follow_up_at_same_millisecond():
     # The alert sent at t=0 arrives at t=0; arming, also at t=0, comes first.
     scenario = parse_scenario("0 door open\n0 arm\n")
     report = run(scenario, cli_overrides={"latency_ms": "0"})
-    actions = [a.action for a in report.actions]
+    actions = [action for _, _, action, _ in action_fields(report.actions)]
     assert actions == ["TX", "ARMED", "RX", "INTRUSION"]
 
 

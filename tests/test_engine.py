@@ -14,12 +14,20 @@ from hypothesis import strategies as st
 from conftest import columns, random_scenario
 from sentinelsim import controller as controller_module
 from sentinelsim.config import ConfigError, SimConfig
+from sentinelsim.controller import action_fields
 from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
 from sentinelsim.events import EventKind, ScenarioEvent
 from sentinelsim.notify import MemorySink, NotificationKind, build_notification
 from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
+
+
+
+def logged(report):
+    """(t, action) of each action line, t as an int."""
+    return [(int(t), action) for t, _, action, _ in action_fields(report.actions)]
+
 
 FLOAT_KEYS = [k for k, v in SimConfig._field_defaults.items() if type(v) is float]
 INT_KEYS = [k for k, v in SimConfig._field_defaults.items() if type(v) is int]
@@ -116,8 +124,7 @@ class TestDeactivateScenario:
         kinds = [n.kind for n in probe.messages]
         assert kinds == [NotificationKind.DEACTIVATION_SUCCEEDED]
         assert report.final_mode == "DISARMED"
-        suppressed = [a for a in report.actions if a.action == "SUPPRESSED"]
-        assert len(suppressed) == 1
+        assert [action for _, action in logged(report)].count("SUPPRESSED") == 1
 
     def test_wrong_password_fails_and_door_alerts(self):
         text = (
@@ -174,7 +181,7 @@ class TestEmptyAndEdgeScenarios:
         )
         kinds = [n.kind for n in probe.messages]
         assert kinds == [NotificationKind.PRESENCE]
-        assert any(a.action == "DROP" for a in report.actions)
+        assert any(action == "DROP" for _, action in logged(report))
 
     def test_validate_events_passes_good_scenario(self, breakin_scenario):
         cfg = resolve_run_config(breakin_scenario)
@@ -209,28 +216,26 @@ class TestFuzzedInvariants:
     def test_action_log_times_non_decreasing(self):
         for seed in self.SEEDS:
             report, _ = run_with_probe(random_scenario(seed), seed=seed)
-            times = [a.at for a in report.actions]
+            times = [t for t, _ in logged(report)]
             assert times == sorted(times)
 
     def test_no_intrusion_while_disarmed(self):
         for seed in self.SEEDS:
             report, _ = run_with_probe(random_scenario(seed), seed=seed)
             armed = False
-            for action in report.actions:
-                if action.action == "ARMED":
+            for _, action in logged(report):
+                if action == "ARMED":
                     armed = True
-                elif action.action == "DEACTIVATION_SUCCEEDED":
+                elif action == "DEACTIVATION_SUCCEEDED":
                     armed = False
-                elif action.action == "INTRUSION":
+                elif action == "INTRUSION":
                     assert armed, f"seed {seed}: intrusion while disarmed"
 
     def test_presence_references_fresh_clips(self):
         for seed in self.SEEDS:
             report, probe = run_with_probe(random_scenario(seed), seed=seed)
             jobs = {c.clip_id: c for c in report.clips}
-            triggers = [
-                a.at for a in report.actions if a.action == "PRESENCE_TRIGGER"
-            ]
+            triggers = [t for t, action in logged(report) if action == "PRESENCE_TRIGGER"]
             for n in probe.messages:
                 if n.kind is NotificationKind.PRESENCE:
                     job = jobs[n.attachment]
@@ -241,9 +246,7 @@ class TestFuzzedInvariants:
         cfg = SimConfig()
         for seed in self.SEEDS:
             report, _ = run_with_probe(random_scenario(seed), seed=seed)
-            triggers = [
-                a.at for a in report.actions if a.action == "PRESENCE_TRIGGER"
-            ]
+            triggers = [t for t, action in logged(report) if action == "PRESENCE_TRIGGER"]
             gaps = [b - a for a, b in zip(triggers, triggers[1:])]
             assert all(g >= cfg.retrigger_cooldown_ms for g in gaps)
 
@@ -266,9 +269,9 @@ class TestFuzzedInvariants:
         for seed in self.SEEDS:
             report, probe = run_with_probe(random_scenario(seed), seed=seed)
             derived = [
-                expected_by_action[a.action]
-                for a in report.actions
-                if a.action in expected_by_action
+                expected_by_action[action]
+                for _, action in logged(report)
+                if action in expected_by_action
             ]
             actual = [(n.kind, n.recipients) for n in probe.messages]
             assert derived == actual

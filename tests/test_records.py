@@ -10,13 +10,12 @@ from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT, columns
 from sentinelsim.airframe import DeliveryResult, Frame, FrameType, transmit
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import (
-    ACTION_LINE,
-    Action,
     AttemptDeadline,
     ClipDone,
     Controller,
     FrameArrival,
     RecordingJob,
+    action_fields,
 )
 from sentinelsim.engine import run
 from sentinelsim.events import EventKind, ScenarioEvent
@@ -46,13 +45,13 @@ RECORDS = [
      "Scenario(name='breakin', overrides=mappingproxy({'latency_ms': 20}), "
      "events=(ScenarioEvent(at=0, kind=<EventKind.ARM: 'arm'>, meters=None), "
      "ScenarioEvent(at=5000, kind=<EventKind.DOOR_OPEN: 'door_open'>, meters=None)))"),
-    (RunReport("breakin", 7, "splitmix64", "ARMED", (Action(0, "controller", "ARMED", ""),),
+    (RunReport("breakin", 7, "splitmix64", "ARMED", ("0\tcontroller\tARMED\tmode=armed",),
                {"INTRUSION": 1},
                (RecordingJob("clip-0001", 2000, 5000, "clips/clip-0001.bin"),), 1024),
      ("scenario", "seed", "rng_algorithm", "final_mode", "actions", "outbox_counts", "clips",
       "clip_bytes"),
      "RunReport(scenario='breakin', seed=7, rng_algorithm='splitmix64', final_mode='ARMED', "
-     "actions=(Action(at=0, component='controller', action='ARMED', details=''),), "
+     "actions=('0\\tcontroller\\tARMED\\tmode=armed',), "
      "outbox_counts={'INTRUSION': 1}, clips=(RecordingJob(clip_id='clip-0001', "
      "started_at=2000, duration_ms=5000, stored_ref='clips/clip-0001.bin'),), clip_bytes=1024)"),
     (ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5), ("at", "kind", "meters"),
@@ -132,19 +131,22 @@ def test_a_forged_frame_or_notification_is_refused_by_every_pickle_protocol(prot
         pickle.loads(pickle.dumps(presence, protocol))
 
 
-def test_action_log_holds_actions_with_unchanged_lines():
+def test_action_log_holds_lines_of_four_fields_led_by_a_time():
     scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
     cfg = SimConfig(threshold_m=1.0)
     controller = Controller(cfg, 0)
     controller.run(*columns(scenario.events))
     log = controller.action_log
-    assert {a.action for a in log} >= {
+    assert all(type(line) is str for line in log)
+    fields = list(action_fields(log))
+    assert {action for _, _, action, _ in fields} >= {
         "ARMED", "PRESENCE_TRIGGER", "START_RECORDING", "TX", "RX", "INTRUSION",
         "PRESENCE", "ATTEMPT_BEGIN", "DEACTIVATION_SUCCEEDED",
     }
-    for a in log:
-        assert type(a) is Action
-        assert ACTION_LINE % a == f"{a.at}\t{a.component}\t{a.action}\t{a.details}"
+    for line, split in zip(log, fields):
+        assert len(split) == 4 and "\t".join(split) == line
+        t = split[0]
+        assert t.isascii() and t.isdigit() and str(int(t)) == t  # a non-negative int's digits
 
 
 def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
@@ -155,16 +157,18 @@ def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
     twin = FrameArrival(done.at, done.clip_id)
     assert twin == done and hash(twin) == hash(done)
     controller.dispatch(twin)
-    assert [a.action for a in controller.action_log[-2:]] == ["RX", "SUPPRESSED"]
+    assert [action for _, _, action, _ in action_fields(controller.action_log[-2:])] == [
+        "RX", "SUPPRESSED",
+    ]
     assert controller.active_recording is not None
     controller.dispatch(done)
-    assert controller.action_log[-1].action == "PRESENCE"
+    assert [action for _, _, action, _ in action_fields(controller.action_log[-1:])] == ["PRESENCE"]
     assert controller.active_recording is None
 
 
 class TestNegativeZeroDistance:
     # -0.0 >= 0 holds, so a negative zero is a valid sample; it logs as 0.000
-    TRIGGER = (100, "sensor", "PRESENCE_TRIGGER", "source=ultrasonic distance_m=0.000")
+    TRIGGER = "100\tsensor\tPRESENCE_TRIGGER\tsource=ultrasonic distance_m=0.000"
 
     @pytest.mark.parametrize("meters", ["-0", "-0.0", "-0.000"])
     def test_parsed(self, meters):
