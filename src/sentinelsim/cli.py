@@ -164,7 +164,12 @@ def _cmd_run(args) -> int:
 
     if args.out:
         _write_out(args.out, args.format, rendered, report, cfg, mail.messages)
-    sys.stdout.write(rendered.decode("utf-8"))
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(rendered.decode("utf-8"))
+    else:  # the report's bytes as they are, after any text already written
+        sys.stdout.flush()
+        out.write(rendered)
     return EXIT_OK
 
 

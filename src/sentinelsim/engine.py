@@ -99,7 +99,7 @@ def simulate(
     The returned report owns everything observable about the run: the final
     mode, the action log, notification counts per kind and the clip
     manifest. extra_sinks receive every notification after the run, in the
-    order it sent them; a sink that fails changes nothing but its receipt.
+    order it sent them; a failing sink changes no report byte and goes unreported.
     """
     controller = build_controller(cfg, seed)
 

@@ -23,10 +23,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
-# first_at_least draws one at a time for a stream's first _YOUNG draws, so a
-# short run never pays for a block; after that it decides _LANES draws (or
-# limit, if more) at once.
-_YOUNG = 32
+# first_at_least decides its draws a block at a time: a stream's first block
+# (and the first after a random() call) decides _FIRST draws, and each later
+# block twice as many as the last, up to _LANES; no block is shorter than
+# limit. So a short run decides few draws it never takes.
+_FIRST = 8
 _LANES = 64
 
 
@@ -60,21 +61,21 @@ def _decide_block(state: int, t: int, n: int) -> bytes:
 class SplitMix64:
     """splitmix64 stream seeded with a 64-bit unsigned integer."""
 
-    __slots__ = ("_state", "_drawn", "_p", "_flags", "_pos", "_end")
+    __slots__ = ("_base", "_pos", "_end", "_p", "_flags")
 
     def __init__(self, seed: int):
         if type(seed) is not int or not 0 <= seed <= _MASK64:  # not isinstance: a bool is an int
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        self._state = seed
-        # _drawn: draws first_at_least made one at a time. Its block:
-        # _flags[_pos:_end] decide, against _p, the draws after _state.
-        self._drawn = self._pos = self._end = 0
+        # The counter is _base plus _pos draws: _flags[:_end] decide, against _p,
+        # the _end draws after _base, and first_at_least has taken _pos of them.
+        self._base = seed
+        self._pos = self._end = 0
         self._p = self._flags = None
 
     def random(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits of one splitmix64 draw."""
-        self._end = 0  # the block no longer starts at the counter
-        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z = self._base = (self._base + (self._pos + 1) * _GOLDEN) & _MASK64
+        self._pos = self._end = 0  # no block starts at the counter; the next is _FIRST long
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return ((z ^ (z >> 31)) >> 11) * 2.0**-53
@@ -86,28 +87,17 @@ class SplitMix64:
         Consumes that many draws, or ``limit`` if none qualifies, exactly as
         calling ``random()`` until one qualifies would.
         """
-        if self._drawn < _YOUNG:  # random()'s draws, inlined
-            s = self._state
-            for k in range(1, limit + 1):
-                z = s = (s + _GOLDEN) & _MASK64
-                z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                if ((z ^ (z >> 31)) >> 11) * 2.0**-53 >= p:
-                    break
-            else:
-                k = 0
-            self._state = s
-            self._drawn += k or limit
-            return k
         pos = self._pos
         end = pos + limit
         if end > self._end or p != self._p:
-            n = max(_LANES, limit)
-            self._flags = _decide_block(self._state, _threshold(p), n)
-            self._p, self._end = p, n
+            n = self._end = max(_FIRST, min(2 * self._end, _LANES), limit)
+            self._base = (self._base + pos * _GOLDEN) & _MASK64
+            self._flags = _decide_block(self._base, _threshold(p), n)
+            self._p = p
             pos, end = 0, limit
         i = self._flags.find(1, pos, end)
-        k = i + 1 - pos if i >= 0 else limit
-        self._pos = pos + k
-        self._state = (self._state + k * _GOLDEN) & _MASK64
-        return k if i >= 0 else 0
+        if i < 0:
+            self._pos = end
+            return 0
+        self._pos = i + 1
+        return i + 1 - pos

@@ -19,7 +19,8 @@ from sentinelsim import cli, controller, engine
 from sentinelsim.cli import main
 from sentinelsim.config import SimConfig
 from sentinelsim.notify import LineFileSink, MaildirSink
-from sentinelsim.report import FORMATS
+from sentinelsim.report import FORMATS, render_report
+from sentinelsim.scenario import parse_scenario
 
 
 @pytest.fixture
@@ -34,6 +35,28 @@ def test_run_prints_report(breakin_file, capsys):
     out = capsys.readouterr().out
     assert "INTRUSION\trecipients=owner,authorities" in out
     assert "final_mode: ARMED" in out
+
+
+def test_run_writes_the_rendered_bytes_to_stdout(monkeypatch):
+    class Recorded(io.TextIOWrapper):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scenarios", "breakin.scn")
+    with open(path, encoding="utf-8") as fh:
+        expected = render_report(engine.run(parse_scenario(fh.read(), name="breakin")), "text")
+    writes, raw = [], io.BytesIO()
+    stdout = Recorded(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["run", path]) == 0
+    stdout.flush()
+    assert raw.getvalue() == expected
+    assert not any("final_mode" in text for text in writes)  # no str copy of the report
+    # a text-only stream gets the same report, decoded
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(["run", path]) == 0
+    assert text.getvalue() == expected.decode("utf-8")
 
 
 def test_run_writes_output_directory(breakin_file, tmp_path):

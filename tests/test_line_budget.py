@@ -9,7 +9,7 @@ import glob
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LINES = 1970
+LINES = 1965
 
 
 def test_src_holds_its_committed_line_count():

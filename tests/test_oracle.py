@@ -11,6 +11,7 @@ import os
 import random
 import sys
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -127,10 +128,11 @@ def test_engine_matches_the_oracle(event_list, seed, cfg):
     assert engine_outbox(scenario, seed, cfg) == oracle_outbox(scenario, seed, cfg)
 
 
-def test_a_long_lossy_run_matches_the_oracle():
-    """About 2,000 door openings at drop_probability 0.9 with 255 retries: the
-    link decides its draws a block at a time, over many blocks, where the
-    oracle draws them one by one."""
+# At 255 retries every block is 256 draws long; at 2 the blocks grow from 8 to 64.
+@pytest.mark.parametrize("drop, retries", [(0.9, 255), (0.5, 2)])
+def test_a_long_lossy_run_matches_the_oracle(drop, retries):
+    """About 2,000 door openings on a lossy link: the link decides its draws a
+    block at a time, over many blocks, where the oracle draws them one by one."""
     rnd = random.Random(2014)
     event_list, t = [ScenarioEvent(0, EventKind.ARM)], 0
     for _ in range(2000):
@@ -141,7 +143,7 @@ def test_a_long_lossy_run_matches_the_oracle():
         t += rnd.randint(0, 400)
         event_list.append(ScenarioEvent(t, EventKind.DOOR_CLOSE))
     scenario = Scenario(name="lossy", events=event_list)
-    cfg = SimConfig(drop_probability=0.9, max_retries=255, latency_ms=15)
+    cfg = SimConfig(drop_probability=drop, max_retries=retries, latency_ms=15)
     cfg.validate()
     text = engine_bytes(scenario, 28, cfg, "text")
     assert text.count(b"\tlink\tTX\t") == 2000

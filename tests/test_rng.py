@@ -125,7 +125,9 @@ first_calls = st.tuples(
     seed=st.integers(0, MASK),
     calls=st.lists(st.one_of(st.just("random"), first_calls), min_size=1, max_size=60),
     # a long run of draws first, so the calls that follow decide blocks and cross their edges
-    burn=st.sampled_from([(), ((1.5, 256),) * 4, ((math.nan, 97),) * 11]),
+    # and leads of single draws that stop one short of the block edges at 8, 24 and 56 draws
+    burn=st.sampled_from([(), ((1.5, 256),) * 4, ((math.nan, 97),) * 11,
+                          ((1.5, 1),) * 7, ((1.5, 1),) * 23, ((1.5, 1),) * 55]),
 )
 def test_first_at_least_interleaved_with_random_follows_the_reference(seed, calls, burn):
     got, expected = replay(seed, [*burn, *calls])
@@ -161,7 +163,7 @@ def test_a_block_decides_each_draw_as_random_does(n):
         assert list(flags) == [int(x >= p) for x in reference_random(seed, n)]
 
 
-def test_a_young_stream_draws_one_at_a_time_then_by_blocks(monkeypatch):
+def test_blocks_grow_from_the_first_draw_and_restart_after_random(monkeypatch):
     blocks, decide = [], rng._decide_block
 
     def counted(state, t, n):
@@ -170,11 +172,11 @@ def test_a_young_stream_draws_one_at_a_time_then_by_blocks(monkeypatch):
 
     monkeypatch.setattr(rng, "_decide_block", counted)
     r = SplitMix64(1)
-    for _ in range(rng._YOUNG):
+    for _ in range(8 + 16 + 32 + 64 + 1):
         assert r.first_at_least(1.5, 1) == 0
-    assert blocks == []  # a short run sets up no block
-    for _ in range(rng._LANES):
-        r.first_at_least(1.5, 1)
-    assert blocks == [rng._LANES]  # then one block serves _LANES draws
+    assert blocks == [8, 16, 32, 64, 64]  # from the first draw, doubling up to 64
+    r.random()
+    r.first_at_least(1.5, 1)
+    assert blocks[5:] == [8]  # a random() call restarts the schedule
     r.first_at_least(1.5, 255)
-    assert blocks == [rng._LANES, 255]  # never shorter than the limit
+    assert blocks[6:] == [255]  # never shorter than the limit
