@@ -1,8 +1,8 @@
 """Command-line interface.
 
-`run` has three phases with one failure rule each. Prepare reads and checks
-the inputs (exit 1). Simulate writes no file; any exception in it is an
-internal fault (exit 2). Write puts every --out file in place or none (exit 1).
+`run` has three phases with one failure rule each. Prepare reads and checks the inputs
+(exit 1). Simulate runs the scenario and builds its mail, writing no file; any exception
+in it is an internal fault (exit 2). Write puts every --out file in place or none (exit 1).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from . import __version__, engine, pulselock, rng
 from .config import (
     ConfigError, SimConfig, apply_overrides, integer, load_config_file, read_text, shown,
 )
-from .notify import LineFileSink, MaildirSink, MemorySink
+from .controller import notifications
+from .notify import LineFileSink, MaildirSink
 from .report import FORMATS, render_report
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -126,7 +127,7 @@ def _write_out(out: str, fmt: str, rendered: bytes, report, cfg, mail) -> None:
         if cfg.maildir:
             root = os.path.join(out, "maildir")
             sinks.append((root, MaildirSink(root, cfg.addresses())))
-        for path, sink in sinks:  # dispatch order: the bytes it would write as a run's sink
+        for path, sink in sinks:  # each sink takes every mail, in the run's order
             for notification in mail:
                 sink.deliver(notification)
         for job in report.clips:
@@ -148,10 +149,10 @@ def _cmd_run(args) -> int:
     cfg = engine.prepare(scenario, base, _parse_cli_overrides(args.overrides))
     if args.out:
         _clear_out_dir(args.out)
-    mail = MemorySink()
 
     try:
-        report = engine.simulate(scenario, cfg, args.seed, [mail] if args.out else [])
+        report = engine.simulate(scenario, cfg, args.seed)
+        mail = notifications(report.actions, report.clips, cfg) if args.out else ()
     except Exception as exc:
         tb = exc.__traceback__
         while tb.tb_next is not None:  # to the innermost frame
@@ -163,7 +164,7 @@ def _cmd_run(args) -> int:
     rendered = render_report(report, args.format)
 
     if args.out:
-        _write_out(args.out, args.format, rendered, report, cfg, mail.messages)
+        _write_out(args.out, args.format, rendered, report, cfg, mail)
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text-only stream, such as io.StringIO
         sys.stdout.write(rendered.decode("utf-8"))

@@ -3,9 +3,9 @@
 prepare() layers the config and makes every check that must pass before the
 first event, so an exception raised in simulate() is an internal fault.
 simulate() touches no wall clock and no filesystem: identical (scenario,
-seed, config) give byte-identical reports. The run only counts its
-notifications; simulate() builds them afterwards, and only for extra_sinks.
-File outputs are the CLI's job, written from a MemorySink's notifications.
+seed, config) give byte-identical reports. The report is a run's only output:
+the run counts its notifications, controller.notifications() builds them from
+the report, and the CLI writes the --out files from them.
 
 Dispatch order: scenario events in time order (ties keep scenario order),
 merged with the controller's follow-ups (clip ends, attempt deadlines, frame
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import is_
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from . import rng
 from .config import ConfigError, SimConfig, apply_overrides
-from .controller import Controller, notifications
+from .controller import Controller
 from .events import EventKind, collector_paused
-from .notify import Dispatcher
 from .report import RunReport
 from .scenario import Scenario
 
@@ -91,15 +90,12 @@ def prepare(
 
 
 @collector_paused
-def simulate(
-    scenario: Scenario, cfg: SimConfig, seed: int = 0, extra_sinks: Sequence = ()
-) -> RunReport:
+def simulate(scenario: Scenario, cfg: SimConfig, seed: int = 0) -> RunReport:
     """Execute a prepared scenario to completion and return its report.
 
     The returned report owns everything observable about the run: the final
     mode, the action log, notification counts per kind and the clip
-    manifest. extra_sinks receive every notification after the run, in the
-    order it sent them; a failing sink changes no report byte and goes unreported.
+    manifest. The run's notifications are a function of it.
     """
     controller = build_controller(cfg, seed)
 
@@ -107,10 +103,6 @@ def simulate(
     # columns, which Scenario keeps in time order, stream past it.
     events = scenario.events
     controller.run(events.times, events.kinds, events.meters)
-    if extra_sinks:
-        dispatcher = Dispatcher(extra_sinks)
-        for notification in notifications(controller.action_log, controller.clips, cfg):
-            dispatcher.dispatch(notification)
 
     return RunReport(
         scenario=scenario.name,
@@ -130,7 +122,6 @@ def run(
     base_config: Optional[SimConfig] = None,
     *,
     cli_overrides: Mapping = (),
-    extra_sinks: Sequence = (),
 ) -> RunReport:
     """Prepare a scenario, then simulate it."""
-    return simulate(scenario, prepare(scenario, base_config, cli_overrides), seed, extra_sinks)
+    return simulate(scenario, prepare(scenario, base_config, cli_overrides), seed)

@@ -1,10 +1,10 @@
 """Email-like notifications, pluggable delivery sinks and the dispatcher.
 
-Transport is mocked. The dispatcher hands every notification to each sink
-in order and returns one receipt per sink, a failed delivery's with its
-error. A notification stores facts only; its subject and body are derived
-from them when a sink reads them. Clip attachments are carried as
-identifiers, never media bytes.
+Transport is mocked, and a run sends nothing: a caller builds a finished run's
+notifications (controller.notifications) and delivers them. The dispatcher is a
+caller-side helper: it hands each one to every sink in order and returns one
+receipt per sink, a failed delivery's with its error. A notification stores facts
+only; subject and body are derived when read. Clips travel as identifiers, not bytes.
 """
 
 from __future__ import annotations

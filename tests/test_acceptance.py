@@ -20,9 +20,9 @@ from sentinelsim.airframe import (
     transmit,
 )
 from sentinelsim.config import SimConfig
-from sentinelsim.controller import action_fields
-from sentinelsim.engine import run
-from sentinelsim.notify import MemorySink, NotificationKind
+from sentinelsim.controller import action_fields, notifications
+from sentinelsim.engine import prepare, run
+from sentinelsim.notify import NotificationKind
 from sentinelsim.pulselock import AttemptSession
 from sentinelsim.report import render_report
 from sentinelsim.rng import SplitMix64
@@ -96,11 +96,11 @@ def test_password_oracle_unique_acceptance():
 def test_breakin_scenario_end_to_end():
     """Break-in produces one clip-carrying presence mail and one intrusion mail."""
     scenario = parse_scenario(BREAKIN_TEXT, name="breakin")
-    probe = MemorySink("probe")
-    report = run(scenario, seed=42, extra_sinks=[probe])
+    report = run(scenario, seed=42)
+    mail = notifications(report.actions, report.clips, prepare(scenario))
 
-    presence = [n for n in probe.messages if n.kind is NotificationKind.PRESENCE]
-    intrusion = [n for n in probe.messages if n.kind is NotificationKind.INTRUSION]
+    presence = [n for n in mail if n.kind is NotificationKind.PRESENCE]
+    intrusion = [n for n in mail if n.kind is NotificationKind.INTRUSION]
     assert len(presence) == 1
     assert len(intrusion) == 1
     assert presence[0].attachment is not None
@@ -109,7 +109,7 @@ def test_breakin_scenario_end_to_end():
     assert 5000 <= clip.duration_ms <= 10000
     assert intrusion[0].recipients == ("owner", "authorities")
 
-    rerun = run(scenario, seed=42, extra_sinks=[MemorySink()])
+    rerun = run(scenario, seed=42)
     assert rerun.actions == report.actions  # the logged lines, byte for byte
     assert render_report(report, "structured") == render_report(rerun, "structured")
     _passed("breakin-end-to-end")
@@ -118,14 +118,12 @@ def test_breakin_scenario_end_to_end():
 def test_disarm_suppression():
     """A door opened after successful deactivation never raises intrusion mail."""
     scenario = parse_scenario(DEACTIVATE_TEXT, name="deactivate")
-    probe = MemorySink("probe")
-    report = run(scenario, seed=0, extra_sinks=[probe])
+    report = run(scenario, seed=0)
+    mail = notifications(report.actions, report.clips, prepare(scenario))
 
-    succeeded = [
-        n for n in probe.messages if n.kind is NotificationKind.DEACTIVATION_SUCCEEDED
-    ]
+    succeeded = [n for n in mail if n.kind is NotificationKind.DEACTIVATION_SUCCEEDED]
     assert len(succeeded) == 1
-    assert not [n for n in probe.messages if n.kind is NotificationKind.INTRUSION]
+    assert not [n for n in mail if n.kind is NotificationKind.INTRUSION]
     suppressed = [a for _, _, a, _ in action_fields(report.actions) if a == "SUPPRESSED"]
     assert len(suppressed) == 1
     assert report.final_mode == "DISARMED"

@@ -407,6 +407,33 @@ def test_simulation_writes_no_out_file(breakin_file, tmp_path, monkeypatch):
     assert len(list((out_dir / "maildir" / "new").iterdir())) == 2
 
 
+def test_a_fault_building_the_mail_exits_two_and_writes_nothing(
+    breakin_file, tmp_path, monkeypatch, capsys
+):
+    # the mail is built from the finished report, still inside the simulate phase
+    build = controller.build_notification
+    calls = []
+
+    def broken_build(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyError("mail")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "build_notification", broken_build)
+    out_dir = _out_dir_with_notes(tmp_path)
+    argv = ["run", breakin_file, "--set", "maildir=true", "--out", str(out_dir)]
+    assert main(argv) == 2
+    line = broken_build.__code__.co_firstlineno + 3  # the raise
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "runtime error: KeyError: 'mail'",
+        f"  at test_cli.py:{line} in broken_build",
+    ]
+    assert captured.out == ""
+    assert _files_under(out_dir) == ["notes.txt"]
+
+
 @pytest.mark.parametrize("sink, named", [(LineFileSink, "outbox.log"), (MaildirSink, "maildir")])
 def test_failed_sink_write_leaves_no_file_and_names_it(
     breakin_file, tmp_path, monkeypatch, capsys, sink, named

@@ -15,9 +15,11 @@ from conftest import columns, random_scenario
 from sentinelsim import controller as controller_module
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import action_fields
-from sentinelsim.engine import build_controller, resolve_run_config, run, validate_events
+from sentinelsim.engine import (
+    build_controller, prepare, resolve_run_config, run, simulate, validate_events,
+)
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.notify import MemorySink, NotificationKind, build_notification
+from sentinelsim.notify import NotificationKind, build_notification
 from sentinelsim.pulselock import AttemptStateError
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
@@ -40,30 +42,31 @@ def render_fixed_fuzz() -> bytes:
     return render_report(report, "text") + render_report(report, "structured")
 
 
-def run_with_probe(scenario, seed=0, **kw):
-    probe = MemorySink("probe")
-    report = run(scenario, seed=seed, extra_sinks=[probe], **kw)
-    return report, probe
+def run_with_mail(scenario, seed=0, cli_overrides=()):
+    """A run's report and the notifications built from it."""
+    cfg = prepare(scenario, None, cli_overrides)
+    report = simulate(scenario, cfg, seed)
+    return report, controller_module.notifications(report.actions, report.clips, cfg)
 
 
 class TestBreakinScenario:
     def test_outbox_contents(self, breakin_scenario):
-        report, probe = run_with_probe(breakin_scenario)
-        kinds = [n.kind for n in probe.messages]
+        report, mail = run_with_mail(breakin_scenario)
+        kinds = [n.kind for n in mail]
         assert kinds == [NotificationKind.INTRUSION, NotificationKind.PRESENCE]
-        presence = probe.messages[1]
+        presence = mail[1]
         assert presence.attachment == "clip-0001"
         assert report.outbox_counts["INTRUSION"] == 1
         assert report.outbox_counts["PRESENCE"] == 1
 
     def test_clip_duration_within_bounds(self, breakin_scenario):
-        report, _ = run_with_probe(breakin_scenario)
+        report, _ = run_with_mail(breakin_scenario)
         (clip,) = report.clips
         assert 5000 <= clip.duration_ms <= 10000
         assert clip.started_at == 2000
 
     def test_final_mode_stays_armed(self, breakin_scenario):
-        report, _ = run_with_probe(breakin_scenario)
+        report, _ = run_with_mail(breakin_scenario)
         assert report.final_mode == "ARMED"
 
     def test_replay_is_byte_identical(self, breakin_scenario):
@@ -72,7 +75,7 @@ class TestBreakinScenario:
         assert a == b
 
     def test_different_wire_of_text_and_structured(self, breakin_scenario):
-        report, _ = run_with_probe(breakin_scenario)
+        report, _ = run_with_mail(breakin_scenario)
         text = render_report(report, "text").decode()
         assert "INTRUSION\trecipients=owner,authorities" in text
         assert text.count("\n") == len(report.actions) + len(report.summary_lines())
@@ -80,19 +83,7 @@ class TestBreakinScenario:
         assert doc["outbox"] == report.outbox_counts
         assert doc["scenario"] == "breakin"
 
-    def test_failed_sink_changes_no_report_byte(self, breakin_scenario):
-        class FullDisk:
-            name = "full"
-
-            def deliver(self, notification):
-                raise OSError("disk full")
-
-        plain = run(breakin_scenario, seed=3)
-        failing = run(breakin_scenario, seed=3, extra_sinks=[FullDisk()])
-        for fmt in ("text", "structured"):
-            assert render_report(failing, fmt) == render_report(plain, fmt)
-
-    def test_notifications_are_built_only_for_sinks_after_the_run(self, breakin_scenario, monkeypatch):
+    def test_notifications_are_built_only_from_the_finished_report(self, breakin_scenario, monkeypatch):
         built = []
 
         def build(*args, **kwargs):
@@ -100,28 +91,27 @@ class TestBreakinScenario:
             return build_notification(*args, **kwargs)
 
         monkeypatch.setattr(controller_module, "build_notification", build)
-        plain = run(breakin_scenario)
-        assert built == [] and plain.outbox_counts["INTRUSION"] == plain.outbox_counts["PRESENCE"] == 1
-        report, probe = run_with_probe(breakin_scenario)
+        report = run(breakin_scenario)
+        assert built == [] and report.outbox_counts["INTRUSION"] == report.outbox_counts["PRESENCE"] == 1
+        mail = controller_module.notifications(report.actions, report.clips, SimConfig())
         assert built == [NotificationKind.INTRUSION, NotificationKind.PRESENCE]
-        assert probe.messages == controller_module.notifications(report.actions, report.clips, SimConfig())
-        assert report == plain
+        assert [n.kind for n in mail] == built
 
     def test_rendering_is_pure(self, breakin_scenario):
-        report, _ = run_with_probe(breakin_scenario)
+        report, _ = run_with_mail(breakin_scenario)
         for fmt in ("text", "structured"):
             assert render_report(report, fmt) == render_report(report, fmt)
 
     def test_unknown_format_rejected(self, breakin_scenario):
-        report, _ = run_with_probe(breakin_scenario)
+        report, _ = run_with_mail(breakin_scenario)
         with pytest.raises(ValueError):
             render_report(report, "yaml")
 
 
 class TestDeactivateScenario:
     def test_disarm_suppresses_door_alert(self, deactivate_scenario):
-        report, probe = run_with_probe(deactivate_scenario)
-        kinds = [n.kind for n in probe.messages]
+        report, mail = run_with_mail(deactivate_scenario)
+        kinds = [n.kind for n in mail]
         assert kinds == [NotificationKind.DEACTIVATION_SUCCEEDED]
         assert report.final_mode == "DISARMED"
         assert [action for _, action in logged(report)].count("SUPPRESSED") == 1
@@ -130,8 +120,8 @@ class TestDeactivateScenario:
         text = (
             "0 arm\n1000 mode_button\n1250 press_down\n9000 door open\n"
         )
-        report, probe = run_with_probe(parse_scenario(text))
-        kinds = [n.kind for n in probe.messages]
+        report, mail = run_with_mail(parse_scenario(text))
+        kinds = [n.kind for n in mail]
         assert kinds == [
             NotificationKind.DEACTIVATION_FAILED,
             NotificationKind.INTRUSION,
@@ -141,8 +131,8 @@ class TestDeactivateScenario:
 
 class TestEmptyAndEdgeScenarios:
     def test_empty_scenario(self):
-        report, probe = run_with_probe(parse_scenario(""))
-        assert probe.messages == []
+        report, mail = run_with_mail(parse_scenario(""))
+        assert mail == []
         assert report.final_mode == "DISARMED"
         assert report.actions == ()
         assert set(report.outbox_counts.values()) == {0}
@@ -154,32 +144,32 @@ class TestEmptyAndEdgeScenarios:
 
     def test_scenario_overrides_reach_the_run(self):
         sc = parse_scenario("set threshold_m 2.0\n0 distance 1.5")
-        report, probe = run_with_probe(sc)
-        assert [n.kind for n in probe.messages] == [NotificationKind.PRESENCE]
+        report, mail = run_with_mail(sc)
+        assert [n.kind for n in mail] == [NotificationKind.PRESENCE]
 
     def test_cli_overrides_beat_scenario(self):
         sc = parse_scenario("set threshold_m 2.0\n0 distance 1.5")
-        report, probe = run_with_probe(sc, cli_overrides={"threshold_m": "1.0"})
-        assert probe.messages == []
+        report, mail = run_with_mail(sc, cli_overrides={"threshold_m": "1.0"})
+        assert mail == []
 
     def test_presence_to_authorities_flag(self):
         sc = parse_scenario(
             "set presence_to_authorities true\n0 distance 0.5"
         )
-        _, probe = run_with_probe(sc)
-        assert probe.messages[0].recipients == ("owner", "authorities")
+        _, mail = run_with_mail(sc)
+        assert mail[0].recipients == ("owner", "authorities")
 
     def test_configured_clip_duration_used(self):
         sc = parse_scenario("set clip_duration_ms 10000\n0 distance 0.5")
-        report, probe = run_with_probe(sc)
+        report, mail = run_with_mail(sc)
         assert report.clips[0].duration_ms == 10000
-        assert probe.messages[0].created_at == 10000
+        assert mail[0].created_at == 10000
 
     def test_total_drop_produces_no_intrusion(self, breakin_scenario):
-        report, probe = run_with_probe(
+        report, mail = run_with_mail(
             breakin_scenario, cli_overrides={"drop_probability": "1.0"}
         )
-        kinds = [n.kind for n in probe.messages]
+        kinds = [n.kind for n in mail]
         assert kinds == [NotificationKind.PRESENCE]
         assert any(action == "DROP" for _, action in logged(report))
 
@@ -198,13 +188,13 @@ class TestEmptyAndEdgeScenarios:
 class TestRunReportConsistency:
     def test_counts_match_probe_tallies(self, breakin_scenario, deactivate_scenario):
         for sc in (breakin_scenario, deactivate_scenario):
-            report, probe = run_with_probe(sc)
+            report, mail = run_with_mail(sc)
             for kind in NotificationKind:
-                expected = sum(1 for n in probe.messages if n.kind is kind)
+                expected = sum(1 for n in mail if n.kind is kind)
                 assert report.outbox_counts[kind.value] == expected
 
     def test_rng_algorithm_recorded(self, breakin_scenario):
-        report, _ = run_with_probe(breakin_scenario)
+        report, _ = run_with_mail(breakin_scenario)
         assert report.rng_algorithm == "splitmix64"
         doc = json.loads(render_report(report, "structured"))
         assert doc["rng"] == "splitmix64"
@@ -215,13 +205,13 @@ class TestFuzzedInvariants:
 
     def test_action_log_times_non_decreasing(self):
         for seed in self.SEEDS:
-            report, _ = run_with_probe(random_scenario(seed), seed=seed)
+            report, _ = run_with_mail(random_scenario(seed), seed=seed)
             times = [t for t, _ in logged(report)]
             assert times == sorted(times)
 
     def test_no_intrusion_while_disarmed(self):
         for seed in self.SEEDS:
-            report, _ = run_with_probe(random_scenario(seed), seed=seed)
+            report, _ = run_with_mail(random_scenario(seed), seed=seed)
             armed = False
             for _, action in logged(report):
                 if action == "ARMED":
@@ -233,10 +223,10 @@ class TestFuzzedInvariants:
 
     def test_presence_references_fresh_clips(self):
         for seed in self.SEEDS:
-            report, probe = run_with_probe(random_scenario(seed), seed=seed)
+            report, mail = run_with_mail(random_scenario(seed), seed=seed)
             jobs = {c.clip_id: c for c in report.clips}
             triggers = [t for t, action in logged(report) if action == "PRESENCE_TRIGGER"]
-            for n in probe.messages:
+            for n in mail:
                 if n.kind is NotificationKind.PRESENCE:
                     job = jobs[n.attachment]
                     assert job.started_at in triggers
@@ -245,15 +235,15 @@ class TestFuzzedInvariants:
     def test_presence_triggers_respect_cooldown(self):
         cfg = SimConfig()
         for seed in self.SEEDS:
-            report, _ = run_with_probe(random_scenario(seed), seed=seed)
+            report, _ = run_with_mail(random_scenario(seed), seed=seed)
             triggers = [t for t, action in logged(report) if action == "PRESENCE_TRIGGER"]
             gaps = [b - a for a, b in zip(triggers, triggers[1:])]
             assert all(g >= cfg.retrigger_cooldown_ms for g in gaps)
 
     def test_no_notification_dispatched_twice(self):
         for seed in self.SEEDS:
-            _, probe = run_with_probe(random_scenario(seed), seed=seed)
-            triples = [(n.kind, n.created_at, n.attachment) for n in probe.messages]
+            _, mail = run_with_mail(random_scenario(seed), seed=seed)
+            triples = [(n.kind, n.created_at, n.attachment) for n in mail]
             assert len(triples) == len(set(triples))
 
     def test_outbox_is_a_function_of_the_action_log(self):
@@ -267,13 +257,13 @@ class TestFuzzedInvariants:
             ),
         }
         for seed in self.SEEDS:
-            report, probe = run_with_probe(random_scenario(seed), seed=seed)
+            report, mail = run_with_mail(random_scenario(seed), seed=seed)
             derived = [
                 expected_by_action[action]
                 for _, action in logged(report)
                 if action in expected_by_action
             ]
-            actual = [(n.kind, n.recipients) for n in probe.messages]
+            actual = [(n.kind, n.recipients) for n in mail]
             assert derived == actual
 
     def test_replay_determinism_across_fuzz(self):
@@ -418,3 +408,21 @@ def test_package_root_holds_the_readme_entry_points():
     assert sentinelsim.run is engine.run and sentinelsim.render_report is report.render_report
     assert sentinelsim.parse_scenario is scenario.parse_scenario
     assert isinstance(sentinelsim.__version__, str)
+
+
+def test_readme_library_example_prints_the_report_then_each_mail():
+    # the first Python block under "## Library use", run from the repo root
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, check=True, text=True
+    ).stdout
+    with open(os.path.join(root, "scenarios", "breakin.scn"), encoding="utf-8") as fh:
+        report = run(parse_scenario(fh.read(), name="breakin"), seed=0)
+    assert out == render_report(report, "text").decode() + "\n" + (
+        "INTRUSION ('owner', 'authorities') None\n"
+        "PRESENCE ('owner',) clip-0001\n"
+    )

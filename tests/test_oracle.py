@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import oracle
 from sentinelsim.config import ConfigError, SimConfig
-from sentinelsim.engine import resolve_run_config, run
+from sentinelsim.controller import notifications
+from sentinelsim.engine import prepare, resolve_run_config, run, simulate
 from sentinelsim.events import EventKind, ScenarioEvent
-from sentinelsim.notify import MemorySink, format_outbox_line
+from sentinelsim.notify import format_outbox_line
 from sentinelsim.report import render_report
 from sentinelsim.scenario import Scenario, parse_scenario
 
@@ -84,13 +85,13 @@ def oracle_bytes(scenario, seed, cfg, fmt):
 
 
 def engine_outbox(scenario, seed, cfg):
-    """The outbox lines of what a sink passed to engine.run receives, in order."""
-    sink = MemorySink()
+    """The outbox lines of the notifications built from a run's report, in order."""
     try:
-        run(scenario, seed=seed, base_config=cfg, extra_sinks=[sink])
+        cfg = prepare(scenario, cfg)
     except ConfigError:
         return "refused"
-    return [format_outbox_line(n) for n in sink.messages]
+    report = simulate(scenario, cfg, seed)
+    return [format_outbox_line(n) for n in notifications(report.actions, report.clips, cfg)]
 
 
 def oracle_outbox(scenario, seed, cfg):
