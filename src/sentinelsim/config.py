@@ -34,6 +34,14 @@ def integer(text: str) -> int:
     raise ValueError(f"expected an integer, got {text!r}")
 
 
+def decimal(text: str) -> float:
+    """The one decimal grammar of text input: what ``float()`` reads, in ASCII with no
+    ``_`` and no padding (``float()`` alone also takes all three, as ``int()`` does)."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        return float(text)
+    raise ValueError(f"expected a number, got {text!r}")
+
+
 def one_line(text: str) -> bool:
     """Whether ``text`` holds no character that ``str.splitlines`` breaks on."""
     return "".join(text.splitlines()) == text
@@ -155,7 +163,7 @@ class SimConfig(NamedTuple):
 # fields are the key table: each key is declared once, as a field with a default.
 _BY_TYPE = {
     int: (integer, (int,), "an integer"),
-    float: (float, (float, int), "a number"),
+    float: (decimal, (float, int), "a number"),
     bool: (_parse_bool, (bool,), "a boolean"),
     str: (str, (str,), "a string"),
 }
@@ -172,7 +180,7 @@ def coerce_value(key: str, value):
             value = caster(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    elif caster is float and type(value) is int:
+    elif caster is decimal and type(value) is int:
         try:
             value = float(value)
         except OverflowError:

@@ -3,7 +3,7 @@
 ``Controller.run`` takes a run's scenario stimuli in time order, as the
 columns of times, kinds and meters, merged with the follow-ups the
 controller pushes onto ``Controller.followups``; ``Controller.dispatch``
-takes one item. The controller holds the run's state: the arming mode, the
+takes one follow-up. The controller holds the run's state: the arming mode, the
 clip being recorded on presence, the pending pulse-password attempt, and an
 action log of every externally visible action, each logged as its rendered
 line, which only ``action_fields`` reads back:
@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 from . import pulselock
 from .airframe import Frame, FrameType, decode_frame, encode_frame, hex_dump, transmit
 from .config import SimConfig
-from .events import EventKind, EventQueue, Instant, ScenarioEvent
+from .events import EventKind, EventQueue, Instant
 from .notify import NotificationKind, build_notification, recipients_for
 from .rng import SplitMix64
 from .sensors import distance_from_echo, echo_from_distance, presence_detect
@@ -132,16 +132,14 @@ class Controller:
         self._last_time: Instant = -1  # before every item: instants are >= 0
 
     def dispatch(self, item) -> None:
-        """Process one timestamped item, pushing any follow-up onto ``followups``.
+        """Process one follow-up, pushing any new one onto ``followups``.
 
         Items must arrive in non-decreasing time order; anything else is a
-        simulation bug and fails fast.
+        simulation bug and fails fast. Scenario events go through ``run``.
         """
         t = item.at
         if t < self._last_time:
-            raise SimulationOrderError(
-                f"event at t={t} dispatched after t={self._last_time}"
-            )
+            raise SimulationOrderError(f"event at t={t} dispatched after t={self._last_time}")
         self._last_time = t
 
         # The one point where an attempt is decided: by the first item at or
@@ -152,15 +150,11 @@ class Controller:
         if pending is not None and t >= pending.end:
             self._decide_attempt(pending)
 
-        if type(item) is ScenarioEvent:
-            key, data = item.kind, item.meters
-        else:
-            key, data = type(item), item
         try:
-            handler = self._HANDLERS[key]
+            handler = self._HANDLERS[type(item)]
         except KeyError:
             raise TypeError(f"cannot dispatch {type(item).__name__}") from None
-        handler(self, t, data)
+        handler(self, t, item)
 
     def run(
         self,
@@ -174,15 +168,15 @@ class Controller:
         meters (None but for a distance sample). Before each event come the
         follow-ups due strictly earlier, so at the same millisecond a scenario
         event precedes a follow-up; those left after the last event go through
-        ``dispatch``. Per item, the order check, the decision of a due attempt
-        and the handler are dispatch's.
+        ``dispatch``. Each item takes dispatch's steps: the order check, the
+        decision of a due attempt, then the handler of its kind or type.
 
-        The events that cannot act are skipped: every press_up, and every
-        distance sample whose round-tripped range is not below threshold_m,
-        tested with the handler's own sensor functions once per distinct
-        meters value. Neither logs anything, and an attempt one of them would
-        have decided is decided at its own end by its AttemptDeadline, with
-        no log line in between, so the report is that of dispatching each.
+        The events that cannot act are skipped: every press_up (it has no
+        handler), and every distance sample whose round-tripped range is not
+        below threshold_m, tested with the handler's own sensor functions once
+        per distinct meters value. Neither logs anything, and an attempt one of
+        them would have decided is decided at its own end by its
+        AttemptDeadline, with no log line in between: the same report.
         """
         cfg = self.cfg
         threshold = cfg.threshold_m
@@ -277,7 +271,7 @@ class Controller:
             self._append(f"{t}\tcontroller\tSUPPRESSED\tevent=intruder_alert reason=disarmed")
 
     def _ignore(self, t: Instant, data) -> None:
-        """A press release changes nothing; a deadline only lets dispatch see an attempt's end."""
+        """A deadline changes nothing: it only lets dispatch see an attempt's end."""
 
     def _dispatch_clip_done(self, t: Instant, done: ClipDone) -> None:
         job = self.active_recording
@@ -322,7 +316,6 @@ class Controller:
         EventKind.DOOR_CLOSE: _on_door_close,
         EventKind.MODE_BUTTON: _on_mode_button,
         EventKind.PRESS_DOWN: _on_press_down,
-        EventKind.PRESS_UP: _ignore,
         FrameArrival: _dispatch_arrival,
         ClipDone: _dispatch_clip_done,
         AttemptDeadline: _ignore,

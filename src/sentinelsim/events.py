@@ -54,7 +54,7 @@ class EventKind(Enum):
 
     # Members are singletons compared by identity, so identity hashing agrees
     # with equality. It runs in C, where Enum's own hash(name) is a Python
-    # call paid on every handler lookup in Controller.dispatch. Neither hash
+    # call paid on every handler lookup in Controller.run. Neither hash
     # is the same from one process to the next, so nothing may depend on the
     # order of a set of kinds.
     __hash__ = object.__hash__
@@ -67,7 +67,7 @@ _DISTANCE_SAMPLE = EventKind.DISTANCE_SAMPLE
 
 def check_event(at: Instant, kind: EventKind, meters: Optional[float]) -> None:
     """The one home of an event's shape rules: raise ValueError unless (at, kind,
-    meters) is an event. ``ScenarioEvent``, ``EventColumns`` and the line loop call it."""
+    meters) is an event. ``EventColumns``, the line loop and ``ScenarioEvent`` call it."""
     if type(at) is not int:  # not isinstance: a bool is an int
         raise ValueError(f"time must be an integer, got {at!r}")
     if at < 0:
@@ -106,8 +106,8 @@ class _ScenarioEventFields(NamedTuple):
 
 
 class ScenarioEvent(CheckedRecord, _ScenarioEventFields):
-    """A timestamped external stimulus; construction checks its shape with
-    ``check_event``. An immutable named tuple, equal and hashed by value."""
+    """A checked ``(at, kind, meters)`` row for a hand-built ``Scenario``, which keeps
+    only columns; construction checks it with ``check_event``. Equal and hashed by value."""
 
     __slots__ = ()
 

@@ -16,9 +16,9 @@ three parallel tuples, an ``EventColumns``: ``times`` (ints), ``kinds``
 for other events), each event checked once, when the columns are built. They
 are in time order: a stable sort runs when the columns are built, parsed or by
 hand, and only if the times go back, so same-time events keep their given
-(file) order. Read as a sequence, ``Scenario.events`` builds ``ScenarioEvent``s
-on demand; its length costs nothing. A scenario keeps a read-only copy of its
-overrides. Its name must be a ``str`` with no line break (a ``ValueError``
+(file) order. The columns are all a scenario holds of its events, and their
+length counts them. A scenario keeps a read-only copy of its overrides. Its
+name must be a ``str`` with no line break (a ``ValueError``
 otherwise). Parse errors are collected for the whole file and carry 1-based line numbers.
 
 Text is parsed in blocks of about 64 KiB that end at a ``"\n"``, with one
@@ -33,13 +33,12 @@ line loop, which reads every line by tokens and appends checked values.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .config import coerce_value, ConfigError, integer, one_line
-from .events import CheckedRecord, EventKind, ScenarioEvent, check_event, collector_paused
+from .config import coerce_value, ConfigError, decimal, integer, one_line
+from .events import CheckedRecord, EventKind, check_event, collector_paused
 
 
 class ScenarioError(ValueError):
@@ -52,10 +51,9 @@ class ScenarioError(ValueError):
         )
 
 
-class EventColumns(Sequence):
+class EventColumns:
     """A scenario's events as parallel tuples in time order, each checked by ``check_event``
-    when built; read as a sequence of ``ScenarioEvent``s built on demand. Equal to another
-    with the same columns, or to a tuple of the same events."""
+    when built. Its length is the number of events; equal to another with the same columns."""
 
     __slots__ = ("times", "kinds", "meters")
 
@@ -70,19 +68,9 @@ class EventColumns(Sequence):
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(ScenarioEvent, self.times[index], self.kinds[index], self.meters[index]))
-        return ScenarioEvent(self.times[index], self.kinds[index], self.meters[index])
-
-    def __iter__(self):
-        return map(ScenarioEvent, self.times, self.kinds, self.meters)
-
     def __eq__(self, other):
         if type(other) is EventColumns:
             return (self.times, self.kinds, self.meters) == (other.times, other.kinds, other.meters)
-        if type(other) is tuple:
-            return tuple(self) == other
         return NotImplemented
 
     __hash__ = None
@@ -93,7 +81,7 @@ class EventColumns(Sequence):
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        return f"EventColumns(times={self.times!r}, kinds={self.kinds!r}, meters={self.meters!r})"
 
     def __reduce__(self):  # pickle rebuilds the columns through __new__'s checks
         return EventColumns, (self.times, self.kinds, self.meters)
@@ -180,7 +168,7 @@ def _parse_event_line(tokens: List[str]) -> Tuple[int, EventKind, Optional[float
         if len(tokens) != 3:
             raise ValueError("distance takes exactly one value in meters")
         try:
-            meters = float(tokens[2])
+            meters = decimal(tokens[2])
         except ValueError:
             raise ValueError(f"malformed number {tokens[2]!r}") from None
         kind = _DISTANCE_SAMPLE

@@ -1,6 +1,6 @@
 """Shared helpers: canned scenarios, a randomized scenario generator, and
 helpers that only tests call (press patterns, scenario rendering, the
-token-only reference parser)."""
+token-only reference parser, the one-item dispatch reference)."""
 
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ def pytest_terminal_summary(terminalreporter):
         f"total suite wall time: {elapsed:.1f}s (acceptance budget: 60s)"
     )
 
-from sentinelsim.config import ConfigError, SimConfig, coerce_value, integer
+from sentinelsim.config import ConfigError, SimConfig, coerce_value, decimal, integer
+from sentinelsim.controller import Controller, SimulationOrderError
 from sentinelsim.events import EventKind, Instant, ScenarioEvent
 from sentinelsim.pulselock import AttemptOutcome, AttemptSession
 from sentinelsim.scenario import Scenario, ScenarioError
@@ -109,10 +110,33 @@ def random_scenario(seed: int, n_events: int = 40, max_range: float = 4.0) -> Sc
 
 
 def columns(events):
-    """The (times, kinds, meters) columns of events, in their given order, for
-    ``Controller.run``."""
+    """The (times, kinds, meters) columns of ``ScenarioEvent``s, in their given order,
+    for ``Controller.run``."""
     events = list(events)
     return [e.at for e in events], [e.kind for e in events], [e.meters for e in events]
+
+
+def event_rows(scenario: Scenario):
+    """A scenario's events as ``ScenarioEvent``s, in time order, read off its columns."""
+    events = scenario.events
+    return list(map(ScenarioEvent, events.times, events.kinds, events.meters))
+
+
+def dispatch_one(controller: Controller, item):
+    """The one-item reference for ``Controller.run``'s steps. A ``ScenarioEvent`` gets the
+    order check, the decision of a due attempt, then its kind's handler (press_up has
+    none); a follow-up goes to ``controller.dispatch``. Returns what the handler returns."""
+    if type(item) is not ScenarioEvent:
+        return controller.dispatch(item)
+    t = item.at
+    if t < controller._last_time:
+        raise SimulationOrderError(f"event at t={t} dispatched after t={controller._last_time}")
+    controller._last_time = t
+    pending = controller.pending_attempt
+    if pending is not None and t >= pending.end:
+        controller._decide_attempt(pending)
+    if item.kind is not EventKind.PRESS_UP:
+        return Controller._HANDLERS[item.kind](controller, t, item.meters)
 
 
 def password_config(
@@ -160,15 +184,16 @@ def render_scenario(scenario: Scenario) -> str:
     lines = [f"# scenario: {scenario.name}"]
     for key, value in scenario.overrides.items():
         lines.append(f"set {key} {_format_value(value)}")
-    for ev in scenario.events:
-        if ev.kind is EventKind.DISTANCE_SAMPLE:
-            lines.append(f"{ev.at} distance {repr(ev.meters)}")
-        elif ev.kind is EventKind.DOOR_OPEN:
-            lines.append(f"{ev.at} door open")
-        elif ev.kind is EventKind.DOOR_CLOSE:
-            lines.append(f"{ev.at} door close")
+    events = scenario.events
+    for at, kind, meters in zip(events.times, events.kinds, events.meters):
+        if kind is EventKind.DISTANCE_SAMPLE:
+            lines.append(f"{at} distance {repr(meters)}")
+        elif kind is EventKind.DOOR_OPEN:
+            lines.append(f"{at} door open")
+        elif kind is EventKind.DOOR_CLOSE:
+            lines.append(f"{at} door close")
         else:
-            lines.append(f"{ev.at} {ev.kind.value}")
+            lines.append(f"{at} {kind.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -195,7 +220,7 @@ def _reference_event(tokens: List[str]) -> ScenarioEvent:
         if len(args) != 1:
             raise ValueError("distance takes exactly one value in meters")
         try:
-            meters = float(args[0])
+            meters = decimal(args[0])
         except ValueError:
             raise ValueError(f"malformed number {args[0]!r}") from None
         return ScenarioEvent(at=at, kind=EventKind.DISTANCE_SAMPLE, meters=meters)

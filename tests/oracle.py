@@ -51,7 +51,8 @@ def check(events, cfg):
 
 def simulate(scenario, seed, cfg):
     """(actions, final mode, notification counts, clips, notifications) of one run."""
-    events = [(ev.at, ev.kind.value, ev.meters) for ev in scenario.events]
+    columns = scenario.events
+    events = list(zip(columns.times, [kind.value for kind in columns.kinds], columns.meters))
     check(events, cfg)
     rng = SplitMix64(seed)
     # (at, rank, order, what, data)

@@ -779,6 +779,41 @@ def test_config_file_int_string_takes_the_integer_grammar(breakin_file, tmp_path
     assert main(["run", breakin_file, "--config", str(cfg), "--set", "max_retries=0"]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, argv, config, message",
+    [
+        ("0 distance 1_0.5\n", [], None, "line 1: malformed number '1_0.5'"),
+        ("0 arm\n1 distance \uff11.5\n", [], None, "line 2: malformed number '\uff11.5'"),
+        ("set threshold_m \uff12\n", [], None,
+         "line 1: bad value for 'threshold_m': expected a number, got '\uff12'"),
+        (BREAKIN_TEXT, ["--set", "threshold_m= 1.5"], None,
+         "bad value for 'threshold_m': expected a number, got ' 1.5'"),
+        (BREAKIN_TEXT, ["--set", "drop_probability=0_5"], None, "bad value for 'drop_probability'"),
+        (BREAKIN_TEXT, [], {"speed_of_sound": "3_43"}, "bad value for 'speed_of_sound'"),
+        (BREAKIN_TEXT, [], {"threshold_m": "1.5 "}, "bad value for 'threshold_m'"),
+    ],
+    ids=["line-underscore", "line-fullwidth", "set-line-fullwidth", "set-flag-padding",
+         "set-flag-underscore", "config-underscore", "config-padding"],
+)
+def test_decimals_outside_the_grammar_exit_one_naming_where(tmp_path, text, argv, config, message,
+                                                            capsys):
+    # float() alone would take each of these: the decimal grammar is the integer one's
+    sc = tmp_path / "decimals.scn"
+    sc.write_text(text, encoding="utf-8")
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(path)]
+    out_dir = tmp_path / "out"
+    assert main(["run", str(sc), *argv, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    if text != BREAKIN_TEXT:  # a scenario line is named with its file
+        assert captured.err.startswith(f"error: {sc}: line ")
+    assert captured.out == ""
+    assert _run_names_under(out_dir) == []
+
+
 def test_password_space_takes_the_integer_grammar(capsys):
     assert main(["password-space", "1_0"]) == 1
     assert "argument n: invalid integer value: '1_0'" in capsys.readouterr().err

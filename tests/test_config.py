@@ -1,12 +1,12 @@
 """SimConfig.validate range rules that no run-level test reaches, the password's
-rules, and the integer grammar."""
+rules, and the integer and decimal grammars."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import LINE_BREAKS, run_pattern
-from sentinelsim.config import MAX_BITS, ConfigError, SimConfig, integer
+from sentinelsim.config import MAX_BITS, ConfigError, SimConfig, decimal, integer
 
 
 @pytest.mark.parametrize("size", [0, 1024, 2**63 - 1])
@@ -130,3 +130,20 @@ def test_integer_takes_an_optional_minus_then_ascii_digits(text, value):
 def test_integer_rejects_every_other_spelling(text):
     with pytest.raises(ValueError, match="expected an integer"):
         integer(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0.5", 0.5), ("+0.5", 0.5), ("5e-1", 0.5), (".5", 0.5), ("5.", 5.0), ("3", 3.0),
+     ("-0.25", -0.25), ("1E3", 1000.0)],
+)
+def test_decimal_takes_what_float_reads_in_ascii(text, value):
+    assert decimal(text) == value and type(decimal(text)) is float
+
+
+@pytest.mark.parametrize(
+    "text", ["", "1_0.5", "0_5", "\uff11.5", "\u0663", "\xb9", " 1.5", "1.5 ", "\t2", "2\n", "x", "1.2.3"],
+)
+def test_decimal_rejects_every_other_spelling(text):
+    with pytest.raises(ValueError, match="expected a number|could not convert"):
+        decimal(text)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns
+from conftest import columns, dispatch_one
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import (
     DOOR_ALERT,
@@ -65,18 +65,18 @@ def names(controller):
 
 def attempt(c, presses, start=1000):
     """Begin an attempt at start, press at each time, then dispatch its deadline."""
-    c.dispatch(ev(start, EventKind.MODE_BUTTON))
+    dispatch_one(c, ev(start, EventKind.MODE_BUTTON))
     [deadline] = scheduled(c)
     for t in presses:
-        c.dispatch(ev(t, EventKind.PRESS_DOWN))
+        dispatch_one(c, ev(t, EventKind.PRESS_DOWN))
     c.dispatch(deadline)
 
 
 class TestPresence:
     def test_starts_recording_and_schedules_completion(self):
         c, _ = make_controller()
-        c.dispatch(ev(0, EventKind.ARM))
-        c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        dispatch_one(c, ev(0, EventKind.ARM))
+        dispatch_one(c, ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
         job = c.active_recording
         assert job is not None and job.started_at == 2000
         assert scheduled(c) == [ClipDone(2000 + job.duration_ms, job.clip_id)]
@@ -84,9 +84,9 @@ class TestPresence:
 
     def test_second_presence_keeps_single_job(self):
         c, _ = make_controller(retrigger_cooldown_ms=0)
-        c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        dispatch_one(c, ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
         assert len(c.followups) == 1
-        c.dispatch(ev(2100, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        dispatch_one(c, ev(2100, EventKind.DISTANCE_SAMPLE, meters=0.5))
         assert len(c.followups) == 1
         assert log_actions(c)[-1] == (2100, "PRESENCE_TRIGGER")
         assert len(c.clips) == 1
@@ -94,15 +94,15 @@ class TestPresence:
     def test_records_even_while_disarmed(self):
         c, _ = make_controller()
         assert c.mode is SystemMode.DISARMED
-        c.dispatch(ev(500, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        dispatch_one(c, ev(500, EventKind.DISTANCE_SAMPLE, meters=0.5))
         assert c.active_recording is not None
 
 
 class TestBeamBreak:
     def test_armed_break_notifies_owner_and_authorities(self):
         c, sink = make_controller()
-        c.dispatch(ev(0, EventKind.ARM))
-        c.dispatch(ev(5000, EventKind.DOOR_OPEN))
+        dispatch_one(c, ev(0, EventKind.ARM))
+        dispatch_one(c, ev(5000, EventKind.DOOR_OPEN))
         [arrival] = scheduled(c)
         c.dispatch(arrival)
         assert len(sink.messages) == 1
@@ -122,7 +122,7 @@ class TestBeamBreak:
 class TestAttemptOutcome:
     def test_accepted_disarms_and_mails_owner(self):
         c, sink = make_controller(password="10")
-        c.dispatch(ev(0, EventKind.ARM))
+        dispatch_one(c, ev(0, EventKind.ARM))
         attempt(c, [1250])
         assert c.mode is SystemMode.DISARMED
         assert c.pending_attempt is None
@@ -132,7 +132,7 @@ class TestAttemptOutcome:
 
     def test_rejected_keeps_mode_and_mails_owner(self):
         c, sink = make_controller(password="10")
-        c.dispatch(ev(0, EventKind.ARM))
+        dispatch_one(c, ev(0, EventKind.ARM))
         attempt(c, [])
         assert c.mode is SystemMode.ARMED
         assert sink.messages[-1].kind is NotificationKind.DEACTIVATION_FAILED
@@ -302,9 +302,9 @@ class TestDispatchTraces:
 
     def test_out_of_order_dispatch_fails_fast(self):
         c, _ = make_controller()
-        c.dispatch(ev(100, EventKind.ARM))
+        c.dispatch(AttemptDeadline(100))
         with pytest.raises(SimulationOrderError):
-            c.dispatch(ev(99, EventKind.ARM))
+            c.dispatch(AttemptDeadline(99))
 
     @pytest.mark.parametrize("kind", [EventKind.ARM, EventKind.PRESS_UP])
     def test_out_of_order_run_fails_fast(self, kind):
@@ -315,19 +315,19 @@ class TestDispatchTraces:
 
     def test_run_continues_from_the_last_dispatched_item(self):
         c, _ = make_controller()
-        c.dispatch(ev(100, EventKind.ARM))
+        c.dispatch(AttemptDeadline(100))
         with pytest.raises(SimulationOrderError):
             c.run(*columns([ev(99, EventKind.ARM)]))
         c.run(*columns([ev(100, EventKind.DOOR_OPEN)]))
         with pytest.raises(SimulationOrderError):
-            c.dispatch(ev(99, EventKind.ARM))  # the alert's arrival at 100 was the last item
+            c.dispatch(AttemptDeadline(99))  # the alert's arrival at 100 was the last item
 
     def test_follow_ups_due_before_a_skipped_last_event_run_in_order(self):
         c, _ = make_controller(latency_ms=10)
         c.run(*columns([ev(0, EventKind.ARM), ev(0, EventKind.DOOR_OPEN), ev(50, EventKind.PRESS_UP)]))
         assert log_actions(c) == [(0, "ARMED"), (0, "TX"), (10, "RX"), (10, "INTRUSION")]
         with pytest.raises(SimulationOrderError, match="after t=50"):
-            c.dispatch(ev(49, EventKind.ARM))
+            c.dispatch(AttemptDeadline(49))
 
     def test_run_puts_scenario_events_before_follow_up_ties(self):
         c, _ = make_controller()
@@ -380,7 +380,7 @@ class TestInternalItems:
         c.dispatch(ClipDone(at=100, clip_id="clip-9999"))
         assert sink.messages == []
         # another clip's ClipDone must not end the recording that runs
-        c.dispatch(ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
+        dispatch_one(c, ev(2000, EventKind.DISTANCE_SAMPLE, meters=0.5))
         [done] = scheduled(c)
         c.dispatch(ClipDone(at=3000, clip_id="clip-9999"))
         assert c.active_recording.clip_id == done.clip_id
@@ -426,6 +426,9 @@ class TestInternalItems:
         c, _ = make_controller()
         with pytest.raises(TypeError):
             c.dispatch(SimpleNamespace(at=5))
+        # scenario events reach the controller only as run's columns
+        with pytest.raises(TypeError, match="^cannot dispatch ScenarioEvent$"):
+            c.dispatch(ev(5, EventKind.ARM))
 
 
 _ITEM_KINDS = [*EventKind, ClipDone, AttemptDeadline, FrameArrival]
@@ -459,7 +462,7 @@ def test_dispatch_returns_none_and_schedules_at_most_one_item(steps):
         if kind is EventKind.MODE_BUTTON and pending is not None and t < pending.end:
             continue  # an overlapping attempt is refused before a run starts
         before = len(c.followups)
-        assert c.dispatch(_item(t, kind, n)) is None
+        assert dispatch_one(c, _item(t, kind, n)) is None
         assert len(c.followups) - before in (0, 1)
 
 

@@ -1,7 +1,8 @@
-"""Stateful oracle: Controller.dispatch against a small reference model.
+"""Stateful oracle: the controller's handlers against a small reference model.
 
 A Hypothesis state machine feeds scenario events to a controller one at a
-time, taking follow-ups off its queue by the engine's own tie rule: follow-ups
+time through conftest's ``dispatch_one`` (follow-ups go to ``Controller.dispatch``),
+taking follow-ups off its queue by the engine's own tie rule: follow-ups
 due strictly before a scenario event are dispatched first, and a scenario
 event precedes the follow-ups at its own millisecond. After every step the
 controller's mode, recording, pending attempt, presence cooldown, door
@@ -15,6 +16,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from conftest import dispatch_one
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import Controller, SystemMode, action_fields
 from sentinelsim.events import EventKind, ScenarioEvent
@@ -127,7 +129,7 @@ class ControllerMachine(RuleBasedStateMachine):
         while queue and queue._heap[0][0] < item.at:
             self.controller.dispatch(queue.pop())
         if not isinstance(item, Tick):
-            self.controller.dispatch(item)
+            dispatch_one(self.controller, item)
 
     def _event(self, kind, meters=None):
         self._feed(ScenarioEvent(at=self.now, kind=kind, meters=meters))

@@ -3,9 +3,9 @@
 engine.run streams the time-sorted scenario past a queue that holds only the
 controller's follow-ups, and skips the events that cannot act. The reference
 below pushes every scenario event onto the controller's follow-up queue
-first, drains it and dispatches every item, so insertion order makes a
-scenario event precede any follow-up at the same millisecond. Both must give
-the same bytes.
+first, drains it and dispatches every item one at a time (conftest's
+``dispatch_one``), so insertion order makes a scenario event precede any
+follow-up at the same millisecond. Both must give the same bytes.
 """
 
 import gc
@@ -16,7 +16,7 @@ import sys
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, random_scenario, render_scenario
+from conftest import dispatch_one, event_rows, random_scenario, render_scenario
 from sentinelsim import rng
 from sentinelsim.config import ConfigError, SimConfig
 from sentinelsim.controller import Controller, action_fields
@@ -35,10 +35,10 @@ def reference_run(scenario, seed, overrides):
     validate_events(scenario, cfg)
     controller = build_controller(cfg, seed)
     queue = controller.followups
-    for ev in scenario.events:
+    for ev in event_rows(scenario):
         queue.push(ev)
     while queue:
-        controller.dispatch(queue.pop())
+        dispatch_one(controller, queue.pop())
     return RunReport(
         scenario=scenario.name,
         seed=seed,
@@ -159,8 +159,8 @@ def test_skipped_events_change_no_report_byte(case, seed):
                "retrigger_cooldown_ms": "0"},
 )
 def test_controller_run_matches_dispatch_of_each_item(event_list, seed, overrides):
-    # Controller.run holds its own copy of dispatch's per-item rule: the order
-    # check, the decision of a due attempt and the handler lookup.
+    # Controller.run holds its own copy of the per-item rule that dispatch_one
+    # restates: the order check, the decision of a due attempt and the handler.
     scenario = Scenario(name="ties", events=tuple(event_list))
     cfg = resolve_run_config(scenario, None, overrides)
 
@@ -174,12 +174,14 @@ def test_controller_run_matches_dispatch_of_each_item(event_list, seed, override
 
     def dispatch_each(controller):
         queue = controller.followups
-        for ev in scenario.events:
+        for ev in event_rows(scenario):
             queue.push(ev)
         while queue:
-            controller.dispatch(queue.pop())
+            dispatch_one(controller, queue.pop())
 
-    assert final_state(lambda c: c.run(*columns(scenario.events))) == final_state(dispatch_each)
+    events = scenario.events
+    run_columns = lambda c: c.run(events.times, events.kinds, events.meters)
+    assert final_state(run_columns) == final_state(dispatch_each)
 
 
 def test_run_matches_reference_on_random_streams():

@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
-from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT, columns
+from conftest import BREAKIN_TEXT, DEACTIVATE_TEXT, dispatch_one, event_rows
 from sentinelsim.airframe import DeliveryResult, Frame, FrameType, transmit
 from sentinelsim.config import SimConfig
 from sentinelsim.controller import (
@@ -43,8 +43,8 @@ RECORDS = [
               [ScenarioEvent(5000, EventKind.DOOR_OPEN), ScenarioEvent(0, EventKind.ARM)]),
      ("name", "overrides", "events"),
      "Scenario(name='breakin', overrides=mappingproxy({'latency_ms': 20}), "
-     "events=(ScenarioEvent(at=0, kind=<EventKind.ARM: 'arm'>, meters=None), "
-     "ScenarioEvent(at=5000, kind=<EventKind.DOOR_OPEN: 'door_open'>, meters=None)))"),
+     "events=EventColumns(times=(0, 5000), "
+     "kinds=(<EventKind.ARM: 'arm'>, <EventKind.DOOR_OPEN: 'door_open'>), meters=(None, None)))"),
     (RunReport("breakin", 7, "splitmix64", "ARMED", ("0\tcontroller\tARMED\tmode=armed",),
                {"INTRUSION": 1},
                (RecordingJob("clip-0001", 2000, 5000, "clips/clip-0001.bin"),), 1024),
@@ -135,7 +135,8 @@ def test_action_log_holds_lines_of_four_fields_led_by_a_time():
     scenario = parse_scenario(BREAKIN_TEXT + DEACTIVATE_TEXT.replace("0 arm\n", "", 1))
     cfg = SimConfig(threshold_m=1.0)
     controller = Controller(cfg, 0)
-    controller.run(*columns(scenario.events))
+    events = scenario.events
+    controller.run(events.times, events.kinds, events.meters)
     log = controller.action_log
     assert all(type(line) is str for line in log)
     fields = list(action_fields(log))
@@ -151,7 +152,7 @@ def test_action_log_holds_lines_of_four_fields_led_by_a_time():
 
 def test_equal_follow_ups_of_two_types_reach_their_own_handlers():
     controller = Controller(SimConfig(), 0)
-    controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
+    dispatch_one(controller, ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
     done = controller.followups.pop()
     assert not controller.followups
     twin = FrameArrival(done.at, done.clip_id)
@@ -179,7 +180,7 @@ class TestNegativeZeroDistance:
 
     def test_hand_built(self):
         controller = Controller(SimConfig(), 0)
-        controller.dispatch(ScenarioEvent(100, EventKind.DISTANCE_SAMPLE, meters=-0.0))
+        controller.run([100], [EventKind.DISTANCE_SAMPLE], [-0.0])
         assert controller.action_log[0] == self.TRIGGER
 
 
@@ -190,7 +191,7 @@ def test_link_records_are_built_as_their_own_types():
         assert type(result) is DeliveryResult
     assert result == DeliveryResult(False, None, 3)
     controller = Controller(SimConfig(latency_ms=20), 0)
-    controller.dispatch(ScenarioEvent(100, EventKind.DOOR_OPEN))
+    dispatch_one(controller, ScenarioEvent(100, EventKind.DOOR_OPEN))
     arrival = controller.followups.pop()
     assert not controller.followups
     assert type(arrival) is FrameArrival and arrival == FrameArrival(120, 1)
@@ -199,13 +200,13 @@ def test_link_records_are_built_as_their_own_types():
 def test_per_event_records_are_built_as_their_own_types():
     # the handlers and finalize build these with tuple.__new__ too: same types, same values
     controller = Controller(SimConfig(password="1"), 0)
-    controller.dispatch(ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
+    dispatch_one(controller, ScenarioEvent(2000, EventKind.DISTANCE_SAMPLE, 0.5))
     [job] = controller.clips
     assert type(job) is RecordingJob
     assert job == RecordingJob("clip-0001", 2000, 5000, "clips/clip-0001.bin")
     done = controller.followups.pop()
     assert type(done) is ClipDone and done == ClipDone(7000, "clip-0001")
-    controller.dispatch(ScenarioEvent(3000, EventKind.MODE_BUTTON))
+    dispatch_one(controller, ScenarioEvent(3000, EventKind.MODE_BUTTON))
     session = controller.pending_attempt
     deadline = controller.followups.pop()
     assert type(deadline) is AttemptDeadline and deadline == AttemptDeadline(session.end)
@@ -218,8 +219,8 @@ def test_replace_checks_the_new_fields():
     # _replace builds through the checking __new__: events are sorted again, an event or
     # a frame checked
     scenario = Scenario("s", {}, [ScenarioEvent(5, EventKind.ARM)])
-    later = scenario._replace(events=[ScenarioEvent(9, EventKind.ARM), *scenario.events])
-    assert type(later) is Scenario and [e.at for e in later.events] == [5, 9]
+    later = scenario._replace(events=[ScenarioEvent(9, EventKind.ARM), *event_rows(scenario)])
+    assert type(later) is Scenario and later.events.times == (5, 9)
     assert type(later.events) is EventColumns
     with pytest.raises(ValueError, match="no line break"):
         scenario._replace(name="a\nb")
