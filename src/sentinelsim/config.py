@@ -64,7 +64,7 @@ def read_text(path) -> str:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()  # the words in any case, but like a number's, with no padding
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):

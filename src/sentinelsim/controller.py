@@ -21,7 +21,7 @@ coordinator's checksum check, a decode of those bytes, runs once, at import.
 from __future__ import annotations
 
 from enum import Enum
-from heapq import heappop
+from heapq import heappop, heappush
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
@@ -65,6 +65,7 @@ _ARMED, _DISARMED = SystemMode.ARMED, SystemMode.DISARMED
 _DISTANCE_SAMPLE, _PRESS_UP = EventKind.DISTANCE_SAMPLE, EventKind.PRESS_UP
 _PRESENCE = NotificationKind.PRESENCE
 _KIND_OF = {kind._value_: kind for kind in NotificationKind}  # counts and actions use the value
+_LAST = float("inf")  # an AttemptDeadline's sequence number, above every pushed one
 
 
 class RecordingJob(NamedTuple):
@@ -94,7 +95,9 @@ class ClipDone(NamedTuple):
 
 
 class AttemptDeadline(NamedTuple):
-    """Guarantees an item at the attempt's end, where dispatch decides it."""
+    """Decides the pending attempt, which ends at ``at``. It is queued as the last
+    item of the attempt's final millisecond, ``at - 1``: after everything due
+    before the end, before everything due at or after it."""
 
     at: Instant
 
@@ -132,7 +135,8 @@ class Controller:
         self._last_time: Instant = -1  # before every item: instants are >= 0
 
     def dispatch(self, item) -> None:
-        """Process one follow-up, pushing any new one onto ``followups``.
+        """Process one follow-up: the order check, then the handler of its type,
+        which may push a new one onto ``followups``.
 
         Items must arrive in non-decreasing time order; anything else is a
         simulation bug and fails fast. Scenario events go through ``run``.
@@ -141,15 +145,6 @@ class Controller:
         if t < self._last_time:
             raise SimulationOrderError(f"event at t={t} dispatched after t={self._last_time}")
         self._last_time = t
-
-        # The one point where an attempt is decided: by the first item at or
-        # after its end, at that end, so the log stays in order. Its own
-        # deadline is such an item; a stale deadline never is, because an
-        # attempt begun at or after it ends strictly later (attempt_ms > 0).
-        pending = self.pending_attempt
-        if pending is not None and t >= pending.end:
-            self._decide_attempt(pending)
-
         try:
             handler = self._HANDLERS[type(item)]
         except KeyError:
@@ -168,15 +163,14 @@ class Controller:
         meters (None but for a distance sample). Before each event come the
         follow-ups due strictly earlier, so at the same millisecond a scenario
         event precedes a follow-up; those left after the last event go through
-        ``dispatch``. Each item takes dispatch's steps: the order check, the
-        decision of a due attempt, then the handler of its kind or type.
+        ``dispatch``. Each item takes dispatch's steps: the order check, then
+        the handler of its kind or type. An attempt is decided by its
+        AttemptDeadline alone, the last item of the attempt's final millisecond.
 
         The events that cannot act are skipped: every press_up (it has no
         handler), and every distance sample whose round-tripped range is not
         below threshold_m, tested with the handler's own sensor functions once
-        per distinct meters value. Neither logs anything, and an attempt one of
-        them would have decided is decided at its own end by its
-        AttemptDeadline, with no log line in between: the same report.
+        per distinct meters value. Neither logs nor decides anything: the same report.
         """
         cfg = self.cfg
         threshold = cfg.threshold_m
@@ -199,13 +193,7 @@ class Controller:
                     continue
             while heap and heap[0][0] < t:
                 at, _, item = heappop(heap)
-                pending = self.pending_attempt
-                if pending is not None and at >= pending.end:
-                    self._decide_attempt(pending)
                 handlers[type(item)](self, at, item)
-            pending = self.pending_attempt
-            if pending is not None and t >= pending.end:
-                self._decide_attempt(pending)
             handlers[kind](self, t, m)
         # the follow-ups still queued may be due before a skipped last event
         self._last_time = min(last, heap[0][0]) if heap else last
@@ -270,9 +258,6 @@ class Controller:
         else:
             self._append(f"{t}\tcontroller\tSUPPRESSED\tevent=intruder_alert reason=disarmed")
 
-    def _ignore(self, t: Instant, data) -> None:
-        """A deadline changes nothing: it only lets dispatch see an attempt's end."""
-
     def _dispatch_clip_done(self, t: Instant, done: ClipDone) -> None:
         job = self.active_recording
         if job is None or job.clip_id != done.clip_id:
@@ -290,10 +275,14 @@ class Controller:
         self.pending_attempt = session
         self._append(f"{t}\tcontroller\tATTEMPT_BEGIN\t"
                      f"n={len(self.cfg.password)} end_ms={session.end}")
-        self.followups.push(_new_tuple(AttemptDeadline, (session.end,)))
+        # The last item of the attempt's final millisecond: keyed end - 1 (exact where
+        # end - 0.5 rounds past 2**53 ms), after every follow-up due then, even a later push.
+        deadline = _new_tuple(AttemptDeadline, (session.end,))
+        heappush(self.followups._heap, (session.end - 1, _LAST, deadline))
 
-    def _decide_attempt(self, session: pulselock.AttemptSession) -> None:
-        """Decide an ended attempt at its end and notify the owner either way."""
+    def _dispatch_deadline(self, t: Instant, deadline: AttemptDeadline) -> None:
+        """Decide the pending attempt at its end and notify the owner either way."""
+        session = self.pending_attempt
         t = session.end
         outcome = session.finalize(t)
         self.pending_attempt = None
@@ -318,7 +307,7 @@ class Controller:
         EventKind.PRESS_DOWN: _on_press_down,
         FrameArrival: _dispatch_arrival,
         ClipDone: _dispatch_clip_done,
-        AttemptDeadline: _ignore,
+        AttemptDeadline: _dispatch_deadline,
     }
 
 

@@ -124,17 +124,14 @@ def event_rows(scenario: Scenario):
 
 def dispatch_one(controller: Controller, item):
     """The one-item reference for ``Controller.run``'s steps. A ``ScenarioEvent`` gets the
-    order check, the decision of a due attempt, then its kind's handler (press_up has
-    none); a follow-up goes to ``controller.dispatch``. Returns what the handler returns."""
+    order check, then its kind's handler (press_up has none); a follow-up goes to
+    ``controller.dispatch``. Returns what the handler returns."""
     if type(item) is not ScenarioEvent:
         return controller.dispatch(item)
     t = item.at
     if t < controller._last_time:
         raise SimulationOrderError(f"event at t={t} dispatched after t={controller._last_time}")
     controller._last_time = t
-    pending = controller.pending_attempt
-    if pending is not None and t >= pending.end:
-        controller._decide_attempt(pending)
     if item.kind is not EventKind.PRESS_UP:
         return Controller._HANDLERS[item.kind](controller, t, item.meters)
 

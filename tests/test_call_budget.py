@@ -22,7 +22,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "sentinelsim") + os.sep
 EVENTS = 10_000
 
-# 19,000 calls, 1.90 per event
+# 17,858 calls, 1.79 per event
 CALLS = {
     "airframe.py:transmit": 988,
     "config.py:apply_overrides": 1,
@@ -33,11 +33,10 @@ CALLS = {
     "config.py:one_line": 2,
     "config.py:validate": 1,
     "controller.py:__init__": 1,
-    "controller.py:_decide_attempt": 571,
     "controller.py:_dispatch_arrival": 956,
     "controller.py:_dispatch_clip_done": 367,
+    "controller.py:_dispatch_deadline": 571,
     "controller.py:_dispatch_distance": 438,
-    "controller.py:_ignore": 571,
     "controller.py:_on_arm": 269,
     "controller.py:_on_door_close": 988,
     "controller.py:_on_door_open": 988,
@@ -53,7 +52,7 @@ CALLS = {
     "engine.py:validate_events": 1,
     "events.py:__init__": 1,
     "events.py:paused": 2,
-    "events.py:push": 1894,
+    "events.py:push": 1323,
     "notify.py:recipients_for": 1,
     "pulselock.py:__init__": 571,
     "pulselock.py:begin_attempt": 571,

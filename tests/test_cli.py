@@ -814,6 +814,29 @@ def test_decimals_outside_the_grammar_exit_one_naming_where(tmp_path, text, argv
     assert _run_names_under(out_dir) == []
 
 
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["--set", "maildir= true"], None, "maildir"),
+        (["--set", "presence_to_authorities=yes "], None, "presence_to_authorities"),
+        ([], {"maildir": " true"}, "maildir"),
+        ([], {"presence_to_authorities": "off\n"}, "presence_to_authorities"),
+    ],
+    ids=["set-flag-leading", "set-flag-trailing", "config-leading", "config-newline"],
+)
+def test_padded_booleans_exit_one_naming_the_key(breakin_file, tmp_path, argv, config, key, capsys):
+    # the words take any case, but a boolean's text takes no padding, as a number's takes none
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(path)]
+    assert main(["run", breakin_file, *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"bad value for '{key}': expected a boolean" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert main(["run", breakin_file, "--set", "presence_to_authorities=YeS"]) == 0
+
+
 def test_password_space_takes_the_integer_grammar(capsys):
     assert main(["password-space", "1_0"]) == 1
     assert "argument n: invalid integer value: '1_0'" in capsys.readouterr().err

@@ -302,9 +302,9 @@ class TestDispatchTraces:
 
     def test_out_of_order_dispatch_fails_fast(self):
         c, _ = make_controller()
-        c.dispatch(AttemptDeadline(100))
+        c.dispatch(ClipDone(100, "clip-9999"))
         with pytest.raises(SimulationOrderError):
-            c.dispatch(AttemptDeadline(99))
+            c.dispatch(ClipDone(99, "clip-9999"))
 
     @pytest.mark.parametrize("kind", [EventKind.ARM, EventKind.PRESS_UP])
     def test_out_of_order_run_fails_fast(self, kind):
@@ -315,19 +315,19 @@ class TestDispatchTraces:
 
     def test_run_continues_from_the_last_dispatched_item(self):
         c, _ = make_controller()
-        c.dispatch(AttemptDeadline(100))
+        c.dispatch(ClipDone(100, "clip-9999"))
         with pytest.raises(SimulationOrderError):
             c.run(*columns([ev(99, EventKind.ARM)]))
         c.run(*columns([ev(100, EventKind.DOOR_OPEN)]))
         with pytest.raises(SimulationOrderError):
-            c.dispatch(AttemptDeadline(99))  # the alert's arrival at 100 was the last item
+            c.dispatch(ClipDone(99, "clip-9999"))  # the alert's arrival at 100 was the last item
 
     def test_follow_ups_due_before_a_skipped_last_event_run_in_order(self):
         c, _ = make_controller(latency_ms=10)
         c.run(*columns([ev(0, EventKind.ARM), ev(0, EventKind.DOOR_OPEN), ev(50, EventKind.PRESS_UP)]))
         assert log_actions(c) == [(0, "ARMED"), (0, "TX"), (10, "RX"), (10, "INTRUSION")]
         with pytest.raises(SimulationOrderError, match="after t=50"):
-            c.dispatch(AttemptDeadline(49))
+            c.dispatch(ClipDone(49, "clip-9999"))
 
     def test_run_puts_scenario_events_before_follow_up_ties(self):
         c, _ = make_controller()
@@ -386,11 +386,6 @@ class TestInternalItems:
         assert c.active_recording.clip_id == done.clip_id
         assert names(c) == ["PRESENCE_TRIGGER", "START_RECORDING"]
         assert sink.messages == []
-
-    def test_stale_attempt_deadline_is_ignored(self):
-        c, _ = make_controller()
-        c.dispatch(AttemptDeadline(at=100))
-        assert c.action_log == []
 
     def test_door_alert_is_checked_at_import(self):
         # every FrameArrival carries DOOR_ALERT, so its decode runs once, at
@@ -459,8 +454,11 @@ def test_dispatch_returns_none_and_schedules_at_most_one_item(steps):
     for gap, kind, n in steps:
         t += gap
         pending = c.pending_attempt
-        if kind is EventKind.MODE_BUTTON and pending is not None and t < pending.end:
-            continue  # an overlapping attempt is refused before a run starts
+        if kind is AttemptDeadline:
+            if pending is None:
+                continue  # only an attempt's own button queues its deadline
+        elif pending is not None and (kind is EventKind.MODE_BUTTON or t >= pending.end):
+            continue  # an overlapping attempt is refused, and the deadline precedes its end
         before = len(c.followups)
         assert dispatch_one(c, _item(t, kind, n)) is None
         assert len(c.followups) - before in (0, 1)

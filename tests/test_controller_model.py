@@ -60,7 +60,7 @@ class Model:
         self._seq += 1
 
     def _decide(self, t):
-        """Decide a pending attempt once an item at or after its end comes."""
+        """Decide a pending attempt once time reaches its end."""
         if self.attempt is None or t < self.attempt[0] + ATTEMPT_MS:
             return
         _, bits, extraneous = self.attempt
@@ -72,7 +72,7 @@ class Model:
             self.counts[NotificationKind.DEACTIVATION_FAILED.value] += 1
 
     def advance(self, t):
-        """Apply every follow-up due strictly before t."""
+        """Apply every follow-up due strictly before t, then decide an attempt ended by t."""
         while self._followups and self._followups[0][0] < t:
             at, _, kind, clip_id = heapq.heappop(self._followups)
             self._decide(at)
@@ -81,10 +81,10 @@ class Model:
                 self.counts[NotificationKind.PRESENCE.value] += 1
             elif kind == "arrival" and self.mode is SystemMode.ARMED:
                 self.counts[NotificationKind.INTRUSION.value] += 1
+        self._decide(t)
 
     def event(self, t, kind, meters=None):
         self.advance(t)
-        self._decide(t)
         if kind is EventKind.ARM:
             self.mode = SystemMode.ARMED
         elif kind is EventKind.DISTANCE_SAMPLE:

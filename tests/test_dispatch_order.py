@@ -160,7 +160,7 @@ def test_skipped_events_change_no_report_byte(case, seed):
 )
 def test_controller_run_matches_dispatch_of_each_item(event_list, seed, overrides):
     # Controller.run holds its own copy of the per-item rule that dispatch_one
-    # restates: the order check, the decision of a due attempt and the handler.
+    # restates: the order check, then the handler.
     scenario = Scenario(name="ties", events=tuple(event_list))
     cfg = resolve_run_config(scenario, None, overrides)
 

@@ -29,7 +29,6 @@ HOT_FUNCTIONS = {
         f"controller.Controller.{fn.__name__}": fn
         for fn in controller.Controller._HANDLERS.values()
     },
-    "controller.Controller._decide_attempt": controller.Controller._decide_attempt,
     "controller.notifications": controller.notifications,
     "notify.Notification.__new__": notify.Notification.__new__,
     "notify.Notification.subject": notify.Notification.subject.fget,

@@ -9,7 +9,7 @@ import glob
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LINES = 1946
+LINES = 1935
 
 
 def test_src_holds_its_committed_line_count():

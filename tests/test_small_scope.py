@@ -90,3 +90,13 @@ def test_every_scenario_of_up_to_three_events_matches_the_oracle():
         "ARMED", "ATTEMPT_BEGIN", "DEACTIVATION_FAILED", "DEACTIVATION_SUCCEEDED", "DROP",
         "INTRUSION", "PRESENCE", "PRESENCE_TRIGGER", "RX", "START_RECORDING", "SUPPRESSED", "TX",
     }
+
+
+def test_a_follow_up_on_an_attempts_last_millisecond_comes_before_its_decision():
+    # With a 126 ms window, attempts end at 126 or 251, and the 125 ms latency lands
+    # a frame arrival on end - 1, pushed after the button queued the attempt's deadline
+    # there: the deadline must still be that millisecond's last item.
+    runs, refused, mismatches, actions = check(2, CONFIG._replace(password="1", press_window_ms=126))
+    assert mismatches == []
+    assert (runs, refused) == (1_268, 6)
+    assert {"RX", "DEACTIVATION_SUCCEEDED", "DEACTIVATION_FAILED"} <= actions
