@@ -1,8 +1,9 @@
-"""An independent model of a run, for checking report bytes.
+"""An independent model of a run, for checking report and --out bytes.
 
 A slow and plain restatement of the README's rules that shares no code with
-the controller, the event queue, the link or the renderer. It shares only
-``rng.SplitMix64`` (the seeded stream) and reads a validated ``SimConfig``.
+the package: it imports nothing from ``sentinelsim``, draws from its own
+splitmix64 and reads only the fields of a validated ``SimConfig`` and the
+event columns of a ``Scenario``.
 
 - Every item, scenario event or follow-up, sits in one list kept sorted by
   (time, rank, order): scenario events have rank 0 and keep their scenario
@@ -18,6 +19,7 @@ the controller, the event queue, the link or the renderer. It shares only
     report(scenario, seed, cfg)                  # text report bytes
     report(scenario, seed, cfg, "structured")    # structured report bytes
     outbox(scenario, seed, cfg)                  # the outbox.log bytes of --out
+    tree(scenario, seed, cfg, fmt)               # every file and directory --out writes
 """
 
 from __future__ import annotations
@@ -25,11 +27,25 @@ from __future__ import annotations
 import json
 from bisect import insort
 
-from sentinelsim.rng import SplitMix64
-
+MASK64 = (1 << 64) - 1
 FRAME_HEX = "7E 02 01 02 FC"  # the door node's intruder alert, source id 2
 OWNER, BOTH = ("owner",), ("owner", "authorities")
 KINDS = ("DEACTIVATION_FAILED", "DEACTIVATION_SUCCEEDED", "INTRUSION", "PRESENCE")
+
+
+def splitmix64(seed):
+    """The 64-bit draws of splitmix64 seeded with ``seed``, without end (Steele, Lea and
+    Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014)."""
+    while True:
+        seed = (seed + 0x9E3779B97F4A7C15) & MASK64
+        z = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def uniforms(seed):
+    """The same stream as floats in [0, 1): each draw's top 53 bits times 2**-53."""
+    return ((z >> 11) * 2.0**-53 for z in splitmix64(seed))
 
 
 class Refused(ValueError):
@@ -54,7 +70,7 @@ def simulate(scenario, seed, cfg):
     columns = scenario.events
     events = list(zip(columns.times, [kind.value for kind in columns.kinds], columns.meters))
     check(events, cfg)
-    rng = SplitMix64(seed)
+    draws = uniforms(seed)
     # (at, rank, order, what, data)
     items = [(at, 0, i, kind, meters) for i, (at, kind, meters) in enumerate(events)]
     items.sort(key=lambda item: item[:3])
@@ -97,7 +113,7 @@ def simulate(scenario, seed, cfg):
             state["door_open"] = True
             log.append((at, "link", "TX", f"src=door frame={FRAME_HEX}"))
             for k in range(1, cfg.max_retries + 2):
-                if rng.random() >= cfg.drop_probability:
+                if next(draws) >= cfg.drop_probability:
                     schedule(at + k * cfg.latency_ms, "arrival", k)
                     break
             else:
@@ -167,13 +183,59 @@ def outbox_line(note):
 
 def outbox(scenario, seed, cfg):
     """The outbox.log bytes of the run: one line per notification, in the order sent."""
-    notes = simulate(scenario, seed, cfg)[4]
+    return outbox_log(simulate(scenario, seed, cfg)[4])
+
+
+def outbox_log(notes):
     return "".join(outbox_line(note) + "\n" for note in notes).encode("utf-8")
+
+
+def mail(note, cfg):
+    """The maildir file of one notification: headers, a blank line, then the body."""
+    at, kind, recipients, attachment = note
+    address = {"owner": cfg.owner_email, "authorities": cfg.authorities_email}
+    lines = [
+        "From: sentinelsim <noreply@sentinelsim.invalid>",
+        "To: " + ", ".join(f"{who} <{address[who]}>" for who in recipients),
+        f"Subject: [SENTINEL] {kind} at t={at}",
+        f"X-Sim-Time-Ms: {at}",
+    ]
+    if attachment is not None:
+        lines.append(f"X-Clip-Id: {attachment}")
+    lines += ["", f"Kind: {kind}", f"Simulation time: {at} ms"]
+    if attachment is not None:
+        lines.append(f"Clip: {attachment}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def tree(scenario, seed, cfg, fmt="text"):
+    """What ``run --out DIR`` leaves in an empty DIR: each file's path under DIR with
+    its bytes, and each directory's path with None."""
+    run = simulate(scenario, seed, cfg)
+    _log, _mode, _counts, clips, notes = run
+    files = {
+        "report.json" if fmt == "structured" else "report.txt": render(run, scenario, seed, cfg, fmt),
+        "outbox.log": outbox_log(notes),
+    }
+    for _clip, _started, _duration, ref in clips:
+        files["clips"] = None
+        files[ref] = bytes(cfg.clip_bytes)
+    if cfg.maildir and notes:  # the first mail makes the maildir
+        for path in ("maildir", "maildir/tmp", "maildir/new", "maildir/cur"):
+            files[path] = None
+        for seq, note in enumerate(notes, 1):
+            files[f"maildir/new/{seq:06d}.{note[1].lower()}.eml"] = mail(note, cfg)
+    return files
 
 
 def report(scenario, seed, cfg, fmt="text"):
     """The report bytes the README specifies for one run."""
-    log, mode, counts, clips, _notes = simulate(scenario, seed, cfg)
+    return render(simulate(scenario, seed, cfg), scenario, seed, cfg, fmt)
+
+
+def render(run, scenario, seed, cfg, fmt):
+    """The report bytes of a simulated run."""
+    log, mode, counts, clips, _notes = run
     if fmt == "structured":
         doc = {
             "actions": [
