@@ -137,8 +137,7 @@ def transmit(cfg: SimConfig, at: Instant, rng: SplitMix64) -> DeliveryResult:
     succeeds when its draw is >= drop_probability and then arrives at
     ``at + k * latency_ms``. All max_retries + 1 attempts exhausted means
     the frame is dropped. ``rng.first_at_least`` decides the attempts, a
-    block of draws at a time, with the same draws as one ``random()`` per
-    attempt.
+    block of draws at a time, taking the draws one draw per attempt would.
     """
     attempts = cfg.max_retries + 1
     k = rng.first_at_least(cfg.drop_probability, attempts)

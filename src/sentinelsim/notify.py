@@ -3,8 +3,9 @@
 Transport is mocked, and a run sends nothing: a caller builds a finished run's
 notifications (controller.notifications) and delivers them. The dispatcher is a
 caller-side helper: it hands each one to every sink in order and returns one
-receipt per sink, a failed delivery's with its error. A notification stores facts
-only; subject and body are derived when read. Clips travel as identifiers, not bytes.
+receipt per sink, a failed delivery's with its error. A notification is a plain
+record of facts, checked by no constructor: its one builder reads them from a run's
+action log. Subject and body are derived when read; clips travel as identifiers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .events import CheckedRecord, Instant
+from .events import Instant
 
 OWNER = "owner"
 AUTHORITIES = "authorities"
@@ -32,25 +33,13 @@ class NotificationKind(Enum):
 _PRESENCE, _INTRUSION = NotificationKind.PRESENCE, NotificationKind.INTRUSION
 
 
-class _NotificationFields(NamedTuple):
-    kind: NotificationKind
-    recipients: Tuple[str, ...]
-    attachment: Optional[str]
-    created_at: Instant
-
-
-class Notification(CheckedRecord, _NotificationFields):
+class Notification(NamedTuple):
     """One immutable message, equal by value; ``build_notification`` sets its recipients."""
 
-    __slots__ = ()
-
-    def __new__(cls, kind, recipients, attachment, created_at):
-        if kind is _PRESENCE:
-            if attachment is None:
-                raise ValueError("presence notifications carry a clip attachment")
-        elif attachment is not None:
-            raise ValueError(f"{kind._value_} notifications carry no attachment")
-        return tuple.__new__(cls, (kind, recipients, attachment, created_at))  # in C
+    kind: NotificationKind
+    recipients: Tuple[str, ...]
+    attachment: Optional[str]  # a presence mail's clip id; None for every other kind
+    created_at: Instant
 
     @property
     def subject(self) -> str:

@@ -8,8 +8,8 @@ verify it is drawing from the same generator.
 splitmix64 is counter-based: draw k after state ``s`` is a fixed mix of
 ``s + k * gamma`` (mod 2**64). So ``first_at_least`` decides a block of draws
 in a few big-int operations, one 128-bit lane per draw (room for a 64-bit
-value times a 64-bit constant). It and ``random()`` advance one counter, so
-any interleaving of the two reads the one stream.
+value times a 64-bit constant). A draw's value is its top 53 bits times
+2**-53, a float in [0, 1).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 # first_at_least decides its draws a block at a time: a stream's first block
-# (and the first after a random() call) decides _FIRST draws, and each later
-# block twice as many as the last, up to _LANES; no block is shorter than
-# limit. So a short run decides few draws it never takes.
+# decides _FIRST draws, and each later block twice as many as the last, up to
+# _LANES; no block is shorter than limit. So a short run decides few draws it
+# never takes.
 _FIRST = 8
 _LANES = 64
 
@@ -40,7 +40,7 @@ def _lanes(n: int):
 
 
 def _threshold(p) -> int:
-    """The least m with ``m * 2**-53 >= p``: a draw's random() is >= p exactly when its
+    """The least m with ``m * 2**-53 >= p``: a draw's value is >= p exactly when its
     top 53 bits are >= this. 0 for p <= 0; 2**53, above every draw, for p > 1, inf or NaN."""
     if p <= 0:
         return 0
@@ -72,20 +72,12 @@ class SplitMix64:
         self._pos = self._end = 0
         self._p = self._flags = None
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits of one splitmix64 draw."""
-        z = self._base = (self._base + (self._pos + 1) * _GOLDEN) & _MASK64
-        self._pos = self._end = 0  # no block starts at the counter; the next is _FIRST long
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
-
     def first_at_least(self, p, limit: int) -> int:
-        """The 1-based index of the first of the next ``limit`` draws whose
-        ``random()`` is >= p, or 0 if none is.
+        """The 1-based index of the first of the next ``limit`` draws whose value
+        (top 53 bits times 2**-53) is >= p, or 0 if none is.
 
-        Consumes that many draws, or ``limit`` if none qualifies, exactly as
-        calling ``random()`` until one qualifies would.
+        Consumes that many draws, or ``limit`` if none qualifies, as a scan of
+        the stream one draw at a time would.
         """
         pos = self._pos
         end = pos + limit

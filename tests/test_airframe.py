@@ -2,11 +2,13 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import uniforms
 from sentinelsim.airframe import (
     DELIMITER,
     MAX_PAYLOAD,
@@ -217,16 +219,15 @@ class TestTransmit:
         assert results_a == results_b
 
     def test_delivery_fraction_matches_independent_replay(self):
-        # one stream drives 10k transmissions; an independent replay of the
-        # same splitmix64 stream predicts each outcome
+        # one stream drives 10k transmissions; the tests' reference splitmix64,
+        # replaying the same stream, predicts each outcome
         link = SimConfig(drop_probability=0.3, max_retries=0)
         rng = SplitMix64(12345)
         delivered = sum(
             transmit(link, 0, rng).delivered for _ in range(10_000)
         )
 
-        replay = SplitMix64(12345)
-        expected = sum(replay.random() >= 0.3 for _ in range(10_000))
+        expected = sum(value >= 0.3 for value in islice(uniforms(12345), 10_000))
         assert delivered == expected
         assert abs(delivered / 10_000 - 0.7) <= 0.02
 

@@ -30,7 +30,6 @@ HOT_FUNCTIONS = {
         for fn in controller.Controller._HANDLERS.values()
     },
     "controller.notifications": controller.notifications,
-    "notify.Notification.__new__": notify.Notification.__new__,
     "notify.Notification.subject": notify.Notification.subject.fget,
     "notify.Notification.body": notify.Notification.body.fget,
     "notify.recipients_for": notify.recipients_for,
@@ -38,7 +37,6 @@ HOT_FUNCTIONS = {
     "notify.format_outbox_line": notify.format_outbox_line,
     "notify.MaildirSink.deliver": notify.MaildirSink.deliver,
     "notify.Dispatcher.dispatch": notify.Dispatcher.dispatch,
-    "rng.SplitMix64.random": rng.SplitMix64.random,
     "rng.SplitMix64.first_at_least": rng.SplitMix64.first_at_least,
     "rng._decide_block": rng._decide_block,
 }

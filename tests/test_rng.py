@@ -1,40 +1,28 @@
-"""splitmix64 stream correctness and determinism."""
+"""splitmix64 stream correctness and determinism, against the reference in tests/oracle.py."""
 
 import math
 import random
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import MASK64 as MASK
+from oracle import splitmix64, uniforms
 from sentinelsim import rng
 from sentinelsim.rng import ALGORITHM, SplitMix64
 
-MASK = (1 << 64) - 1
-
-
-def reference_splitmix64(seed, count):
-    """Straight transcription of the published splitmix64 algorithm."""
-    out = []
-    state = seed
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append(z ^ (z >> 31))
-    return out
-
 
 def reference_random(seed, count):
-    """The reference stream as uniform floats: the top 53 bits of each draw."""
-    return [(z >> 11) * 2.0**-53 for z in reference_splitmix64(seed, count)]
+    """The first ``count`` values of the reference stream: each draw's top 53 bits times 2**-53."""
+    return list(islice(uniforms(seed), count))
 
 
 def test_known_vector_seed_zero():
     # first outputs of splitmix64 seeded with 0, as published with the algorithm
-    assert reference_splitmix64(0, 4) == [
+    assert list(islice(splitmix64(0), 4)) == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
@@ -44,28 +32,23 @@ def test_known_vector_seed_zero():
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 0xDEADBEEF, MASK])
 def test_matches_reference_transcription(seed):
-    r = SplitMix64(seed)
-    assert [r.random() for _ in range(64)] == reference_random(seed, 64)
+    # each draw's value exactly: at least the reference's, and below the next float up
+    at_least, below_next = SplitMix64(seed), SplitMix64(seed)
+    for value in reference_random(seed, 64):
+        assert at_least.first_at_least(value, 1) == 1
+        assert below_next.first_at_least(math.nextafter(value, 1), 1) == 0
 
 
 def test_same_seed_same_stream():
     a = SplitMix64(987654321)
     b = SplitMix64(987654321)
-    assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]
+    assert [a.first_at_least(0.5, 3) for _ in range(100)] == [b.first_at_least(0.5, 3) for _ in range(100)]
 
 
-def test_random_unit_interval():
+def test_draws_are_uniform():
+    # crude uniformity sanity check: about half the draws are >= 0.5
     r = SplitMix64(7)
-    values = [r.random() for _ in range(5000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-    # crude uniformity sanity check
-    assert 0.4 < sum(values) / len(values) < 0.6
-
-
-@given(st.integers(0, MASK))
-def test_random_is_the_top_53_bits_of_the_reference(seed):
-    r = SplitMix64(seed)
-    assert [r.random() for _ in range(64)] == reference_random(seed, 64)
+    assert 0.45 < sum(r.first_at_least(0.5, 1) for _ in range(5000)) / 5000 < 0.55
 
 
 def test_seed_bounds():
@@ -94,23 +77,16 @@ def reference_first_at_least(draws, start, p, limit):
 
 
 def replay(seed, calls):
-    """Each call's result from one SplitMix64 and from the reference transcription."""
+    """Each call's result from one SplitMix64 and from a plain scan of the reference stream."""
     r = SplitMix64(seed)
-    total = sum(1 if call == "random" else call[1] for call in calls)
-    draws = reference_random(seed, total + 1)
+    calls = [*calls, (0.5, 64)]  # and the counter ends where the reference's does
+    draws = reference_random(seed, sum(limit for _p, limit in calls))
     got, expected, used = [], [], 0
     for call in calls:
-        if call == "random":
-            got.append(r.random())
-            expected.append(draws[used])
-            used += 1
-        else:
-            got.append(r.first_at_least(*call))
-            k, n = reference_first_at_least(draws, used, *call)
-            expected.append(k)
-            used += n
-    got.append(r.random())  # the counter ends where the reference's does
-    expected.append(draws[used])
+        got.append(r.first_at_least(*call))
+        k, n = reference_first_at_least(draws, used, *call)
+        expected.append(k)
+        used += n
     return got, expected
 
 
@@ -123,13 +99,13 @@ first_calls = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, MASK),
-    calls=st.lists(st.one_of(st.just("random"), first_calls), min_size=1, max_size=60),
+    calls=st.lists(first_calls, min_size=1, max_size=60),
     # a long run of draws first, so the calls that follow decide blocks and cross their edges
     # and leads of single draws that stop one short of the block edges at 8, 24 and 56 draws
     burn=st.sampled_from([(), ((1.5, 256),) * 4, ((math.nan, 97),) * 11,
                           ((1.5, 1),) * 7, ((1.5, 1),) * 23, ((1.5, 1),) * 55]),
 )
-def test_first_at_least_interleaved_with_random_follows_the_reference(seed, calls, burn):
+def test_first_at_least_follows_a_scan_of_the_reference(seed, calls, burn):
     got, expected = replay(seed, [*burn, *calls])
     assert got == expected
 
@@ -140,8 +116,7 @@ def test_long_mixed_streams_follow_the_reference():
     for _ in range(25):
         ps = [*rnd.sample(EDGE_PS, 2), rnd.random(), 0.3, 0.9]
         calls = [
-            "random" if rnd.random() < 0.05
-            else (rnd.choice(ps), rnd.choice([1, 2, 3, 5, 64, 65, 255, 256, rnd.randint(1, 256)]))
+            (rnd.choice(ps), rnd.choice([1, 2, 3, 5, 64, 65, 255, 256, rnd.randint(1, 256)]))
             for _ in range(rnd.randint(200, 400))
         ]
         got, expected = replay(rnd.getrandbits(64), calls)
@@ -163,7 +138,7 @@ def test_a_block_decides_each_draw_as_random_does(n):
         assert list(flags) == [int(x >= p) for x in reference_random(seed, n)]
 
 
-def test_blocks_grow_from_the_first_draw_and_restart_after_random(monkeypatch):
+def test_blocks_grow_from_the_first_draw(monkeypatch):
     blocks, decide = [], rng._decide_block
 
     def counted(state, t, n):
@@ -175,8 +150,5 @@ def test_blocks_grow_from_the_first_draw_and_restart_after_random(monkeypatch):
     for _ in range(8 + 16 + 32 + 64 + 1):
         assert r.first_at_least(1.5, 1) == 0
     assert blocks == [8, 16, 32, 64, 64]  # from the first draw, doubling up to 64
-    r.random()
-    r.first_at_least(1.5, 1)
-    assert blocks[5:] == [8]  # a random() call restarts the schedule
     r.first_at_least(1.5, 255)
-    assert blocks[6:] == [255]  # never shorter than the limit
+    assert blocks[5:] == [255]  # never shorter than the limit
