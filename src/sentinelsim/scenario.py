@@ -120,6 +120,10 @@ class Scenario(CheckedRecord, _ScenarioFields):
             raise ValueError(f"scenario name must be a str, got {name!r}")
         if not one_line(name):
             raise ValueError(f"scenario name must hold no line break, got {name!r}")
+        try:  # the text report carries the name as UTF-8
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, as a non-UTF-8 byte in a file name becomes
+            raise ValueError(f"scenario name must be UTF-8 text, got {name!r}") from None
         if type(events) is not EventColumns:  # (at, kind, meters) rows built by hand
             rows = tuple(events)
             for i, row in enumerate(rows):

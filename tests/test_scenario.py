@@ -150,6 +150,16 @@ class TestRender:
         with pytest.raises(ValueError, match=message):
             parse_scenario("0 arm", name=name)
 
+    @pytest.mark.parametrize("name", ["a\udcffb", "\ud800", "x\udfff"])
+    def test_a_name_that_is_not_utf8_text_is_refused(self, name):
+        # a lone surrogate: the text report, written as UTF-8, could not hold it
+        message = rf"^scenario name must be UTF-8 text, got {re.escape(repr(name))}$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(name=name)
+        with pytest.raises(ValueError, match=message):
+            parse_scenario("0 arm", name=name)
+        assert Scenario(name="xÿ \U0001f512").name == "xÿ \U0001f512"
+
     def test_float_values_survive_exactly(self):
         sc = parse_scenario("0 distance 0.30000000000000004")
         again = parse_scenario(render_scenario(sc))
