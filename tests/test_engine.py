@@ -97,6 +97,21 @@ class TestBreakinScenario:
         assert built == [NotificationKind.INTRUSION, NotificationKind.PRESENCE]
         assert [n.kind for n in mail] == built
 
+    def test_each_presence_mail_carries_its_clip_and_no_other_kind_one(self):
+        # the one builder's rule, which no Notification constructor checks
+        scenario = parse_scenario(
+            "0 arm\n1000 distance 0.5\n3000 door open\n7000 distance 0.2\n8000 mode_button\n"
+        )
+        report = run(scenario)
+        mail = controller_module.notifications(report.actions, report.clips, SimConfig())
+        assert [(n.kind, n.attachment) for n in mail] == [
+            (NotificationKind.INTRUSION, None),
+            (NotificationKind.PRESENCE, "clip-0001"),
+            (NotificationKind.PRESENCE, "clip-0002"),
+            (NotificationKind.DEACTIVATION_FAILED, None),
+        ]
+        assert [job.clip_id for job in report.clips] == ["clip-0001", "clip-0002"]
+
     def test_rendering_is_pure(self, breakin_scenario):
         report, _ = run_with_mail(breakin_scenario)
         for fmt in ("text", "structured"):

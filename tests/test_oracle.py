@@ -6,6 +6,8 @@ or to how notifications are made, is checked against rules written down
 apart from it.
 """
 
+import ast
+import inspect
 import json
 import os
 import random
@@ -150,6 +152,16 @@ def test_a_long_lossy_run_matches_the_oracle(drop, retries):
     assert text.count(b"\tlink\tTX\t") == 2000
     assert text == oracle_bytes(scenario, 28, cfg, "text")
     assert engine_outbox(scenario, 28, cfg) == oracle_outbox(scenario, 28, cfg)
+
+
+def test_the_oracle_imports_nothing_from_the_package():
+    modules = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert modules == {"__future__", "json", "bisect"}
 
 
 def test_oracle_matches_the_golden_cells():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sentinelsim.controller import RecordingJob
 from sentinelsim.engine import run
 from sentinelsim.report import RunReport, render_report
-from sentinelsim.scenario import parse_scenario
+from sentinelsim.scenario import Scenario, parse_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -90,6 +90,19 @@ def test_text_action_lines_are_the_logged_lines(rows):
     report = RunReport("s", 0, "rng", "ARMED", lines, {}, (), 0)
     expected = "\n".join([*lines, *report.summary_lines()]) + "\n"
     assert render_report(report, "text") == expected.encode("utf-8")
+
+
+# any character, lone surrogates and line breaks (which st.characters() rarely or never draws) among them
+@given(st.text(st.one_of(st.characters(), st.sampled_from(["\ud800", "\udcff", "\n", "\x85", "\u2028"]))))
+def test_every_name_a_scenario_takes_renders_in_both_formats(name):
+    # a name is refused when it is built, or its report renders: never a failed render later
+    try:
+        scenario = Scenario(name=name)
+    except ValueError:
+        return
+    report = run(scenario)
+    assert render_report(report, "text").decode("utf-8").split("\n").count(f"scenario: {name}") == 1
+    assert json.loads(render_report(report, "structured"))["scenario"] == name
 
 
 def test_text_render_peaks_under_three_times_its_bytes():
