@@ -143,9 +143,10 @@ def check_tree(n_events, cfg=TREE_CONFIG, seeds=SEEDS):
                     break
                 runs += 1
                 got = read_tree(out)
+                report = want["report.json" if fmt == "structured" else "report.txt"]
                 if code != 0 or got != want:
-                    mismatches.append((events, seed, code, sorted(set(got.items()) ^ set(want.items()))))
-                elif stdout.getvalue().encode("utf-8") != want["report.json" if seed % 2 else "report.txt"]:
+                    mismatches.append((events, seed, code, set(got.items()) ^ set(want.items())))
+                elif stdout.getvalue().encode("utf-8") != report:
                     mismatches.append((events, seed, "stdout"))
                 seen.update(re.sub(r"\d+", "N", key) for key in got)
     return runs, refused, mismatches, seen
